@@ -2,6 +2,7 @@
 
 from .es import (
     FITNESS_FLOOR,
+    TAU_MAX,
     ConfigurationError,
     EsConfig,
     EsRunResult,
@@ -11,6 +12,7 @@ from .es import (
     make_rng,
     mutate,
     register_objective,
+    run_batch,
     run_es,
     score_of,
     sphere_eval,
@@ -37,6 +39,7 @@ from .loop import (
     propose_next_tau,
     run_session,
     run_trial,
+    run_trials,
 )
 from .models import (
     EmptySessionError,

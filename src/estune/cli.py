@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .es import EsTemplate, ObjectiveSpec, objective_names
+from .es import TAU_MAX, EsTemplate, ObjectiveSpec, objective_names
 from .llm import LlmBackendConfig, TransportError, make_backend
 from .loop import best_of, best_trial, run_session, run_trial
 from .models import STATUS_COMPLETED, SessionConfig
@@ -194,8 +194,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_run_es(args: argparse.Namespace) -> int:
-    if not (args.tau > 0):
-        raise UsageError("--tau must be > 0")
+    if not (0 < args.tau <= TAU_MAX):
+        raise UsageError(f"--tau must be > 0 and <= {TAU_MAX}")
     cfg = _session_config(args, budget=1)
     trial = run_trial(args.tau, cfg, 0)
     sys.stdout.write(append_log_line(trial, "", include_std=cfg.log_std))

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Sequence
 
-import requests
-
 __all__ = [
     "DUPLICATE_REMINDER",
     "ExtractionError",
@@ -186,6 +184,8 @@ class HttpBackend:
         self.token = os.environ.get(TOKEN_ENV_VAR, "")
 
     def send(self, prompt: str, attempt: int = 0) -> LlmExchange:
+        import requests  # imported here: it is most of the package's import time
+
         cfg = self.config
         url = cfg.base_url.rstrip("/") + cfg.path
         payload = {

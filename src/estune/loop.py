@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .es import run_es
+from .es import TAU_MAX, run_batch
+from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
     DUPLICATE_REMINDER,
     ExtractionError,
@@ -40,6 +41,7 @@ __all__ = [
     "propose_next_tau",
     "run_session",
     "run_trial",
+    "run_trials",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -67,17 +69,34 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
 
 def run_trial(tau: float, cfg: SessionConfig, trial_index: int) -> Trial:
     """Run ``cfg.replicates`` independent ES runs at one tau and summarize."""
-    if not (tau > 0):
-        raise ValueError("tau must be > 0")
-    if trial_index < 0:
+    return run_trials([tau], cfg, [trial_index])[0]
+
+
+def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
+    """``run_trial`` of each (tau, trial_index) pair, in one ES batch.
+
+    Every replicate of every trial is one row of a single ``run_batch``
+    call, so each trial equals ``run_trial(tau, cfg, trial_index)`` bit
+    for bit.
+    """
+    taus, trial_indices = list(taus), list(trial_indices)
+    if len(taus) != len(trial_indices):
+        raise ValueError("need one trial_index per tau")
+    if any(trial_index < 0 for trial_index in trial_indices):
         raise ValueError("trial_index must be >= 0")
-    results = []
-    for i in range(cfg.replicates):
-        seed = derive_seed(cfg.master_seed, trial_index, i)
-        es_config = cfg.es_template.configure(tau=tau, seed=seed)
-        results.append(run_es(es_config, cfg.objective))
-    mean, std = trial_stats([r.score for r in results])
-    return Trial(tau=tau, results=results, mean_score=mean, std_score=std)
+    reps = cfg.replicates
+    configs = [
+        cfg.es_template.configure(tau=tau, seed=derive_seed(cfg.master_seed, trial_index, i))
+        for tau, trial_index in zip(taus, trial_indices)
+        for i in range(reps)
+    ]
+    results = run_batch(configs, cfg.objective)
+    trials = []
+    for k, tau in enumerate(taus):
+        runs = results[k * reps : (k + 1) * reps]
+        mean, std = trial_stats([r.score for r in runs])
+        trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
+    return trials
 
 
 def is_duplicate(tau: float, session: TuningSession, tol: float) -> bool:
@@ -113,8 +132,10 @@ def propose_next_tau(
     Duplicate proposals are re-prompted with a reminder up to
     ``max_propose_retries`` times; if the backend keeps repeating itself the
     duplicate is perturbed by factors of 1.05 until it is fresh.  Extraction
-    failures consume the same retry budget but, with nothing to perturb,
-    eventually propagate.  Every exchange lands in ``session.exchanges``.
+    failures, and taus above ``TAU_MAX``, consume the same retry budget but,
+    with nothing to perturb, eventually propagate as ``ExtractionError``, as
+    does a fallback pushed above ``TAU_MAX``.  Every exchange lands in
+    ``session.exchanges``.
     """
     if session.status != STATUS_RUNNING:
         raise ValueError(f"cannot propose on a {session.status} session")
@@ -136,6 +157,8 @@ def propose_next_tau(
         session.exchanges.append(exchange)
         try:
             tau = extract_tau(exchange.response)
+            if tau > TAU_MAX:
+                raise ExtractionError(f"extracted tau {tau!r} is above TAU_MAX = {TAU_MAX}")
         except ExtractionError as exc:
             last_extraction_error = exc
             prompt = base_prompt
@@ -151,6 +174,8 @@ def propose_next_tau(
     tau = last_duplicate * 1.05
     while is_duplicate(tau, session, cfg.duplicate_tolerance):
         tau *= 1.05
+    if tau > TAU_MAX:
+        raise ExtractionError(f"fallback tau {tau!r} is above TAU_MAX = {TAU_MAX}")
     return tau
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .loop import run_trial
+from .es import TAU_MAX
+from .loop import run_trial  # noqa: F401  (bench/tracer.py wraps report.run_trial by name)
+from .loop import run_trials
 from .models import SessionConfig, Trial, TuningSession
 from .store import format_number
 
@@ -29,6 +31,8 @@ class GridSpec:
             raise ValueError("tau_min must be > 0")
         if not (self.tau_min < self.tau_max):
             raise ValueError("tau_min must be < tau_max")
+        if not (self.tau_max <= TAU_MAX):
+            raise ValueError(f"tau_max must be <= {TAU_MAX}")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
 
@@ -41,8 +45,13 @@ def grid_values(spec: GridSpec) -> list[float]:
 
 
 def run_grid(spec: GridSpec, cfg: SessionConfig) -> list[Trial]:
-    """One replicated trial per grid value; no LLM involved."""
-    return [run_trial(tau, cfg, i) for i, tau in enumerate(grid_values(spec))]
+    """One replicated trial per grid value; no LLM involved.
+
+    Every (grid value, replicate) row runs in one lockstep ES batch; trial i
+    equals ``run_trial(grid_values(spec)[i], cfg, i)``.
+    """
+    taus = grid_values(spec)
+    return run_trials(taus, cfg, range(len(taus)))
 
 
 def _coerce_trials(source) -> list[Trial]:

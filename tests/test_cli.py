@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from estune.store import read_session
 
 FAST = ["--dim", "3", "--generations", "25", "--replicates", "2", "--seed", "11"]
@@ -34,6 +36,27 @@ class TestRunEsCommand:
 
     def test_missing_tau_exits_2(self, run_cli):
         assert run_cli(["run-es"] + FAST) == 2
+
+    @pytest.mark.parametrize("tau", ["101", "1000", "1e308", "nan"])
+    def test_tau_above_cap_exits_2(self, run_cli, tau, capsys):
+        assert run_cli(["run-es", "--tau", tau] + FAST) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma0", "0"],
+            ["--sigma0", "inf"],
+            ["--sigma0", "nan"],
+            ["--generations", "0"],
+            ["--init-high", "inf"],
+            ["--init-low=-inf"],
+            ["--init-low=-1e308", "--init-high", "1e308"],
+        ],
+    )
+    def test_bad_es_flags_exit_2(self, run_cli, flags, capsys):
+        assert run_cli(["run-es", "--tau", "1"] + FAST + flags) == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestTuneCommand:
@@ -104,6 +127,19 @@ class TestTuneCommand:
         assert [t.tau for t in session.trials] == [0.7]
 
 
+    def test_hostile_tau_aborts_with_exit_1_and_files(self, run_cli, tmp_path):
+        script = _script_file(tmp_path, ["tau = 1000", "tau = 1e308", "tau = 1000"])
+        code = run_cli(
+            ["tune", "--backend", "scripted", "--script", script, "--budget", "1",
+             "--out", str(tmp_path / "h")] + FAST
+        )
+        assert code == 1
+        session = read_session(tmp_path / "h.session.jsonl")
+        assert session.status == "aborted"
+        assert "ExtractionError" in session.error
+        assert (tmp_path / "h.log").exists()
+
+
 class TestGridCommand:
     def test_defaults_write_csv_log_and_plot(self, run_cli, tmp_path, capsys):
         out = tmp_path / "grid"
@@ -130,6 +166,12 @@ class TestGridCommand:
         assert run_cli(
             ["grid", "--tau-min", "1.5", "--tau-max", "0.6", "--out", str(tmp_path / "x")] + FAST
         ) == 2
+
+    def test_tau_max_above_cap_exits_2(self, run_cli, tmp_path, capsys):
+        assert run_cli(
+            ["grid", "--tau-max", "101", "--out", str(tmp_path / "x")] + FAST
+        ) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_byte_identical_outputs(self, run_cli, tmp_path):
         argv = lambda out: ["grid", "--steps", "3", "--out", str(out)] + FAST

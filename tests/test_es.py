@@ -2,25 +2,33 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import estune.es as es_mod
 from estune.es import (
     FITNESS_FLOOR,
+    TAU_MAX,
     ConfigurationError,
     EsConfig,
     EsTemplate,
     ObjectiveSpec,
     make_rng,
     mutate,
+    run_batch,
     run_es,
     score_of,
     sphere_eval,
     update_sigma,
 )
+from estune.loop import run_trial
+from estune.report import GridSpec, grid_values, run_grid
+
+from oracle import stepwise_run
 
 
 def sum_of_squares_oracle(values):
@@ -150,13 +158,11 @@ class TestRunEs:
 
     def test_objective_values_non_increasing(self):
         history = []
-        run_es(
-            _paper_config(5, generations=400),
-            SPHERE_5D,
-            on_generation=lambda gen, f, sigma: history.append(f),
-        )
+        config = _paper_config(5, generations=400)
+        stepwise_run(config, history)
         assert len(history) == 400
         assert all(a >= b for a, b in zip(history, history[1:]))
+        assert history[-1] == run_es(config, SPHERE_5D).best_f
 
     def test_score_recomputable_from_best_f(self):
         result = run_es(_paper_config(9, generations=200), SPHERE_5D)
@@ -221,6 +227,12 @@ class TestConfigValidation:
             {"init_low": 5.0, "init_high": -5.0},
             {"seed": -1},
             {"seed": 1 << 64},
+            {"tau": TAU_MAX * 1.0000001},
+            {"tau": 1e308},
+            {"tau": math.nan},
+            {"sigma0": math.inf},
+            {"init_high": math.inf},
+            {"init_low": -1e308, "init_high": 1e308},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -240,3 +252,111 @@ class TestConfigValidation:
         assert config.seed == 77
         assert config.sigma0 == 2.0
         assert config.dimension == 4
+
+    def test_tau_max_itself_accepted(self):
+        EsConfig(tau=TAU_MAX, sigma0=1.0, dimension=5, max_generations=10)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma0": 0.0},
+            {"sigma0": math.inf},
+            {"sigma0": math.nan},
+            {"dimension": 0},
+            {"max_generations": 0},
+            {"init_low": 5.0, "init_high": -5.0},
+            {"init_low": -math.inf},
+            {"init_high": math.inf},
+        ],
+    )
+    def test_bad_template_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            EsTemplate(**kwargs)
+
+
+@st.composite
+def _batches(draw):
+    """1-8 rows sharing a dimension and a generation count; sigma0 reaches
+    down to 1e-300, where an unmoved candidate ties its parent."""
+    dimension = draw(st.integers(1, 64))
+    generations = draw(st.integers(1, 200))
+    return [
+        EsConfig(
+            tau=draw(st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True)),
+            sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
+            dimension=dimension,
+            max_generations=generations,
+            seed=draw(st.integers(0, (1 << 64) - 1)),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+def _oracle_or_error(config):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return stepwise_run(config)
+    except ValueError:
+        return None
+
+
+class TestRunBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(_batches())
+    def test_rows_match_stepwise_oracle_bit_for_bit(self, configs):
+        expected = [_oracle_or_error(config) for config in configs]
+        objective = ObjectiveSpec("sphere", configs[0].dimension)
+        if None in expected:
+            with pytest.raises(ValueError):
+                run_batch(configs, objective)
+            return
+        results = run_batch(configs, objective)
+        got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
+        assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
+
+    def test_raises_on_a_non_finite_candidate(self):
+        config = EsConfig(tau=1.0, sigma0=1e308, dimension=5, max_generations=200,
+                          seed=16789950873655392269)
+        assert _oracle_or_error(config) is None
+        with pytest.raises(ValueError):
+            run_batch([_paper_config(2, generations=200), config], SPHERE_5D)
+
+    def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
+        # An objective under which every offspring is worse drives sigma to
+        # 0; the stepwise loop raises in the first generation that starts
+        # there, not when sigma reaches 0 in the last one.
+        def every_offspring_worse():
+            calls = []
+
+            def fn(x):
+                calls.append(None)
+                return np.full(len(x), 0.0 if len(calls) == 1 else 1.0)
+
+            return fn
+
+        sigma, reach_zero = 1.0, 0
+        while sigma > 0:
+            sigma, reach_zero = update_sigma(sigma, TAU_MAX, False), reach_zero + 1
+        config = EsConfig(tau=TAU_MAX, sigma0=1.0, dimension=5, max_generations=reach_zero)
+        monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
+        objective = ObjectiveSpec("worse", 5)
+        assert run_batch([config], objective)[0].final_sigma == 0.0
+        monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
+        with pytest.raises(ValueError):
+            run_batch([replace(config, max_generations=reach_zero + 1)], objective)
+
+    def test_empty_batch(self):
+        assert run_batch([], SPHERE_5D) == []
+
+    def test_mixed_generation_counts_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_batch([_paper_config(1, generations=10), _paper_config(2, generations=11)],
+                      SPHERE_5D)
+
+    @pytest.mark.parametrize("master_seed", [7, 42, 101])
+    def test_grid_rows_equal_separate_trials(self, paper_cfg, master_seed):
+        cfg = replace(paper_cfg, master_seed=master_seed)
+        spec = GridSpec(0.3, 2.4, 4)
+        trials = run_grid(spec, cfg)
+        for i, tau in enumerate(grid_values(spec)):
+            assert trials[i] == run_trial(tau, cfg, i)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from estune.es import EsRunResult
+from estune.es import TAU_MAX, EsRunResult
 from estune.llm import (
     DUPLICATE_REMINDER,
     ExtractionError,
@@ -19,6 +19,7 @@ from estune.loop import (
     propose_next_tau,
     run_session,
     run_trial,
+    run_trials,
 )
 from estune.models import EmptySessionError, Trial, TuningSession
 from estune.store import read_session
@@ -89,6 +90,15 @@ class TestRunTrial:
     def test_nonpositive_tau_rejected(self, fast_cfg):
         with pytest.raises(ValueError):
             run_trial(0.0, fast_cfg, 0)
+
+    def test_trials_batch_equals_separate_trials(self, fast_cfg):
+        trials = run_trials([0.9, 1.3, 0.9], fast_cfg, [4, 0, 2])
+        assert trials == [run_trial(0.9, fast_cfg, 4), run_trial(1.3, fast_cfg, 0),
+                          run_trial(0.9, fast_cfg, 2)]
+
+    def test_trials_need_one_index_per_tau(self, fast_cfg):
+        with pytest.raises(ValueError):
+            run_trials([0.9, 1.0], fast_cfg, [0])
 
     def test_moderate_tau_beats_large_tau_reference_setting(self, paper_cfg):
         # Fixed seeds, reference setting: the adaptation rate 0.95 clearly
@@ -200,6 +210,30 @@ class TestProposeNextTau:
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend(["no numbers here", "tau = 0.8"])
         assert propose_next_tau(session, backend) == 0.8
+
+    def test_tau_above_cap_reprompts(self, fast_cfg):
+        session = TuningSession(config=fast_cfg)
+        backend = ScriptedBackend(["tau = 1000", "tau = 1e308", "tau = 0.8"])
+        assert propose_next_tau(session, backend) == 0.8
+        assert [e.attempt for e in session.exchanges] == [0, 1, 2]
+
+    def test_tau_above_cap_after_retries_raises(self, fast_cfg):
+        session = TuningSession(config=fast_cfg)
+        backend = ScriptedBackend([f"tau = {TAU_MAX * 2}"] * 3)
+        with pytest.raises(ExtractionError):
+            propose_next_tau(session, backend)
+        assert len(session.exchanges) == 3
+
+    def test_tau_at_cap_accepted(self, fast_cfg):
+        session = TuningSession(config=fast_cfg)
+        assert propose_next_tau(session, ScriptedBackend([f"tau = {TAU_MAX}"])) == TAU_MAX
+
+    def test_fallback_above_cap_raises(self, fast_cfg):
+        session = TuningSession(config=fast_cfg)
+        session.trials = [_synthetic_trial(TAU_MAX, 1.0)]
+        backend = ScriptedBackend([f"tau = {TAU_MAX}"] * 3)
+        with pytest.raises(ExtractionError):
+            propose_next_tau(session, backend)
 
     def test_transport_failure_propagates(self, fast_cfg):
         session = TuningSession(config=fast_cfg)

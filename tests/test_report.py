@@ -45,6 +45,7 @@ class TestGridValues:
             {"tau_min": 1.0, "tau_max": 1.0},
             {"tau_min": -0.1, "tau_max": 1.0},
             {"steps": 1},
+            {"tau_min": 1.0, "tau_max": 101.0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
