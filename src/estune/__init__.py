@@ -7,6 +7,7 @@ from .es import (
     EsConfig,
     EsRunResult,
     EsTemplate,
+    NumericalError,
     ObjectiveSpec,
     get_objective,
     make_rng,

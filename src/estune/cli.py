@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .es import TAU_MAX, EsTemplate, ObjectiveSpec, objective_names
+from .es import TAU_MAX, EsTemplate, NumericalError, ObjectiveSpec, objective_names
 from .llm import LlmBackendConfig, TransportError, make_backend
 from .loop import best_of, best_trial, run_session, run_trial
 from .models import STATUS_COMPLETED, SessionConfig
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, TransportError) as exc:
+    except (OSError, TransportError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

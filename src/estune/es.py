@@ -35,7 +35,8 @@ and ``update_sigma``:
   along each row.  Do not replace it with ``np.sum``, ``np.dot``,
   ``math.fsum`` or the builtin ``sum()``: the first two sum pairwise or
   blocked, the last two round differently (since Python 3.12 ``sum()`` of
-  floats is compensated), and any of them changes the last bits;
+  floats is compensated), and any of them changes the last bits.  For the
+  same reason ``store.trial_stats`` folds its sums with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
@@ -57,6 +58,7 @@ __all__ = [
     "EsConfig",
     "EsRunResult",
     "EsTemplate",
+    "NumericalError",
     "ObjectiveSpec",
     "TAU_MAX",
     "get_objective",
@@ -87,6 +89,10 @@ _SEED_LIMIT = 1 << 64
 
 class ConfigurationError(ValueError):
     """Raised when a run configuration violates its invariants."""
+
+
+class NumericalError(ValueError):
+    """A run left the finite floating-point range: its result is undefined."""
 
 
 def sphere_eval(x) -> float:
@@ -275,8 +281,9 @@ def run_batch(configs: Sequence[EsConfig], objective: ObjectiveSpec) -> list[EsR
     Rows share the dimension and the generation count; tau, seed, sigma0
     and the init box are per row.  Each row's result is bit-identical to the
     stepwise loop of its config alone (see the module docstring), and the
-    batch raises ``ValueError`` exactly when some row's stepwise loop would:
-    a non-finite candidate, or sigma at 0 before a generation.
+    batch raises ``NumericalError`` exactly when some row's stepwise loop
+    would raise ``ValueError``: a non-finite candidate, or sigma at 0 before
+    a generation.
     """
     configs = list(configs)
     if not configs:
@@ -321,9 +328,9 @@ def run_batch(configs: Sequence[EsConfig], objective: ObjectiveSpec) -> list[EsR
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
     if not finite:
-        raise ValueError("a candidate left the finite floating-point range")
+        raise NumericalError("a candidate left the finite floating-point range")
     if not (before_last > 0).all():
-        raise ValueError("sigma reached 0 before the last generation")
+        raise NumericalError("sigma reached 0 before the last generation")
     return [
         EsRunResult(
             best_f=best_f,

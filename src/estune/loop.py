@@ -3,15 +3,15 @@
 Each iteration asks the backend for a tau value (the stock tune instruction
 when the log is still empty, otherwise the analysis instruction over the
 log so far), runs a replicated batch of ES trials at that tau, appends the
-result line to the log, and persists the session.  The loop is strictly
-sequential; every proposal depends on all prior results.
+result line to the log, and appends the trial to the session files.  The
+loop is strictly sequential; every proposal depends on all prior results.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import math
 
-from .es import TAU_MAX, run_batch
+from .es import TAU_MAX, NumericalError, run_batch
 from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
     DUPLICATE_REMINDER,
@@ -31,7 +31,9 @@ from .models import (
     Trial,
     TuningSession,
 )
-from .store import render_log, trial_stats, write_session
+from .store import SessionWriter, append_log_line, trial_stats
+from .store import render_log  # also wrapped by name in bench/tracer.py
+from .store import write_session  # noqa: F401  (bench/tracer.py wraps loop.write_session by name)
 
 __all__ = [
     "best_of",
@@ -77,7 +79,8 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
 
     Every replicate of every trial is one row of a single ``run_batch``
     call, so each trial equals ``run_trial(tau, cfg, trial_index)`` bit
-    for bit.
+    for bit.  A trial whose mean score is not finite (an objective value
+    that overflowed to inf) raises ``NumericalError``: it has no log line.
     """
     taus, trial_indices = list(taus), list(trial_indices)
     if len(taus) != len(trial_indices):
@@ -95,6 +98,8 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
     for k, tau in enumerate(taus):
         runs = results[k * reps : (k + 1) * reps]
         mean, std = trial_stats([r.score for r in runs])
+        if not math.isfinite(mean):
+            raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
         trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
     return trials
 
@@ -125,24 +130,31 @@ def best_trial(session: TuningSession) -> Trial:
 
 
 def propose_next_tau(
-    session: TuningSession, backend, prompts: PromptPair | None = None
+    session: TuningSession,
+    backend,
+    prompts: PromptPair | None = None,
+    log_text: str | None = None,
 ) -> float:
     """Obtain the next untried tau from the backend.
+
+    ``log_text`` is the session's results log; by default it is rendered
+    from ``session.trials``.
 
     Duplicate proposals are re-prompted with a reminder up to
     ``max_propose_retries`` times; if the backend keeps repeating itself the
     duplicate is perturbed by factors of 1.05 until it is fresh.  Extraction
     failures, and taus above ``TAU_MAX``, consume the same retry budget but,
     with nothing to perturb, eventually propagate as ``ExtractionError``, as
-    does a fallback pushed above ``TAU_MAX``.  Every exchange lands in
-    ``session.exchanges``.
+    does a fallback pushed above ``TAU_MAX`` or stuck at a subnormal tau.
+    Every exchange lands in ``session.exchanges``.
     """
     if session.status != STATUS_RUNNING:
         raise ValueError(f"cannot propose on a {session.status} session")
     prompts = prompts if prompts is not None else PromptPair()
     cfg = session.config
 
-    log_text = render_log(session.trials, include_std=cfg.log_std)
+    if log_text is None:
+        log_text = render_log(session.trials, include_std=cfg.log_std)
     if log_text:
         base_prompt = render_analysis_prompt(prompts, log_text)
     else:
@@ -173,20 +185,12 @@ def propose_next_tau(
         raise last_extraction_error
     tau = last_duplicate * 1.05
     while is_duplicate(tau, session, cfg.duplicate_tolerance):
+        if tau * 1.05 == tau:  # the smallest subnormals round back to themselves
+            raise ExtractionError(f"fallback tau {tau!r} does not grow by 1.05")
         tau *= 1.05
     if tau > TAU_MAX:
         raise ExtractionError(f"fallback tau {tau!r} is above TAU_MAX = {TAU_MAX}")
     return tau
-
-
-def _persist(session: TuningSession, out_base) -> None:
-    base = Path(out_base)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    write_session(session, base.with_name(base.name + ".session.jsonl"))
-    log_path = base.with_name(base.name + ".log")
-    log_path.write_text(
-        render_log(session.trials, include_std=session.config.log_std), encoding="utf-8"
-    )
 
 
 def run_session(
@@ -198,23 +202,29 @@ def run_session(
     """Run the full tuning cycle for ``cfg.budget`` trials.
 
     When ``out_base`` is given, ``<out_base>.session.jsonl`` and
-    ``<out_base>.log`` are rewritten after every trial, so the files on disk
-    reflect all completed work even if the loop aborts.  Backend transport
-    and extraction failures abort the session (status "aborted", diagnostics
-    in ``session.error``) instead of raising.
+    ``<out_base>.log`` are appended to as the session runs (see
+    ``store.SessionWriter``), so the files on disk reflect all completed
+    work even if the loop aborts.  Backend transport and extraction
+    failures, and an ES run that leaves the finite floating-point range,
+    abort the session (status "aborted", diagnostics in ``session.error``)
+    instead of raising.
     """
     session = TuningSession(config=cfg)
+    writer = SessionWriter(session, out_base) if out_base is not None else None
+    log_text = ""
     try:
         for trial_index in range(cfg.budget):
-            tau = propose_next_tau(session, backend, prompts)
-            session.trials.append(run_trial(tau, cfg, trial_index))
-            if out_base is not None:
-                _persist(session, out_base)
+            tau = propose_next_tau(session, backend, prompts, log_text=log_text)
+            trial = run_trial(tau, cfg, trial_index)
+            session.trials.append(trial)
+            log_text = append_log_line(trial, log_text, include_std=cfg.log_std)
+            if writer is not None:
+                writer.append_trial(session, log_text)
         session.best_tau = best_of(session.trials).tau
         session.status = STATUS_COMPLETED
-    except (TransportError, ExtractionError) as exc:
+    except (TransportError, ExtractionError, NumericalError) as exc:
         session.status = STATUS_ABORTED
         session.error = f"{type(exc).__name__}: {exc}"
-    if out_base is not None:
-        _persist(session, out_base)
+    if writer is not None:
+        writer.finish(session)
     return session

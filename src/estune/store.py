@@ -11,7 +11,7 @@ Decimals use the shortest representation that round-trips to the same IEEE
 double; integral values drop the trailing ".0".
 
 ``<name>.session.jsonl`` is the machine-readable record, one JSON object
-per line, written in chronological order:
+per line, in chronological order:
 
 * line 1: ``{"record": "header", "schema_version": 1, "config": {...}}``
 * ``{"record": "exchange", "prompt", "response", "latency_ms", "timestamp",
@@ -21,9 +21,18 @@ per line, written in chronological order:
 * last line, once the session leaves the running state:
   ``{"record": "status", "status", ["best_tau"], ["error"]}``
 
-Exchanges belonging to one proposal start at attempt 0, which is how the
-writer interleaves them with their trials.  Unknown top-level fields in any
-record survive a read/write round trip.
+A running session's files are appended to as it happens (``SessionWriter``):
+the header before the first backend call, then after each trial the
+exchanges that proposed it and the trial record, in one write, with the
+trial's line appended to ``.log``; the status record comes last.  Every
+record therefore reaches the disk once.  A crash can leave at most a torn
+last line, which ``read_session`` reports as a ``SessionFileError`` whose
+``partial`` holds everything before it.
+
+``write_session`` serializes a whole session in one go.  Exchanges
+belonging to one proposal start at attempt 0, which is how it interleaves
+them with their trials.  Unknown top-level fields in any record survive a
+read/write round trip.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaVersionError",
     "SessionFileError",
+    "SessionWriter",
     "append_log_line",
     "format_log_line",
     "format_number",
@@ -111,15 +121,25 @@ def render_log(trials: Iterable[Trial], include_std: bool = True) -> str:
 
 
 def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n-1; 0 for n=1)."""
+    """Arithmetic mean and sample standard deviation (n-1; 0 for n=1).
+
+    Both sums are plain left-to-right ``+=`` folds, not the builtin
+    ``sum()``, whose float sum is compensated since Python 3.12: the folds
+    give the same bits on every Python version.
+    """
     n = len(scores)
     if n == 0:
         raise ValueError("need at least one score")
-    mean = sum(scores) / n
+    total = 0.0
+    for s in scores:
+        total += s
+    mean = total / n
     if n == 1:
         return mean, 0.0
-    var = sum((s - mean) ** 2 for s in scores) / (n - 1)
-    return mean, math.sqrt(var)
+    squares = 0.0
+    for s in scores:
+        squares += (s - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1))
 
 
 _EXCHANGE_KEYS = ("prompt", "response", "latency_ms", "timestamp", "attempt")
@@ -178,16 +198,29 @@ def _exchange_groups(exchanges: Sequence[LlmExchange]) -> list[list[LlmExchange]
     return groups
 
 
-def session_records(session: TuningSession) -> list[dict[str, Any]]:
-    """All records for a session, in the order they happened."""
+def _header_record(session: TuningSession) -> dict[str, Any]:
     header: dict[str, Any] = {
         "record": "header",
         "schema_version": SCHEMA_VERSION,
         "config": _config_dict(session.config),
     }
     header.update(session.extras.get("header", {}))
-    records = [header]
+    return header
 
+
+def _status_record(session: TuningSession) -> dict[str, Any]:
+    status: dict[str, Any] = {"record": "status", "status": session.status}
+    if session.best_tau is not None:
+        status["best_tau"] = session.best_tau
+    if session.error is not None:
+        status["error"] = session.error
+    status.update(session.extras.get("status", {}))
+    return status
+
+
+def session_records(session: TuningSession) -> list[dict[str, Any]]:
+    """All records for a session, in the order they happened."""
+    records = [_header_record(session)]
     groups = _exchange_groups(session.exchanges)
     for i, trial in enumerate(session.trials):
         if i < len(groups):
@@ -195,21 +228,61 @@ def session_records(session: TuningSession) -> list[dict[str, Any]]:
         records.append(_trial_record(trial))
     for group in groups[len(session.trials):]:
         records.extend(_exchange_record(e) for e in group)
-
     if session.status != STATUS_RUNNING:
-        status: dict[str, Any] = {"record": "status", "status": session.status}
-        if session.best_tau is not None:
-            status["best_tau"] = session.best_tau
-        if session.error is not None:
-            status["error"] = session.error
-        status.update(session.extras.get("status", {}))
-        records.append(status)
+        records.append(_status_record(session))
     return records
 
 
+def _lines(records: Iterable[dict[str, Any]]) -> str:
+    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+
+
 def write_session(session: TuningSession, path) -> None:
-    lines = [json.dumps(rec, separators=(",", ":")) for rec in session_records(session)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(_lines(session_records(session)), encoding="utf-8")
+
+
+def _append(path: Path, text: str) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class SessionWriter:
+    """Appends one session's records and log lines as they happen.
+
+    The finished files equal ``write_session`` of the session and
+    ``render_log`` of its trials; in between they hold every trial so far.
+    """
+
+    def __init__(self, session: TuningSession, out_base):
+        base = Path(out_base)
+        base.parent.mkdir(parents=True, exist_ok=True)
+        self.session_path = base.with_name(base.name + ".session.jsonl")
+        self.log_path = base.with_name(base.name + ".log")
+        self._exchanges = 0
+        self._log_chars = 0
+        self.session_path.write_text(_lines([_header_record(session)]), encoding="utf-8")
+        self.log_path.write_text("", encoding="utf-8")
+
+    def _new_exchanges(self, session: TuningSession) -> list[dict[str, Any]]:
+        records = [_exchange_record(e) for e in session.exchanges[self._exchanges:]]
+        self._exchanges = len(session.exchanges)
+        return records
+
+    def append_trial(self, session: TuningSession, log_text: str) -> None:
+        """Append the newest trial after the exchanges that proposed it.
+
+        ``log_text`` is the session's whole log so far; its unwritten tail
+        goes to ``.log``.
+        """
+        records = self._new_exchanges(session) + [_trial_record(session.trials[-1])]
+        _append(self.session_path, _lines(records))
+        _append(self.log_path, log_text[self._log_chars:])
+        self._log_chars = len(log_text)
+
+    def finish(self, session: TuningSession) -> None:
+        """Append the exchanges not yet on disk, then the status record."""
+        records = self._new_exchanges(session) + [_status_record(session)]
+        _append(self.session_path, _lines(records))
 
 
 def _extras(rec: dict[str, Any], known: Sequence[str]) -> dict[str, Any]:

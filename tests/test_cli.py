@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from estune.store import read_session
+from estune.store import read_session, render_log
 
 FAST = ["--dim", "3", "--generations", "25", "--replicates", "2", "--seed", "11"]
 
@@ -57,6 +57,20 @@ class TestRunEsCommand:
     def test_bad_es_flags_exit_2(self, run_cli, flags, capsys):
         assert run_cli(["run-es", "--tau", "1"] + FAST + flags) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma0", "1e308", "--seed", "1", "--replicates", "4"],
+            ["--init-low=-1e200", "--init-high", "1e200", "--generations", "5"],
+        ],
+    )
+    def test_kernel_overflow_exits_1_without_traceback(self, run_cli, flags, capsys):
+        code = run_cli(["run-es", "--tau", "1"] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestTuneCommand:
@@ -138,6 +152,23 @@ class TestTuneCommand:
         assert session.status == "aborted"
         assert "ExtractionError" in session.error
         assert (tmp_path / "h.log").exists()
+
+
+    def test_kernel_overflow_aborts_with_exit_1_and_files(self, run_cli, tmp_path, capsys):
+        script = _script_file(tmp_path, ["tau = 0.7", "tau = 1.2"])
+        code = run_cli(
+            ["tune", "--backend", "scripted", "--script", script, "--budget", "2",
+             "--sigma0", "1e308", "--out", str(tmp_path / "n")] + FAST
+        )
+        assert code == 1
+        assert "NumericalError" in capsys.readouterr().err
+        session = read_session(tmp_path / "n.session.jsonl")
+        assert session.status == "aborted"
+        assert session.error.startswith("NumericalError: ")
+        # The exchange that proposed the failing trial is on disk too.
+        assert len(session.exchanges) == len(session.trials) + 1
+        log = (tmp_path / "n.log").read_text(encoding="utf-8")
+        assert log == render_log(session.trials)
 
 
 class TestGridCommand:

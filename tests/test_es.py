@@ -16,6 +16,7 @@ from estune.es import (
     ConfigurationError,
     EsConfig,
     EsTemplate,
+    NumericalError,
     ObjectiveSpec,
     make_rng,
     mutate,
@@ -318,8 +319,9 @@ class TestRunBatch:
         config = EsConfig(tau=1.0, sigma0=1e308, dimension=5, max_generations=200,
                           seed=16789950873655392269)
         assert _oracle_or_error(config) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             run_batch([_paper_config(2, generations=200), config], SPHERE_5D)
+        assert issubclass(NumericalError, ValueError)
 
     def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
         # An objective under which every offspring is worse drives sigma to
@@ -342,7 +344,7 @@ class TestRunBatch:
         objective = ObjectiveSpec("worse", 5)
         assert run_batch([config], objective)[0].final_sigma == 0.0
         monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             run_batch([replace(config, max_generations=reach_zero + 1)], objective)
 
     def test_empty_batch(self):

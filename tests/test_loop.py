@@ -1,14 +1,22 @@
 """Seed derivation, trials, proposal dedupe, and full sessions."""
 
-import pytest
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
-from estune.es import TAU_MAX, EsRunResult
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from estune.es import TAU_MAX, EsRunResult, EsTemplate, NumericalError, ObjectiveSpec
 from estune.llm import (
     DUPLICATE_REMINDER,
     ExtractionError,
     PromptPair,
     ScriptedBackend,
     TransportError,
+    render_analysis_prompt,
     render_tune_prompt,
 )
 from estune.loop import (
@@ -21,8 +29,8 @@ from estune.loop import (
     run_trial,
     run_trials,
 )
-from estune.models import EmptySessionError, Trial, TuningSession
-from estune.store import read_session
+from estune.models import EmptySessionError, SessionConfig, Trial, TuningSession
+from estune.store import read_session, render_log, write_session
 
 
 def reference_splitmix64(z):
@@ -95,6 +103,13 @@ class TestRunTrial:
         trials = run_trials([0.9, 1.3, 0.9], fast_cfg, [4, 0, 2])
         assert trials == [run_trial(0.9, fast_cfg, 4), run_trial(1.3, fast_cfg, 0),
                           run_trial(0.9, fast_cfg, 2)]
+
+    def test_overflowing_objective_raises_numerical_error(self, fast_cfg):
+        # Squares of 1e200 overflow: best_f is inf and the score -inf.
+        template = replace(fast_cfg.es_template, init_low=-1e200, init_high=1e200,
+                           max_generations=5)
+        with pytest.raises(NumericalError):
+            run_trial(0.9, replace(fast_cfg, es_template=template), 0)
 
     def test_trials_need_one_index_per_tau(self, fast_cfg):
         with pytest.raises(ValueError):
@@ -235,6 +250,14 @@ class TestProposeNextTau:
         with pytest.raises(ExtractionError):
             propose_next_tau(session, backend)
 
+    def test_fallback_stuck_at_a_subnormal_raises(self, fast_cfg):
+        # 5e-324 * 1.05 rounds back to 5e-324, so the fallback cannot move.
+        session = TuningSession(config=fast_cfg)
+        session.trials = [_synthetic_trial(5e-324, 1.0)]
+        backend = ScriptedBackend(["tau = 5e-324"] * 3)
+        with pytest.raises(ExtractionError):
+            propose_next_tau(session, backend)
+
     def test_transport_failure_propagates(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend([])  # immediately exhausted
@@ -317,3 +340,120 @@ class TestRunSession:
         assert [e.attempt for e in session.exchanges] == [0, 0, 1]
         responses = [e.response for e in session.exchanges]
         assert responses == ["tau = 0.7", "tau = 0.7", "tau = 1.4"]
+
+    def test_attempt_0_prompts_match_the_reference_renderer(self, fast_cfg):
+        replies = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing", "tau = 0.9"]
+        replies += ["tau = 0.9"] * 3
+        for log_std in (True, False):
+            cfg = replace(fast_cfg, log_std=log_std)
+            session = run_session(cfg, ScriptedBackend(replies))
+            assert session.status == "completed"
+            prompts = [e.prompt for e in session.exchanges if e.attempt == 0]
+            assert len(prompts) == cfg.budget
+            assert prompts[0] == render_tune_prompt(PromptPair())
+            for k, prompt in enumerate(prompts[1:], start=1):
+                log = render_log(session.trials[:k], include_std=log_std)
+                assert prompt == render_analysis_prompt(PromptPair(), log)
+
+
+class DiskProbe:
+    """ScriptedBackend that reads the session files at each attempt-0 send."""
+
+    def __init__(self, responses, out_base):
+        self.scripted = ScriptedBackend(responses)
+        self.session_path = out_base.with_name(out_base.name + ".session.jsonl")
+        self.log_path = out_base.with_name(out_base.name + ".log")
+        self.sends = 0
+        # (sends before this one, session read back, session bytes, log text)
+        self.snapshots = []
+
+    def send(self, prompt, attempt=0):
+        if attempt == 0:
+            self.snapshots.append((
+                self.sends,
+                read_session(self.session_path),
+                self.session_path.read_bytes(),
+                self.log_path.read_text(encoding="utf-8"),
+            ))
+        self.sends += 1
+        return self.scripted.send(prompt, attempt)
+
+
+# Fresh, duplicate, unparseable and fallback proposals, then (for budget 5)
+# an exhausted script.
+PROBE_REPLIES = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing", "tau = 0.9"] + [
+    "tau = 0.9"
+] * 3
+
+
+class TestSessionFiles:
+    def test_header_on_disk_before_the_first_send(self, fast_cfg, tmp_path):
+        out = tmp_path / "runs" / "s"
+        backend = DiskProbe(PROBE_REPLIES, out)
+        run_session(fast_cfg, backend, out_base=out)
+        sends, stored, _, log = backend.snapshots[0]
+        assert sends == 0
+        assert stored == TuningSession(config=fast_cfg)
+        assert log == ""
+
+    @pytest.mark.parametrize("budget,status", [(4, "completed"), (5, "aborted")])
+    def test_files_hold_every_trial_so_far(self, fast_cfg, tmp_path, budget, status):
+        cfg = replace(fast_cfg, budget=budget)
+        out = tmp_path / "s"
+        backend = DiskProbe(PROBE_REPLIES, out)
+        session = run_session(cfg, backend, out_base=out)
+        assert session.status == status
+        final = backend.session_path.read_bytes()
+        assert len(backend.snapshots) == budget
+        for k, (sends, stored, data, log) in enumerate(backend.snapshots):
+            assert stored == TuningSession(
+                config=cfg, trials=session.trials[:k], exchanges=session.exchanges[:sends]
+            )
+            assert final.startswith(data)
+            assert log == render_log(session.trials[:k])
+        write_session(session, tmp_path / "whole.session.jsonl")
+        assert final == (tmp_path / "whole.session.jsonl").read_bytes()
+        assert backend.log_path.read_text(encoding="utf-8") == render_log(session.trials)
+
+
+# Numbers a model might send: huge exponents, subnormals, the float limits,
+# the cap and its neighbours, and anything else a float can be.
+_HOSTILE_NUMBERS = st.one_of(
+    st.integers(-400, 400).map(lambda e: f"1e{e}"),
+    st.sampled_from([
+        "1e308", "1.7976931348623157e308", "5e-324", "2.2250738585072014e-308",
+        repr(math.nextafter(TAU_MAX, 0)), str(TAU_MAX), repr(math.nextafter(TAU_MAX, math.inf)),
+        "nan", "inf", "-inf", "0", "-0.0", "1" * 400,
+    ]),
+    st.floats(min_value=0, max_value=1e-300).map(repr),
+    st.floats(allow_nan=False).map(repr),
+)
+_REPLIES = st.one_of(
+    _HOSTILE_NUMBERS.map(lambda t: f"tau = {t}"),
+    _HOSTILE_NUMBERS.map(lambda t: f"I suggest a tau of {t} for the next run."),
+    st.text(max_size=2000),
+)
+
+
+# A module-level config: hypothesis does not reset function-scoped fixtures.
+HOSTILE_CFG = SessionConfig(
+    objective=ObjectiveSpec("sphere", 3),
+    es_template=EsTemplate(sigma0=1.0, dimension=3, max_generations=30),
+    master_seed=5,
+    replicates=2,
+    budget=3,
+)
+
+
+class TestHostileReplies:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_REPLIES, min_size=1, max_size=10))
+    def test_every_reply_ends_in_a_trial_or_a_clean_abort(self, replies):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "s"
+            session = run_session(HOSTILE_CFG, ScriptedBackend(replies), out_base=out)
+            assert session.status in ("completed", "aborted")
+            assert (session.status == "aborted") == (session.error is not None)
+            assert read_session(Path(tmp) / "s.session.jsonl") == session
+            log = (Path(tmp) / "s.log").read_text(encoding="utf-8")
+            assert log == render_log(session.trials)

@@ -110,6 +110,11 @@ class TestTrialStats:
         with pytest.raises(ValueError):
             trial_stats([])
 
+    def test_sums_are_uncompensated(self):
+        # A left-to-right fold loses the 1.0; Python 3.12's compensated
+        # sum() would keep it and give a mean of 1/3.
+        assert trial_stats([1e16, 1.0, -1e16])[0] == 0.0
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=30))
     def test_matches_statistics_module(self, scores):
         mean, std = trial_stats(scores)
