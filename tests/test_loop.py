@@ -342,11 +342,9 @@ class TestRunSession:
         assert responses == ["tau = 0.7", "tau = 0.7", "tau = 1.4"]
 
     def test_attempt_0_prompts_match_the_reference_renderer(self, fast_cfg):
-        replies = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing", "tau = 0.9"]
-        replies += ["tau = 0.9"] * 3
         for log_std in (True, False):
             cfg = replace(fast_cfg, log_std=log_std)
-            session = run_session(cfg, ScriptedBackend(replies))
+            session = run_session(cfg, ScriptedBackend(PROBE_REPLIES))
             assert session.status == "completed"
             prompts = [e.prompt for e in session.exchanges if e.attempt == 0]
             assert len(prompts) == cfg.budget
@@ -381,9 +379,7 @@ class DiskProbe:
 
 # Fresh, duplicate, unparseable and fallback proposals, then (for budget 5)
 # an exhausted script.
-PROBE_REPLIES = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing", "tau = 0.9"] + [
-    "tau = 0.9"
-] * 3
+PROBE_REPLIES = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing"] + ["tau = 0.9"] * 4
 
 
 class TestSessionFiles:
