@@ -32,6 +32,8 @@ from estune.loop import (
 from estune.models import EmptySessionError, SessionConfig, Trial, TuningSession
 from estune.store import read_session, render_log, write_session
 
+from conftest import FIXTURES
+
 
 def reference_splitmix64(z):
     # Independent restatement of the documented mixing function.
@@ -410,6 +412,49 @@ class TestSessionFiles:
         write_session(session, tmp_path / "whole.session.jsonl")
         assert final == (tmp_path / "whole.session.jsonl").read_bytes()
         assert backend.log_path.read_text(encoding="utf-8") == render_log(session.trials)
+
+    @pytest.mark.parametrize("status", ["completed", "aborted"])
+    def test_files_match_the_golden_bytes(self, tmp_path, status):
+        out = tmp_path / status
+        session = run_session(GOLDEN_CFG, ScriptedBackend(GOLDEN_REPLIES[status]), out_base=out)
+        assert session.status == status
+        golden = FIXTURES / f"golden_{status}.session.jsonl"
+        assert out.with_name(status + ".session.jsonl").read_bytes() == golden.read_bytes()
+        write_session(session, tmp_path / "whole.session.jsonl")
+        assert (tmp_path / "whole.session.jsonl").read_bytes() == golden.read_bytes()
+        assert read_session(golden) == session
+        log = out.with_name(status + ".log").read_bytes()
+        if status == "completed":
+            assert log == (FIXTURES / "golden_completed.log").read_bytes()
+        assert log == render_log(session.trials).encode("utf-8")
+
+
+# The golden session files were written by this config and these replies.
+# Both scripts hold a duplicate with its re-prompt, an unparseable reply and
+# a 1.05x fallback (three duplicates of 0.9 give 0.945); the aborted one
+# runs out of replies in the middle of its fifth proposal, so an exchange
+# follows the last trial.
+GOLDEN_CFG = SessionConfig(
+    objective=ObjectiveSpec("sphere", 3),
+    es_template=EsTemplate(sigma0=1.0, dimension=3, max_generations=20),
+    master_seed=2024,
+    replicates=2,
+    budget=5,
+)
+_GOLDEN_PREFIX = [
+    "tau = 0.7",
+    "tau = 0.7",
+    "I suggest a tau of 1.1 for the next run.",
+    "The landscape looks multimodal; more exploration is needed.",
+    "```python\ntau = 0.9\n```",
+    "tau = 0.9",
+    "tau = 0.9",
+    "tau = 0.9",
+]
+GOLDEN_REPLIES = {
+    "completed": _GOLDEN_PREFIX + ["tau = 1.3"],
+    "aborted": _GOLDEN_PREFIX + ["tau = 1.1"],
+}
 
 
 # Numbers a model might send: huge exponents, subnormals, the float limits,
