@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 from .es import TAU_MAX, EsTemplate, NumericalError, ObjectiveSpec, objective_names
-from .llm import LlmBackendConfig, TransportError, make_backend
-from .loop import best_of, best_trial, run_session, run_trial
+from .llm import HttpBackend, LlmBackendConfig, ScriptedBackend, TransportError
+from .loop import best_of, run_session, run_trial
 from .models import STATUS_COMPLETED, SessionConfig
 from .report import GridSpec, emit_csv, emit_plot, run_grid
 from .store import append_log_line, format_number, render_log
@@ -126,7 +126,7 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _backend_config(args: argparse.Namespace) -> LlmBackendConfig:
+def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
     file_cfg = _load_config_file(args.config)
     if args.backend == "scripted":
         if not args.script:
@@ -137,7 +137,9 @@ def _backend_config(args: argparse.Namespace) -> LlmBackendConfig:
             raise UsageError(f"cannot read script file {args.script}: {exc}") from exc
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise UsageError(f"script file {args.script} must hold a JSON array of strings")
-        return LlmBackendConfig(kind="scripted", scripted_responses=tuple(responses))
+        if not responses:
+            raise UsageError(f"script file {args.script} holds no responses")
+        return ScriptedBackend(responses)
 
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR) or file_cfg.get("endpoint")
     if not endpoint:
@@ -148,16 +150,17 @@ def _backend_config(args: argparse.Namespace) -> LlmBackendConfig:
     model = args.model or os.environ.get(MODEL_ENV_VAR) or file_cfg.get("model") or "llama3"
     temperature = args.temperature
     if temperature is None:
-        temperature = float(file_cfg.get("temperature", 0.7))
+        temperature = file_cfg.get("temperature", 0.7)
+    if not isinstance(temperature, (int, float)):
+        raise UsageError(f"temperature must be a number, not {temperature!r}")
     try:
-        return LlmBackendConfig(
-            kind="http",
+        return HttpBackend(LlmBackendConfig(
             base_url=str(endpoint),
             model=str(model),
-            temperature=temperature,
+            temperature=float(temperature),
             timeout_seconds=args.timeout,
             transport_retries=args.transport_retries,
-        )
+        ))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -166,12 +169,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     cfg = _session_config(args, budget=args.budget)
-    backend = make_backend(_backend_config(args))
+    backend = _backend(args)
     session = run_session(cfg, backend, out_base=args.out)
     if session.status != STATUS_COMPLETED:
         print(f"session aborted: {session.error}", file=sys.stderr)
         return 1
-    best = best_trial(session)
+    best = best_of(session.trials)
     print(f"best tau = {format_number(best.tau)} (mean fitness {format_number(best.mean_score)})")
     return 0
 

@@ -21,10 +21,11 @@ draws one ``uniform(init_low, init_high, size=dimension)`` vector, then each
 generation consumes one ``standard_normal(dimension)`` vector (numpy's
 ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
-``run_batch`` is the one kernel: it advances many runs ("rows", one per
-(tau, seed)) in lockstep on ``(rows, dimension)`` arrays, and every row is
-bit-identical to the stepwise loop built from ``mutate``, ``sphere_eval``
-and ``update_sigma``:
+``run_batch`` is the one kernel: it advances many runs ("rows") in lockstep
+on ``(rows, dimension)`` arrays.  The rows share one ``EsTemplate`` (sigma0,
+dimension, generation count and init box) and differ in tau and seed.  Every
+row is bit-identical to the stepwise loop built from ``mutate``,
+``sphere_eval`` and ``update_sigma``:
 
 * each row keeps its own generator and draws its normals in blocks of at
   most ``BLOCK_GENERATIONS`` generations, ``standard_normal((k, dimension))``,
@@ -55,7 +56,6 @@ import numpy as np
 __all__ = [
     "FITNESS_FLOOR",
     "ConfigurationError",
-    "EsConfig",
     "EsRunResult",
     "EsTemplate",
     "NumericalError",
@@ -145,60 +145,23 @@ def objective_names() -> list[str]:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A registered objective function instantiated at a fixed dimension."""
+    """A registered objective function instantiated at a fixed dimension.
+
+    The dimension must equal the ``EsTemplate``'s, which checks it.
+    """
 
     name: str
     dimension: int
 
     def __post_init__(self) -> None:
         get_objective(self.name)
-        if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class EsConfig:
-    """Full parameterization of one (1+1)-ES run."""
-
-    tau: float
-    sigma0: float
-    dimension: int
-    max_generations: int
-    init_low: float = -5.0
-    init_high: float = 5.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (self.tau > 0):
-            raise ConfigurationError("tau must be > 0")
-        if not (self.tau <= TAU_MAX):
-            raise ConfigurationError(f"tau must be <= {TAU_MAX}")
-        _check_run_shape(self)
-        if not (0 <= self.seed < _SEED_LIMIT):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
-
-
-def _check_run_shape(cfg) -> None:
-    """The checks EsConfig and EsTemplate share: everything but tau and seed."""
-    if not (0 < cfg.sigma0 < math.inf):
-        raise ConfigurationError("sigma0 must be > 0 and finite")
-    if cfg.dimension < 1:
-        raise ConfigurationError("dimension must be >= 1")
-    if cfg.max_generations < 1:
-        raise ConfigurationError("max_generations must be >= 1")
-    # Also rejects infinite bounds; numpy's uniform() raises on a range
-    # that overflows.
-    if not math.isfinite(cfg.init_high - cfg.init_low):
-        raise ConfigurationError("init_high - init_low must be finite")
-    if not (cfg.init_low < cfg.init_high):
-        raise ConfigurationError("init_low must be < init_high")
 
 
 @dataclass(frozen=True)
 class EsTemplate:
-    """EsConfig minus the two per-run fields (tau and seed).
+    """Everything a run needs but its tau and seed.
 
-    A tuning session holds one template and stamps out configs per trial.
+    A tuning session holds one template; every row of a batch shares it.
     """
 
     sigma0: float = 1.0
@@ -208,18 +171,18 @@ class EsTemplate:
     init_high: float = 5.0
 
     def __post_init__(self) -> None:
-        _check_run_shape(self)
-
-    def configure(self, tau: float, seed: int) -> EsConfig:
-        return EsConfig(
-            tau=tau,
-            sigma0=self.sigma0,
-            dimension=self.dimension,
-            max_generations=self.max_generations,
-            init_low=self.init_low,
-            init_high=self.init_high,
-            seed=seed,
-        )
+        if not (0 < self.sigma0 < math.inf):
+            raise ConfigurationError("sigma0 must be > 0 and finite")
+        if self.dimension < 1:
+            raise ConfigurationError("dimension must be >= 1")
+        if self.max_generations < 1:
+            raise ConfigurationError("max_generations must be >= 1")
+        # Also rejects infinite bounds; numpy's uniform() raises on a range
+        # that overflows.
+        if not math.isfinite(self.init_high - self.init_low):
+            raise ConfigurationError("init_high - init_low must be finite")
+        if not (self.init_low < self.init_high):
+            raise ConfigurationError("init_low must be < init_high")
 
 
 @dataclass(frozen=True)
@@ -265,47 +228,49 @@ def score_of(f_value: float) -> float:
     return -math.log(max(f_value, FITNESS_FLOOR))
 
 
-def run_es(config: EsConfig, objective: ObjectiveSpec) -> EsRunResult:
-    """Run the full (1+1)-ES loop for ``config.max_generations`` generations.
+def run_es(template: EsTemplate, objective: ObjectiveSpec, tau: float, seed: int) -> EsRunResult:
+    """Run the full (1+1)-ES loop for ``template.max_generations`` generations.
 
     The candidate is accepted when its objective value is less than or equal
     to the parent's, and sigma is updated every generation from that same
     indicator.  Pure: identical inputs give bit-identical results.
     """
-    return run_batch([config], objective)[0]
+    return run_batch(template, objective, [tau], [seed])[0]
 
 
-def run_batch(configs: Sequence[EsConfig], objective: ObjectiveSpec) -> list[EsRunResult]:
-    """Run every config as one row of a lockstep (1+1)-ES batch.
+def run_batch(
+    template: EsTemplate, objective: ObjectiveSpec, taus: Sequence[float], seeds: Sequence[int]
+) -> list[EsRunResult]:
+    """Run one lockstep (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
-    Rows share the dimension and the generation count; tau, seed, sigma0
-    and the init box are per row.  Each row's result is bit-identical to the
-    stepwise loop of its config alone (see the module docstring), and the
-    batch raises ``NumericalError`` exactly when some row's stepwise loop
-    would raise ``ValueError``: a non-finite candidate, or sigma at 0 before
-    a generation.
+    Each row's result is bit-identical to the stepwise loop of its tau and
+    seed alone (see the module docstring), and the batch raises
+    ``NumericalError`` exactly when some row's stepwise loop would raise
+    ``ValueError``: a non-finite candidate, or sigma at 0 before a
+    generation.
     """
-    configs = list(configs)
-    if not configs:
+    taus, seeds = list(taus), list(seeds)
+    if len(taus) != len(seeds):
+        raise ConfigurationError("need one seed per tau")
+    if not all(0 < tau <= TAU_MAX for tau in taus):  # NaN fails too
+        raise ConfigurationError(f"tau must be > 0 and <= {TAU_MAX}")
+    if not all(0 <= seed < _SEED_LIMIT for seed in seeds):
+        raise ConfigurationError("seed must be an unsigned 64-bit integer")
+    dim, generations = template.dimension, template.max_generations
+    if objective.dimension != dim:
+        raise ConfigurationError(f"objective dimension {objective.dimension} != template's {dim}")
+    if not taus:
         return []
-    dim, generations = objective.dimension, configs[0].max_generations
-    for config in configs:
-        if config.dimension != dim:
-            raise ConfigurationError(
-                f"objective dimension {dim} != config dimension {config.dimension}"
-            )
-        if config.max_generations != generations:
-            raise ConfigurationError("a batch needs one max_generations for all rows")
     fn = get_objective(objective.name)
-    rngs = [make_rng(config.seed) for config in configs]
-    x = np.array([rng.uniform(c.init_low, c.init_high, size=dim) for rng, c in zip(rngs, configs)])
-    sigma = np.array([float(config.sigma0) for config in configs])
-    up = np.array([math.exp(config.tau * (1.0 - 0.2)) for config in configs])
-    down = np.array([math.exp(config.tau * (0.0 - 0.2)) for config in configs])
+    rngs = [make_rng(seed) for seed in seeds]
+    x = np.array([rng.uniform(template.init_low, template.init_high, size=dim) for rng in rngs])
+    sigma = np.full(len(rngs), float(template.sigma0))
+    up = np.array([math.exp(tau * (1.0 - 0.2)) for tau in taus])
+    down = np.array([math.exp(tau * (0.0 - 0.2)) for tau in taus])
 
     block = min(BLOCK_GENERATIONS, generations)
-    z = np.empty((len(configs), block, dim))
-    candidates = np.empty((block, len(configs), dim))
+    z = np.empty((len(rngs), block, dim))
+    candidates = np.empty((block, len(rngs), dim))
     finite = True
     # A failing row runs on with inf/nan and is reported once the run ends;
     # squares that overflow to inf are legal, as in sphere_eval.
@@ -337,7 +302,7 @@ def run_batch(configs: Sequence[EsConfig], objective: ObjectiveSpec) -> list[EsR
             score=score_of(best_f),
             final_sigma=final_sigma,
             generations_run=generations,
-            seed=config.seed,
+            seed=seed,
         )
-        for config, best_f, final_sigma in zip(configs, f.tolist(), sigma.tolist())
+        for seed, best_f, final_sigma in zip(seeds, f.tolist(), sigma.tolist())
     ]

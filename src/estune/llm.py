@@ -9,6 +9,7 @@ extracted from the text instead.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -28,7 +29,6 @@ __all__ = [
     "ScriptedBackend",
     "TransportError",
     "extract_tau",
-    "make_backend",
     "render_analysis_prompt",
     "render_tune_prompt",
 ]
@@ -99,24 +99,18 @@ class LlmExchange:
 
 @dataclass(frozen=True)
 class LlmBackendConfig:
-    """Selects and parameterizes the HTTP or scripted backend."""
+    """Parameterizes the HTTP backend."""
 
-    kind: str = "http"
     base_url: str = ""
     path: str = "/v1/chat/completions"
     model: str = "llama3"
     temperature: float = 0.7
     timeout_seconds: float = 60.0
     transport_retries: int = 2
-    scripted_responses: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("http", "scripted"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "http" and not self.base_url:
+        if not self.base_url:
             raise ValueError("http backend requires base_url")
-        if self.kind == "scripted" and not self.scripted_responses:
-            raise ValueError("scripted backend requires scripted_responses")
         if not (0.0 <= self.temperature <= 2.0):
             raise ValueError("temperature must be in [0, 2]")
         if not (self.timeout_seconds > 0):
@@ -125,12 +119,10 @@ class LlmBackendConfig:
             raise ValueError("transport_retries must be >= 0")
 
 
-def render_tune_prompt(pair: PromptPair, include_directive: bool = True) -> str:
+def render_tune_prompt(pair: PromptPair) -> str:
     """Tune instruction verbatim, plus the one-line reply directive."""
     if not pair.tune_instruction.strip():
         raise ValueError("tune instruction must not be empty")
-    if not include_directive:
-        return pair.tune_instruction
     return f"{pair.tune_instruction}\n\n{PARSE_DIRECTIVE}"
 
 
@@ -178,22 +170,23 @@ class HttpBackend:
     """
 
     def __init__(self, config: LlmBackendConfig):
-        if config.kind != "http":
-            raise ValueError("HttpBackend requires an http backend config")
         self.config = config
         self.token = os.environ.get(TOKEN_ENV_VAR, "")
 
     def send(self, prompt: str, attempt: int = 0) -> LlmExchange:
-        import requests  # imported here: it is most of the package's import time
+        # Imported here: urllib.request adds about 15% to the package's import time.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         cfg = self.config
         url = cfg.base_url.rstrip("/") + cfg.path
-        payload = {
+        body = json.dumps({
             "model": cfg.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": cfg.temperature,
             "stream": False,
-        }
+        }).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -202,17 +195,21 @@ class HttpBackend:
         detail = ""
         for i in range(cfg.transport_retries + 1):
             try:
-                resp = requests.post(
-                    url, json=payload, headers=headers, timeout=cfg.timeout_seconds
-                )
-            except requests.RequestException as exc:
+                request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+                try:
+                    resp = urllib.request.urlopen(request, timeout=cfg.timeout_seconds)
+                except urllib.error.HTTPError as exc:
+                    resp = exc  # a non-2xx reply still carries its body
+                with resp:
+                    status, text = resp.status, resp.read().decode("utf-8", errors="replace")
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 detail = f"{type(exc).__name__}: {exc}"
             else:
-                if 200 <= resp.status_code < 300:
+                if 200 <= status < 300:
                     try:
-                        content = resp.json()["choices"][0]["message"]["content"]
+                        content = json.loads(text)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError):
-                        detail = f"malformed response body: {resp.text[:500]!r}"
+                        detail = f"malformed response body: {text[:500]!r}"
                     else:
                         if isinstance(content, str):
                             latency = (time.perf_counter() - start) * 1000.0
@@ -223,21 +220,15 @@ class HttpBackend:
                                 timestamp=datetime.now(timezone.utc).isoformat(),
                                 attempt=attempt,
                             )
-                        detail = f"non-text message content: {resp.text[:500]!r}"
+                        detail = f"non-text message content: {text[:500]!r}"
                 else:
-                    detail = f"HTTP {resp.status_code}: {resp.text[:500]!r}"
+                    detail = f"HTTP {status}: {text[:500]!r}"
             if i < cfg.transport_retries:
                 _sleep(RETRY_BACKOFF_SECONDS * (2**i))
         raise TransportError(
             f"chat completion failed after {cfg.transport_retries + 1} attempts: {detail}",
             payload=detail,
         )
-
-
-def make_backend(config: LlmBackendConfig):
-    if config.kind == "scripted":
-        return ScriptedBackend(config.scripted_responses)
-    return HttpBackend(config)
 
 
 _NUMBER = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"

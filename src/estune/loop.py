@@ -37,7 +37,6 @@ from .store import write_session  # noqa: F401  (bench/tracer.py wraps loop.writ
 
 __all__ = [
     "best_of",
-    "best_trial",
     "derive_seed",
     "is_duplicate",
     "propose_next_tau",
@@ -83,17 +82,12 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
     that overflowed to inf) raises ``NumericalError``: it has no log line.
     """
     taus, trial_indices = list(taus), list(trial_indices)
-    if len(taus) != len(trial_indices):
-        raise ValueError("need one trial_index per tau")
     if any(trial_index < 0 for trial_index in trial_indices):
         raise ValueError("trial_index must be >= 0")
     reps = cfg.replicates
-    configs = [
-        cfg.es_template.configure(tau=tau, seed=derive_seed(cfg.master_seed, trial_index, i))
-        for tau, trial_index in zip(taus, trial_indices)
-        for i in range(reps)
-    ]
-    results = run_batch(configs, cfg.objective)
+    row_taus = [tau for tau in taus for _ in range(reps)]
+    seeds = [derive_seed(cfg.master_seed, k, i) for k in trial_indices for i in range(reps)]
+    results = run_batch(cfg.es_template, cfg.objective, row_taus, seeds)
     trials = []
     for k, tau in enumerate(taus):
         runs = results[k * reps : (k + 1) * reps]
@@ -125,10 +119,6 @@ def best_of(trials) -> Trial:
     return best
 
 
-def best_trial(session: TuningSession) -> Trial:
-    return best_of(session.trials)
-
-
 def propose_next_tau(
     session: TuningSession,
     backend,
@@ -146,7 +136,7 @@ def propose_next_tau(
     failures, and taus above ``TAU_MAX``, consume the same retry budget but,
     with nothing to perturb, eventually propagate as ``ExtractionError``, as
     does a fallback pushed above ``TAU_MAX`` or stuck at a subnormal tau.
-    Every exchange lands in ``session.exchanges``.
+    Every exchange lands in ``session.pending_exchanges``.
     """
     if session.status != STATUS_RUNNING:
         raise ValueError(f"cannot propose on a {session.status} session")
@@ -166,7 +156,7 @@ def propose_next_tau(
     last_extraction_error: ExtractionError | None = None
     for attempt in range(attempts):
         exchange = backend.send(prompt, attempt=attempt)
-        session.exchanges.append(exchange)
+        session.pending_exchanges.append(exchange)
         try:
             tau = extract_tau(exchange.response)
             if tau > TAU_MAX:
@@ -216,6 +206,7 @@ def run_session(
         for trial_index in range(cfg.budget):
             tau = propose_next_tau(session, backend, prompts, log_text=log_text)
             trial = run_trial(tau, cfg, trial_index)
+            trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
             session.trials.append(trial)
             log_text = append_log_line(trial, log_text, include_std=cfg.log_std)
             if writer is not None:

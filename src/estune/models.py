@@ -29,12 +29,13 @@ class EmptySessionError(ValueError):
 
 @dataclass
 class Trial:
-    """One tau value with its replicate results and summary statistics."""
+    """One tau value with its replicate results, statistics and proposing exchanges."""
 
     tau: float
     results: list[EsRunResult]
     mean_score: float
     std_score: float
+    exchanges: list[LlmExchange] = field(default_factory=list)
     extras: dict[str, Any] = field(default_factory=dict)
 
 
@@ -75,8 +76,14 @@ class TuningSession:
 
     config: SessionConfig
     trials: list[Trial] = field(default_factory=list)
-    exchanges: list[LlmExchange] = field(default_factory=list)
+    # The exchanges of a proposal that has no trial yet.
+    pending_exchanges: list[LlmExchange] = field(default_factory=list)
     status: str = STATUS_RUNNING
     best_tau: float | None = None
     error: str | None = None
     extras: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def exchanges(self) -> list[LlmExchange]:
+        """Every exchange of the session, in call order."""
+        return [e for trial in self.trials for e in trial.exchanges] + self.pending_exchanges

@@ -12,7 +12,7 @@ from pathlib import Path
 from .es import TAU_MAX
 from .loop import run_trial  # noqa: F401  (bench/tracer.py wraps report.run_trial by name)
 from .loop import run_trials
-from .models import SessionConfig, Trial, TuningSession
+from .models import SessionConfig, Trial
 from .store import format_number
 
 __all__ = ["GridSpec", "emit_csv", "emit_plot", "grid_values", "run_grid"]
@@ -54,15 +54,9 @@ def run_grid(spec: GridSpec, cfg: SessionConfig) -> list[Trial]:
     return run_trials(taus, cfg, range(len(taus)))
 
 
-def _coerce_trials(source) -> list[Trial]:
-    if isinstance(source, TuningSession):
-        return list(source.trials)
-    return list(source)
-
-
-def emit_csv(source, path) -> None:
+def emit_csv(trials, path) -> None:
     """Write one row per trial, tau ascending, round-trip decimals."""
-    trials = sorted(_coerce_trials(source), key=lambda t: t.tau)
+    trials = sorted(trials, key=lambda t: t.tau)
     if not trials:
         raise ValueError("need at least one trial")
     lines = ["tau,mean_fitness,std_fitness,replicates"]
@@ -78,16 +72,13 @@ _WIDTH, _HEIGHT = 640, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 24, 24, 56
 
 
-def emit_plot(source, path, best_tau: float | None = None) -> None:
+def emit_plot(trials, path, best_tau: float | None = None) -> None:
     """Write the tau-vs-fitness curve as a standalone SVG.
 
     Line plus one marker per trial, tau ascending; when ``best_tau`` is
-    given (or the source is a session that has one) the matching point gets
-    a highlight ring.
+    given the matching point gets a highlight ring.
     """
-    trials = sorted(_coerce_trials(source), key=lambda t: t.tau)
-    if isinstance(source, TuningSession) and best_tau is None:
-        best_tau = source.best_tau
+    trials = sorted(trials, key=lambda t: t.tau)
     if len(trials) < 2:
         raise ValueError("plot needs at least 2 trials; use emit_csv instead")
 

@@ -29,10 +29,10 @@ record therefore reaches the disk once.  A crash can leave at most a torn
 last line, which ``read_session`` reports as a ``SessionFileError`` whose
 ``partial`` holds everything before it.
 
-``write_session`` serializes a whole session in one go.  Exchanges
-belonging to one proposal start at attempt 0, which is how it interleaves
-them with their trials.  Unknown top-level fields in any record survive a
-read/write round trip.
+``write_session`` writes the same header, trial blocks and tail in one go.
+A trial's exchanges precede its record; any exchanges after the last trial
+belong to a proposal that has no trial.  Unknown top-level fields in any
+record survive a read/write round trip.
 """
 
 from __future__ import annotations
@@ -188,16 +188,6 @@ def _trial_record(trial: Trial) -> dict[str, Any]:
     return rec
 
 
-def _exchange_groups(exchanges: Sequence[LlmExchange]) -> list[list[LlmExchange]]:
-    """Split the exchange stream into per-proposal groups (attempt 0 starts one)."""
-    groups: list[list[LlmExchange]] = []
-    for exchange in exchanges:
-        if exchange.attempt == 0 or not groups:
-            groups.append([])
-        groups[-1].append(exchange)
-    return groups
-
-
 def _header_record(session: TuningSession) -> dict[str, Any]:
     header: dict[str, Any] = {
         "record": "header",
@@ -218,27 +208,26 @@ def _status_record(session: TuningSession) -> dict[str, Any]:
     return status
 
 
-def session_records(session: TuningSession) -> list[dict[str, Any]]:
-    """All records for a session, in the order they happened."""
-    records = [_header_record(session)]
-    groups = _exchange_groups(session.exchanges)
-    for i, trial in enumerate(session.trials):
-        if i < len(groups):
-            records.extend(_exchange_record(e) for e in groups[i])
-        records.append(_trial_record(trial))
-    for group in groups[len(session.trials):]:
-        records.extend(_exchange_record(e) for e in group)
-    if session.status != STATUS_RUNNING:
-        records.append(_status_record(session))
-    return records
-
-
 def _lines(records: Iterable[dict[str, Any]]) -> str:
     return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
 
 
+def _trial_block(trial: Trial) -> str:
+    """A trial's record, after the exchanges that proposed it."""
+    return _lines([_exchange_record(e) for e in trial.exchanges] + [_trial_record(trial)])
+
+
+def _tail(session: TuningSession) -> str:
+    """The pending exchanges, then the status record once the session has ended."""
+    records = [_exchange_record(e) for e in session.pending_exchanges]
+    if session.status != STATUS_RUNNING:
+        records.append(_status_record(session))
+    return _lines(records)
+
+
 def write_session(session: TuningSession, path) -> None:
-    Path(path).write_text(_lines(session_records(session)), encoding="utf-8")
+    blocks = [_lines([_header_record(session)])] + [_trial_block(t) for t in session.trials]
+    Path(path).write_text("".join(blocks) + _tail(session), encoding="utf-8")
 
 
 def _append(path: Path, text: str) -> None:
@@ -258,15 +247,9 @@ class SessionWriter:
         base.parent.mkdir(parents=True, exist_ok=True)
         self.session_path = base.with_name(base.name + ".session.jsonl")
         self.log_path = base.with_name(base.name + ".log")
-        self._exchanges = 0
         self._log_chars = 0
         self.session_path.write_text(_lines([_header_record(session)]), encoding="utf-8")
         self.log_path.write_text("", encoding="utf-8")
-
-    def _new_exchanges(self, session: TuningSession) -> list[dict[str, Any]]:
-        records = [_exchange_record(e) for e in session.exchanges[self._exchanges:]]
-        self._exchanges = len(session.exchanges)
-        return records
 
     def append_trial(self, session: TuningSession, log_text: str) -> None:
         """Append the newest trial after the exchanges that proposed it.
@@ -274,15 +257,13 @@ class SessionWriter:
         ``log_text`` is the session's whole log so far; its unwritten tail
         goes to ``.log``.
         """
-        records = self._new_exchanges(session) + [_trial_record(session.trials[-1])]
-        _append(self.session_path, _lines(records))
+        _append(self.session_path, _trial_block(session.trials[-1]))
         _append(self.log_path, log_text[self._log_chars:])
         self._log_chars = len(log_text)
 
     def finish(self, session: TuningSession) -> None:
-        """Append the exchanges not yet on disk, then the status record."""
-        records = self._new_exchanges(session) + [_status_record(session)]
-        _append(self.session_path, _lines(records))
+        """Append the pending exchanges, then the status record."""
+        _append(self.session_path, _tail(session))
 
 
 def _extras(rec: dict[str, Any], known: Sequence[str]) -> dict[str, Any]:
@@ -397,9 +378,11 @@ def read_session(path) -> TuningSession:
         kind = rec.get("record")
         try:
             if kind == "trial":
-                session.trials.append(_parse_trial(rec))
+                trial = _parse_trial(rec)
+                trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
+                session.trials.append(trial)
             elif kind == "exchange":
-                session.exchanges.append(_parse_exchange(rec))
+                session.pending_exchanges.append(_parse_exchange(rec))
             elif kind == "status":
                 status = rec.get("status")
                 if status not in _STATUSES:

@@ -110,6 +110,23 @@ class TestTuneCommand:
     def test_scripted_without_script_exits_2(self, run_cli, tmp_path):
         assert run_cli(["tune", "--backend", "scripted", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("script,config", [
+        ([], None),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}),
+    ], ids=["scripted_requires_responses", "temperature_warm", "temperature_null"])
+    def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, capsys, script, config):
+        argv = ["tune", "--out", str(tmp_path / "x")] + FAST
+        if script is not None:
+            argv += ["--backend", "scripted", "--script", _script_file(tmp_path, script)]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "x.session.jsonl").exists()
+
     def test_http_without_endpoint_exits_2(self, run_cli, tmp_path, capsys):
         code = run_cli(["tune", "--out", str(tmp_path / "x")] + FAST)
         assert code == 2

@@ -14,7 +14,6 @@ from estune.es import (
     FITNESS_FLOOR,
     TAU_MAX,
     ConfigurationError,
-    EsConfig,
     EsTemplate,
     NumericalError,
     ObjectiveSpec,
@@ -139,8 +138,8 @@ class TestScore:
             score_of(-1e-9)
 
 
-def _paper_config(seed, tau=0.95, generations=1000):
-    return EsConfig(tau=tau, sigma0=1.0, dimension=5, max_generations=generations, seed=seed)
+def _paper_template(generations=1000):
+    return EsTemplate(sigma0=1.0, dimension=5, max_generations=generations)
 
 
 SPHERE_5D = ObjectiveSpec("sphere", 5)
@@ -148,71 +147,71 @@ SPHERE_5D = ObjectiveSpec("sphere", 5)
 
 class TestRunEs:
     def test_bit_identical_repeat(self):
-        a = run_es(_paper_config(42), SPHERE_5D)
-        b = run_es(_paper_config(42), SPHERE_5D)
+        a = run_es(_paper_template(), SPHERE_5D, 0.95, 42)
+        b = run_es(_paper_template(), SPHERE_5D, 0.95, 42)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_es(_paper_config(1, generations=50), SPHERE_5D)
-        b = run_es(_paper_config(2, generations=50), SPHERE_5D)
+        a = run_es(_paper_template(50), SPHERE_5D, 0.95, 1)
+        b = run_es(_paper_template(50), SPHERE_5D, 0.95, 2)
         assert a.best_f != b.best_f
 
     def test_objective_values_non_increasing(self):
         history = []
-        config = _paper_config(5, generations=400)
-        stepwise_run(config, history)
+        template = _paper_template(400)
+        stepwise_run(template, 0.95, 5, history)
         assert len(history) == 400
         assert all(a >= b for a, b in zip(history, history[1:]))
-        assert history[-1] == run_es(config, SPHERE_5D).best_f
+        assert history[-1] == run_es(template, SPHERE_5D, 0.95, 5).best_f
 
     def test_score_recomputable_from_best_f(self):
-        result = run_es(_paper_config(9, generations=200), SPHERE_5D)
+        result = run_es(_paper_template(200), SPHERE_5D, 0.95, 9)
         assert result.score == score_of(result.best_f)
 
     def test_final_sigma_positive(self):
         for seed in range(5):
-            assert run_es(_paper_config(seed, generations=100), SPHERE_5D).final_sigma > 0
+            assert run_es(_paper_template(100), SPHERE_5D, 0.95, seed).final_sigma > 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_es(_paper_config(0), ObjectiveSpec("sphere", 4))
+            run_es(_paper_template(), ObjectiveSpec("sphere", 4), 0.95, 0)
 
     def _first_generation_outcome(self, seed, tau=0.95):
-        config = EsConfig(tau=tau, sigma0=1.0, dimension=3, max_generations=1, seed=seed)
-        result = run_es(config, ObjectiveSpec("sphere", 3))
+        template = EsTemplate(sigma0=1.0, dimension=3, max_generations=1)
+        result = run_es(template, ObjectiveSpec("sphere", 3), tau, seed)
         rng = make_rng(seed)
-        x0 = rng.uniform(config.init_low, config.init_high, size=3)
-        return config, result, sphere_eval(x0)
+        x0 = rng.uniform(template.init_low, template.init_high, size=3)
+        return template, result, sphere_eval(x0)
 
     def test_single_generation_rejection_trace(self):
         # A rejected first mutation leaves the initial point and shrinks
         # sigma by exp(-tau/5).
         for seed in range(100):
-            config, result, f0 = self._first_generation_outcome(seed)
-            if result.best_f == f0 and result.final_sigma < config.sigma0:
+            template, result, f0 = self._first_generation_outcome(seed)
+            if result.best_f == f0 and result.final_sigma < template.sigma0:
                 assert result.final_sigma == pytest.approx(
-                    config.sigma0 * math.exp(-config.tau / 5), rel=1e-12
+                    template.sigma0 * math.exp(-0.95 / 5), rel=1e-12
                 )
                 return
         pytest.fail("no rejecting seed found in 100 tries")
 
     def test_single_generation_acceptance_trace(self):
         for seed in range(100):
-            config, result, f0 = self._first_generation_outcome(seed)
+            template, result, f0 = self._first_generation_outcome(seed)
             if result.best_f < f0:
                 assert result.final_sigma == pytest.approx(
-                    config.sigma0 * math.exp(0.8 * config.tau), rel=1e-12
+                    template.sigma0 * math.exp(0.8 * 0.95), rel=1e-12
                 )
                 return
         pytest.fail("no accepting seed found in 100 tries")
 
     def test_paper_setting_score_magnitude(self):
         # Single run of the reference setting; scores land in the tens.
-        result = run_es(_paper_config(7), SPHERE_5D)
+        result = run_es(_paper_template(), SPHERE_5D, 0.95, 7)
         assert 20.0 < result.score < 150.0
 
     def test_generations_run_recorded(self):
-        result = run_es(_paper_config(3, generations=17), SPHERE_5D)
+        result = run_es(_paper_template(17), SPHERE_5D, 0.95, 3)
         assert result.generations_run == 17
 
 
@@ -237,25 +236,28 @@ class TestConfigValidation:
         ],
     )
     def test_bad_config_rejected(self, kwargs):
+        # tau and seed are rows of run_batch; the rest build the template.
         base = dict(tau=0.95, sigma0=1.0, dimension=5, max_generations=10, seed=0)
         base.update(kwargs)
+        tau, seed = base.pop("tau"), base.pop("seed")
         with pytest.raises(ConfigurationError):
-            EsConfig(**base)
+            run_batch(EsTemplate(**base), ObjectiveSpec("sphere", 5), [0.95, tau], [1, seed])
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigurationError, match="sphere"):
             ObjectiveSpec("rastrigin_misspelled", 5)
 
     def test_template_stamps_configs(self):
+        # The template supplies all but tau and seed: a run is its stepwise
+        # loop at that tau and seed.
         template = EsTemplate(sigma0=2.0, dimension=4, max_generations=50)
-        config = template.configure(tau=1.1, seed=77)
-        assert config.tau == 1.1
-        assert config.seed == 77
-        assert config.sigma0 == 2.0
-        assert config.dimension == 4
+        result = run_es(template, ObjectiveSpec("sphere", 4), 1.1, 77)
+        assert result.seed == 77
+        assert result.generations_run == 50
+        assert (result.best_f, result.final_sigma) == stepwise_run(template, 1.1, 77)
 
     def test_tau_max_itself_accepted(self):
-        EsConfig(tau=TAU_MAX, sigma0=1.0, dimension=5, max_generations=10)
+        run_es(_paper_template(10), SPHERE_5D, TAU_MAX, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -277,26 +279,24 @@ class TestConfigValidation:
 
 @st.composite
 def _batches(draw):
-    """1-8 rows sharing a dimension and a generation count; sigma0 reaches
-    down to 1e-300, where an unmoved candidate ties its parent."""
-    dimension = draw(st.integers(1, 64))
-    generations = draw(st.integers(1, 200))
-    return [
-        EsConfig(
-            tau=draw(st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True)),
-            sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
-            dimension=dimension,
-            max_generations=generations,
-            seed=draw(st.integers(0, (1 << 64) - 1)),
-        )
-        for _ in range(draw(st.integers(1, 8)))
-    ]
+    """One template and 1-8 (tau, seed) rows; sigma0 reaches down to 1e-300,
+    where an unmoved candidate ties its parent."""
+    template = EsTemplate(
+        sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
+        dimension=draw(st.integers(1, 64)),
+        max_generations=draw(st.integers(1, 200)),
+    )
+    rows = draw(st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
+        st.integers(0, (1 << 64) - 1),
+    ), min_size=1, max_size=8))
+    return template, rows
 
 
-def _oracle_or_error(config):
+def _oracle_or_error(template, tau, seed):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return stepwise_run(config)
+            return stepwise_run(template, tau, seed)
     except ValueError:
         return None
 
@@ -304,23 +304,26 @@ def _oracle_or_error(config):
 class TestRunBatch:
     @settings(max_examples=200, deadline=None)
     @given(_batches())
-    def test_rows_match_stepwise_oracle_bit_for_bit(self, configs):
-        expected = [_oracle_or_error(config) for config in configs]
-        objective = ObjectiveSpec("sphere", configs[0].dimension)
+    def test_rows_match_stepwise_oracle_bit_for_bit(self, batch):
+        template, rows = batch
+        taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
+        expected = [_oracle_or_error(template, tau, seed) for tau, seed in rows]
+        objective = ObjectiveSpec("sphere", template.dimension)
         if None in expected:
             with pytest.raises(ValueError):
-                run_batch(configs, objective)
+                run_batch(template, objective, taus, seeds)
             return
-        results = run_batch(configs, objective)
+        results = run_batch(template, objective, taus, seeds)
         got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
         assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
 
     def test_raises_on_a_non_finite_candidate(self):
-        config = EsConfig(tau=1.0, sigma0=1e308, dimension=5, max_generations=200,
-                          seed=16789950873655392269)
-        assert _oracle_or_error(config) is None
+        template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
+        seed = 16789950873655392269
+        assert _oracle_or_error(template, 1.0, seed) is None
+        assert _oracle_or_error(template, 1.0, 2) is not None
         with pytest.raises(NumericalError):
-            run_batch([_paper_config(2, generations=200), config], SPHERE_5D)
+            run_batch(template, SPHERE_5D, [1.0, 1.0], [2, seed])
         assert issubclass(NumericalError, ValueError)
 
     def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
@@ -339,21 +342,20 @@ class TestRunBatch:
         sigma, reach_zero = 1.0, 0
         while sigma > 0:
             sigma, reach_zero = update_sigma(sigma, TAU_MAX, False), reach_zero + 1
-        config = EsConfig(tau=TAU_MAX, sigma0=1.0, dimension=5, max_generations=reach_zero)
+        template = _paper_template(reach_zero)
         monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
         objective = ObjectiveSpec("worse", 5)
-        assert run_batch([config], objective)[0].final_sigma == 0.0
+        assert run_batch(template, objective, [TAU_MAX], [0])[0].final_sigma == 0.0
         monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
         with pytest.raises(NumericalError):
-            run_batch([replace(config, max_generations=reach_zero + 1)], objective)
+            run_batch(_paper_template(reach_zero + 1), objective, [TAU_MAX], [0])
 
     def test_empty_batch(self):
-        assert run_batch([], SPHERE_5D) == []
+        assert run_batch(_paper_template(), SPHERE_5D, [], []) == []
 
-    def test_mixed_generation_counts_rejected(self):
+    def test_one_seed_per_tau_required(self):
         with pytest.raises(ConfigurationError):
-            run_batch([_paper_config(1, generations=10), _paper_config(2, generations=11)],
-                      SPHERE_5D)
+            run_batch(_paper_template(10), SPHERE_5D, [0.9, 1.1], [1])
 
     @pytest.mark.parametrize("master_seed", [7, 42, 101])
     def test_grid_rows_equal_separate_trials(self, paper_cfg, master_seed):

@@ -1,9 +1,12 @@
 """Prompt rendering, backends, and tau extraction."""
 
+import io
 import json
+import sys
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +20,6 @@ from estune.llm import (
     ScriptedBackend,
     TransportError,
     extract_tau,
-    make_backend,
     render_analysis_prompt,
     render_tune_prompt,
 )
@@ -40,11 +42,6 @@ class TestPrompts:
         assert render_tune_prompt(PromptPair()).startswith(
             "Tune the hyperparameter tau of an Evolution Stratety.\n"
         )
-
-    def test_tune_prompt_directive_optional(self):
-        pair = PromptPair()
-        assert render_tune_prompt(pair, include_directive=False) == pair.tune_instruction
-        assert render_tune_prompt(pair).endswith(PARSE_DIRECTIVE)
 
     def test_custom_instruction_passthrough(self):
         pair = PromptPair(tune_instruction="Pick tau.")
@@ -91,65 +88,58 @@ class TestScriptedBackend:
         with pytest.raises(TransportError):
             backend.send("p")
 
-    def test_make_backend_dispatch(self):
-        cfg = LlmBackendConfig(kind="scripted", scripted_responses=("a",))
-        assert isinstance(make_backend(cfg), ScriptedBackend)
-        cfg = LlmBackendConfig(kind="http", base_url="http://localhost:1234")
-        assert isinstance(make_backend(cfg), HttpBackend)
-
 
 class TestBackendConfig:
     def test_http_requires_base_url(self):
         with pytest.raises(ValueError):
-            LlmBackendConfig(kind="http")
-
-    def test_scripted_requires_responses(self):
-        with pytest.raises(ValueError):
-            LlmBackendConfig(kind="scripted")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LlmBackendConfig(kind="grpc", base_url="http://x")
+            LlmBackendConfig()
 
     @pytest.mark.parametrize("kwargs", [{"temperature": 2.5}, {"timeout_seconds": 0},
                                         {"transport_retries": -1}])
     def test_bad_numbers(self, kwargs):
         with pytest.raises(ValueError):
-            LlmBackendConfig(kind="http", base_url="http://x", **kwargs)
+            LlmBackendConfig(base_url="http://x", **kwargs)
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text or (json.dumps(body) if body is not None else "")
+class _FakeResponse(io.BytesIO):
+    """What urlopen returns for a 2xx reply."""
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("not json")
-        return self._body
+    status = 200
+
+
+def _reply(content):
+    return _FakeResponse(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
+
+
+def _http_error(code, body):
+    return urllib.error.HTTPError("http://llm.test", code, "error", {}, io.BytesIO(body))
 
 
 def _http_backend(retries=2):
-    return HttpBackend(
-        LlmBackendConfig(kind="http", base_url="http://llm.test", transport_retries=retries)
-    )
+    return HttpBackend(LlmBackendConfig(base_url="http://llm.test", transport_retries=retries))
 
 
 class TestHttpBackend:
+    @pytest.fixture(autouse=True)
+    def _no_requests(self, monkeypatch):
+        # The client is stdlib only: importing requests here fails the test.
+        monkeypatch.setitem(sys.modules, "requests", None)
+
     def test_wire_format_and_content_extraction(self, monkeypatch):
         seen = {}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-            return _FakeResponse(body={"choices": [{"message": {"content": "tau = 1.0"}}]})
+        def fake_urlopen(request, timeout=None):
+            seen.update(url=request.full_url, method=request.get_method(),
+                        payload=json.loads(request.data), timeout=timeout)
+            return _reply("tau = 1.0")
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         exchange = _http_backend().send("pick a tau", attempt=1)
         assert exchange.response == "tau = 1.0"
         assert exchange.attempt == 1
         assert exchange.latency_ms >= 0.0
         assert seen["url"] == "http://llm.test/v1/chat/completions"
+        assert seen["method"] == "POST"
         assert seen["payload"] == {
             "model": "llama3",
             "messages": [{"role": "user", "content": "pick a tau"}],
@@ -162,26 +152,26 @@ class TestHttpBackend:
         monkeypatch.setenv(llm.TOKEN_ENV_VAR, "sekret")
         captured = {}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured.update(headers=headers)
-            return _FakeResponse(body={"choices": [{"message": {"content": "tau = 1"}}]})
+        def fake_urlopen(request, timeout=None):
+            captured.update(authorization=request.get_header("Authorization"))
+            return _reply("tau = 1")
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         _http_backend().send("p")
-        assert captured["headers"]["Authorization"] == "Bearer sekret"
+        assert captured["authorization"] == "Bearer sekret"
 
     def test_retries_with_exponential_backoff(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(llm, "_sleep", sleeps.append)
         calls = {"n": 0}
 
-        def fake_post(*a, **k):
+        def fake_urlopen(request, timeout=None):
             calls["n"] += 1
             if calls["n"] < 3:
-                raise requests.ConnectionError("refused")
-            return _FakeResponse(body={"choices": [{"message": {"content": "tau = 0.8"}}]})
+                raise urllib.error.URLError(ConnectionRefusedError("refused"))
+            return _reply("tau = 0.8")
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         exchange = _http_backend().send("p")
         assert exchange.response == "tau = 0.8"
         assert sleeps == [1.0, 2.0]
@@ -189,27 +179,28 @@ class TestHttpBackend:
     def test_transport_error_after_retries(self, monkeypatch):
         monkeypatch.setattr(llm, "_sleep", lambda s: None)
 
-        def fake_post(*a, **k):
-            raise requests.ConnectionError("refused")
+        def fake_urlopen(request, timeout=None):
+            raise urllib.error.URLError(ConnectionRefusedError("refused"))
 
-        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         with pytest.raises(TransportError, match="3 attempts"):
             _http_backend(retries=2).send("p")
 
     def test_non_2xx_carries_payload(self, monkeypatch):
         monkeypatch.setattr(llm, "_sleep", lambda s: None)
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(status_code=503, text="overloaded")
-        )
+
+        def fake_urlopen(request, timeout=None):
+            raise _http_error(503, b"overloaded")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         with pytest.raises(TransportError) as exc_info:
             _http_backend(retries=0).send("p")
         assert "overloaded" in exc_info.value.payload
 
     def test_malformed_body_is_transport_error(self, monkeypatch):
         monkeypatch.setattr(llm, "_sleep", lambda s: None)
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: _FakeResponse(body={"unexpected": True})
-        )
+        malformed = _FakeResponse(b'{"unexpected": true}')
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: malformed)
         with pytest.raises(TransportError):
             _http_backend(retries=0).send("p")
 

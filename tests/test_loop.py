@@ -21,7 +21,6 @@ from estune.llm import (
 )
 from estune.loop import (
     best_of,
-    best_trial,
     derive_seed,
     is_duplicate,
     propose_next_tau,
@@ -149,12 +148,12 @@ class TestBestTrial:
             _synthetic_trial(0.7, 0.1162058339177609),
             _synthetic_trial(0.95, 66.05538351053897),
         ]
-        assert best_trial(session).tau == 0.95
+        assert best_of(session.trials).tau == 0.95
 
     def test_single_trial(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         session.trials = [_synthetic_trial(1.1, 5.0)]
-        assert best_trial(session) is session.trials[0]
+        assert best_of(session.trials) is session.trials[0]
 
     def test_tie_breaks_to_smaller_tau(self):
         trials = [_synthetic_trial(1.1, 7.0), _synthetic_trial(0.9, 7.0)]
@@ -162,7 +161,7 @@ class TestBestTrial:
 
     def test_empty_session_errors(self, fast_cfg):
         with pytest.raises(EmptySessionError):
-            best_trial(TuningSession(config=fast_cfg))
+            best_of(TuningSession(config=fast_cfg).trials)
 
     def test_argmax_invariant_under_positive_rescaling(self):
         trials = [_synthetic_trial(t, m) for t, m in [(0.6, 3.0), (0.9, 8.0), (1.2, 5.0)]]
@@ -404,9 +403,8 @@ class TestSessionFiles:
         final = backend.session_path.read_bytes()
         assert len(backend.snapshots) == budget
         for k, (sends, stored, data, log) in enumerate(backend.snapshots):
-            assert stored == TuningSession(
-                config=cfg, trials=session.trials[:k], exchanges=session.exchanges[:sends]
-            )
+            assert stored == TuningSession(config=cfg, trials=session.trials[:k])
+            assert sends == len(stored.exchanges)
             assert final.startswith(data)
             assert log == render_log(session.trials[:k])
         write_session(session, tmp_path / "whole.session.jsonl")
