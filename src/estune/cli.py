@@ -8,16 +8,19 @@ import os
 import sys
 from pathlib import Path
 
-from .es import TAU_MAX, EsTemplate, NumericalError, ObjectiveSpec, objective_names
+from .es import ConfigurationError, EsTemplate, NumericalError, ObjectiveSpec, objective_names
 from .llm import HttpBackend, LlmBackendConfig, ScriptedBackend, TransportError
 from .loop import best_of, run_session, run_trial
 from .models import STATUS_COMPLETED, SessionConfig
 from .report import GridSpec, emit_csv, emit_plot, run_grid
-from .store import append_log_line, format_number, render_log
+from .store import append_log_line, format_number, json_value, render_log
 
 ENDPOINT_ENV_VAR = "ESTUNE_ENDPOINT"
 MODEL_ENV_VAR = "ESTUNE_MODEL"
 CONFIG_ENV_VAR = "ESTUNE_CONFIG"
+
+# The config file's keys, each with the JSON type its value must have.
+_CONFIG_TYPES = {"endpoint": str, "model": str, "temperature": float}
 
 _EPILOG = (
     "Settings resolve as: command-line flags, then ESTUNE_ENDPOINT / "
@@ -25,10 +28,6 @@ _EPILOG = (
     "(keys: endpoint, model, temperature), then built-in defaults. "
     "An optional bearer token is read from ESTUNE_TOKEN only."
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_es_args(p: argparse.ArgumentParser) -> None:
@@ -93,24 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _session_config(args: argparse.Namespace, budget: int) -> SessionConfig:
     replicates = args.replicates if args.replicates is not None else args.default_replicates
-    try:
-        return SessionConfig(
-            objective=ObjectiveSpec(name=args.function, dimension=args.dim),
-            es_template=EsTemplate(
-                sigma0=args.sigma0,
-                dimension=args.dim,
-                max_generations=args.generations,
-                init_low=args.init_low,
-                init_high=args.init_high,
-            ),
-            master_seed=args.seed,
-            replicates=replicates,
-            budget=budget,
-            duplicate_tolerance=getattr(args, "duplicate_tolerance", 1e-9),
-            max_propose_retries=getattr(args, "max_propose_retries", 2),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SessionConfig(
+        objective=ObjectiveSpec(name=args.function, dimension=args.dim),
+        es_template=EsTemplate(
+            sigma0=args.sigma0,
+            dimension=args.dim,
+            max_generations=args.generations,
+            init_low=args.init_low,
+            init_high=args.init_high,
+        ),
+        master_seed=args.seed,
+        replicates=replicates,
+        budget=budget,
+        duplicate_tolerance=getattr(args, "duplicate_tolerance", 1e-9),
+        max_propose_retries=getattr(args, "max_propose_retries", 2),
+    )
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -120,9 +116,12 @@ def _load_config_file(path: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        if key in data:
+            data[key] = json_value(f"config file {path}: {key}", data[key], kind)
     return data
 
 
@@ -130,20 +129,20 @@ def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
     file_cfg = _load_config_file(args.config)
     if args.backend == "scripted":
         if not args.script:
-            raise UsageError("--backend scripted requires --script FILE")
+            raise ConfigurationError("--backend scripted requires --script FILE")
         try:
             responses = json.loads(Path(args.script).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read script file {args.script}: {exc}") from exc
+            raise ConfigurationError(f"cannot read script file {args.script}: {exc}") from exc
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            raise UsageError(f"script file {args.script} must hold a JSON array of strings")
+            raise ConfigurationError(f"script file {args.script} must hold a JSON array of strings")
         if not responses:
-            raise UsageError(f"script file {args.script} holds no responses")
+            raise ConfigurationError(f"script file {args.script} holds no responses")
         return ScriptedBackend(responses)
 
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR) or file_cfg.get("endpoint")
     if not endpoint:
-        raise UsageError(
+        raise ConfigurationError(
             "http backend needs an endpoint: pass --endpoint, set ESTUNE_ENDPOINT, "
             "or put 'endpoint' in the config file"
         )
@@ -151,23 +150,16 @@ def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
     temperature = args.temperature
     if temperature is None:
         temperature = file_cfg.get("temperature", 0.7)
-    if not isinstance(temperature, (int, float)):
-        raise UsageError(f"temperature must be a number, not {temperature!r}")
-    try:
-        return HttpBackend(LlmBackendConfig(
-            base_url=str(endpoint),
-            model=str(model),
-            temperature=float(temperature),
-            timeout_seconds=args.timeout,
-            transport_retries=args.transport_retries,
-        ))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return HttpBackend(LlmBackendConfig(
+        base_url=endpoint,
+        model=model,
+        temperature=temperature,
+        timeout_seconds=args.timeout,
+        transport_retries=args.transport_retries,
+    ))
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise UsageError("--budget must be >= 1")
     cfg = _session_config(args, budget=args.budget)
     backend = _backend(args)
     session = run_session(cfg, backend, out_base=args.out)
@@ -180,11 +172,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    try:
-        spec = GridSpec(tau_min=args.tau_min, tau_max=args.tau_max, steps=args.steps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    cfg = _session_config(args, budget=max(args.steps, 1))
+    spec = GridSpec(tau_min=args.tau_min, tau_max=args.tau_max, steps=args.steps)
+    cfg = _session_config(args, budget=args.steps)
     trials = run_grid(spec, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -197,8 +186,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_run_es(args: argparse.Namespace) -> int:
-    if not (0 < args.tau <= TAU_MAX):
-        raise UsageError(f"--tau must be > 0 and <= {TAU_MAX}")
     cfg = _session_config(args, budget=1)
     trial = run_trial(args.tau, cfg, 0)
     sys.stdout.write(append_log_line(trial, "", include_std=cfg.log_std))
@@ -210,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ConfigurationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (OSError, TransportError, NumericalError) as exc:

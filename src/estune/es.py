@@ -88,7 +88,7 @@ _SEED_LIMIT = 1 << 64
 
 
 class ConfigurationError(ValueError):
-    """Raised when a run configuration violates its invariants."""
+    """A setting violates its invariants; the command line exits 2 on it."""
 
 
 class NumericalError(ValueError):
@@ -187,13 +187,16 @@ class EsTemplate:
 
 @dataclass(frozen=True)
 class EsRunResult:
-    """Outcome of one run: accepted solution quality and final step size."""
+    """Outcome of one run: accepted solution quality and final step size.
 
+    The field order is the key order of a replicate in a session file.
+    """
+
+    seed: int
     best_f: float
     score: float
     final_sigma: float
     generations_run: int
-    seed: int
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -298,11 +301,11 @@ def run_batch(
         raise NumericalError("sigma reached 0 before the last generation")
     return [
         EsRunResult(
+            seed=seed,
             best_f=best_f,
             score=score_of(best_f),
             final_sigma=final_sigma,
             generations_run=generations,
-            seed=seed,
         )
         for seed, best_f, final_sigma in zip(seeds, f.tolist(), sigma.tolist())
     ]

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Sequence
 
+from .es import ConfigurationError
+
 __all__ = [
     "DUPLICATE_REMINDER",
     "ExtractionError",
@@ -25,7 +27,6 @@ __all__ = [
     "LlmBackendConfig",
     "LlmExchange",
     "PARSE_DIRECTIVE",
-    "PromptPair",
     "ScriptedBackend",
     "TransportError",
     "extract_tau",
@@ -35,14 +36,14 @@ __all__ = [
 
 # The 'Stratety' misspelling below is intentional; golden tests pin these
 # instruction blocks byte for byte.
-DEFAULT_TUNE_INSTRUCTION = (
+TUNE_INSTRUCTION = (
     "Tune the hyperparameter tau of an Evolution Stratety.\n"
     "The algorithm is a (1+1)-ES with Rechenberg rule and parameter tau.\n"
     "The objective is to maximize the fitness.\n"
     "Return the full Python code, but only change tau."
 )
 
-DEFAULT_ANALYSIS_INSTRUCTION = (
+ANALYSIS_INSTRUCTION = (
     "Analyze the following results concerning the influence of tau on the fitness.\n"
     "Summarize your analysis in one sentence and propose a new value for tau you have not tried."
 )
@@ -52,6 +53,8 @@ DEFAULT_ANALYSIS_INSTRUCTION = (
 PARSE_DIRECTIVE = "Reply with the single line `tau = <value>`."
 
 DUPLICATE_REMINDER = "That value was already tried; propose a different one."
+
+CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 
 TOKEN_ENV_VAR = "ESTUNE_TOKEN"
 
@@ -77,14 +80,6 @@ class ExtractionError(ValueError):
     """No usable tau value could be pulled out of a response."""
 
 
-@dataclass(frozen=True)
-class PromptPair:
-    """The two instruction blocks driving the loop, defaulting to the stock text."""
-
-    tune_instruction: str = DEFAULT_TUNE_INSTRUCTION
-    analysis_instruction: str = DEFAULT_ANALYSIS_INSTRUCTION
-
-
 @dataclass
 class LlmExchange:
     """Verbatim audit record of one backend call."""
@@ -102,7 +97,6 @@ class LlmBackendConfig:
     """Parameterizes the HTTP backend."""
 
     base_url: str = ""
-    path: str = "/v1/chat/completions"
     model: str = "llama3"
     temperature: float = 0.7
     timeout_seconds: float = 60.0
@@ -110,29 +104,25 @@ class LlmBackendConfig:
 
     def __post_init__(self) -> None:
         if not self.base_url:
-            raise ValueError("http backend requires base_url")
+            raise ConfigurationError("http backend requires base_url")
         if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError("temperature must be in [0, 2]")
+            raise ConfigurationError("temperature must be in [0, 2]")
         if not (self.timeout_seconds > 0):
-            raise ValueError("timeout_seconds must be > 0")
+            raise ConfigurationError("timeout_seconds must be > 0")
         if self.transport_retries < 0:
-            raise ValueError("transport_retries must be >= 0")
+            raise ConfigurationError("transport_retries must be >= 0")
 
 
-def render_tune_prompt(pair: PromptPair) -> str:
+def render_tune_prompt() -> str:
     """Tune instruction verbatim, plus the one-line reply directive."""
-    if not pair.tune_instruction.strip():
-        raise ValueError("tune instruction must not be empty")
-    return f"{pair.tune_instruction}\n\n{PARSE_DIRECTIVE}"
+    return f"{TUNE_INSTRUCTION}\n\n{PARSE_DIRECTIVE}"
 
 
-def render_analysis_prompt(pair: PromptPair, log_text: str) -> str:
+def render_analysis_prompt(log_text: str) -> str:
     """Analysis instruction, a blank line, then the results log verbatim."""
-    if not pair.analysis_instruction.strip():
-        raise ValueError("analysis instruction must not be empty")
     if not log_text:
         raise ValueError("log text must not be empty")
-    return f"{pair.analysis_instruction}\n\n{log_text}"
+    return f"{ANALYSIS_INSTRUCTION}\n\n{log_text}"
 
 
 class ScriptedBackend:
@@ -180,7 +170,7 @@ class HttpBackend:
         import urllib.request
 
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + cfg.path
+        url = cfg.base_url.rstrip("/") + CHAT_COMPLETIONS_PATH
         body = json.dumps({
             "model": cfg.model,
             "messages": [{"role": "user", "content": prompt}],

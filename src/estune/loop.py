@@ -16,7 +16,6 @@ from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name
 from .llm import (
     DUPLICATE_REMINDER,
     ExtractionError,
-    PromptPair,
     TransportError,
     extract_tau,
     render_analysis_prompt,
@@ -98,10 +97,9 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
     return trials
 
 
-def is_duplicate(tau: float, session: TuningSession, tol: float) -> bool:
-    """True iff some already-tried tau lies within ``tol`` of this one."""
-    if not (tol > 0):
-        raise ValueError("tol must be > 0")
+def is_duplicate(tau: float, session: TuningSession) -> bool:
+    """True iff some already-tried tau lies within the session's duplicate tolerance."""
+    tol = session.config.duplicate_tolerance
     return any(abs(tau - trial.tau) <= tol for trial in session.trials)
 
 
@@ -119,12 +117,7 @@ def best_of(trials) -> Trial:
     return best
 
 
-def propose_next_tau(
-    session: TuningSession,
-    backend,
-    prompts: PromptPair | None = None,
-    log_text: str | None = None,
-) -> float:
+def propose_next_tau(session: TuningSession, backend, log_text: str | None = None) -> float:
     """Obtain the next untried tau from the backend.
 
     ``log_text`` is the session's results log; by default it is rendered
@@ -140,15 +133,14 @@ def propose_next_tau(
     """
     if session.status != STATUS_RUNNING:
         raise ValueError(f"cannot propose on a {session.status} session")
-    prompts = prompts if prompts is not None else PromptPair()
     cfg = session.config
 
     if log_text is None:
         log_text = render_log(session.trials, include_std=cfg.log_std)
     if log_text:
-        base_prompt = render_analysis_prompt(prompts, log_text)
+        base_prompt = render_analysis_prompt(log_text)
     else:
-        base_prompt = render_tune_prompt(prompts)
+        base_prompt = render_tune_prompt()
 
     attempts = cfg.max_propose_retries + 1
     prompt = base_prompt
@@ -165,7 +157,7 @@ def propose_next_tau(
             last_extraction_error = exc
             prompt = base_prompt
             continue
-        if not is_duplicate(tau, session, cfg.duplicate_tolerance):
+        if not is_duplicate(tau, session):
             return tau
         last_duplicate = tau
         prompt = f"{base_prompt}\n\n{DUPLICATE_REMINDER}"
@@ -174,7 +166,7 @@ def propose_next_tau(
         assert last_extraction_error is not None
         raise last_extraction_error
     tau = last_duplicate * 1.05
-    while is_duplicate(tau, session, cfg.duplicate_tolerance):
+    while is_duplicate(tau, session):
         if tau * 1.05 == tau:  # the smallest subnormals round back to themselves
             raise ExtractionError(f"fallback tau {tau!r} does not grow by 1.05")
         tau *= 1.05
@@ -183,12 +175,7 @@ def propose_next_tau(
     return tau
 
 
-def run_session(
-    cfg: SessionConfig,
-    backend,
-    prompts: PromptPair | None = None,
-    out_base=None,
-) -> TuningSession:
+def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     """Run the full tuning cycle for ``cfg.budget`` trials.
 
     When ``out_base`` is given, ``<out_base>.session.jsonl`` and
@@ -204,7 +191,7 @@ def run_session(
     log_text = ""
     try:
         for trial_index in range(cfg.budget):
-            tau = propose_next_tau(session, backend, prompts, log_text=log_text)
+            tau = propose_next_tau(session, backend, log_text)
             trial = run_trial(tau, cfg, trial_index)
             trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
             session.trials.append(trial)

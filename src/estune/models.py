@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .es import EsRunResult, EsTemplate, ObjectiveSpec
+from .es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from .llm import LlmExchange
 
 __all__ = [
@@ -54,17 +54,17 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise ConfigurationError("replicates must be >= 1")
         if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise ConfigurationError("budget must be >= 1")
         if not (0 <= self.master_seed < (1 << 64)):
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+            raise ConfigurationError("master_seed must be an unsigned 64-bit integer")
         if not (self.duplicate_tolerance > 0):
-            raise ValueError("duplicate_tolerance must be > 0")
+            raise ConfigurationError("duplicate_tolerance must be > 0")
         if self.max_propose_retries < 0:
-            raise ValueError("max_propose_retries must be >= 0")
+            raise ConfigurationError("max_propose_retries must be >= 0")
         if self.objective.dimension != self.es_template.dimension:
-            raise ValueError(
+            raise ConfigurationError(
                 f"objective dimension {self.objective.dimension} != "
                 f"template dimension {self.es_template.dimension}"
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .es import TAU_MAX
+from .es import TAU_MAX, ConfigurationError
 from .loop import run_trial  # noqa: F401  (bench/tracer.py wraps report.run_trial by name)
 from .loop import run_trials
 from .models import SessionConfig, Trial
@@ -28,13 +28,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (self.tau_min > 0):
-            raise ValueError("tau_min must be > 0")
+            raise ConfigurationError("tau_min must be > 0")
         if not (self.tau_min < self.tau_max):
-            raise ValueError("tau_min must be < tau_max")
+            raise ConfigurationError("tau_min must be < tau_max")
         if not (self.tau_max <= TAU_MAX):
-            raise ValueError(f"tau_max must be <= {TAU_MAX}")
+            raise ConfigurationError(f"tau_max must be <= {TAU_MAX}")
         if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+            raise ConfigurationError("steps must be >= 2")
 
 
 def grid_values(spec: GridSpec) -> list[float]:

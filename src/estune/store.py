@@ -33,16 +33,24 @@ last line, which ``read_session`` reports as a ``SessionFileError`` whose
 A trial's exchanges precede its record; any exchanges after the last trial
 belong to a proposal that has no trial.  Unknown top-level fields in any
 record survive a read/write round trip.
+
+The config, replicate and exchange keys are the fields of ``SessionConfig``
+(with its nested ``ObjectiveSpec`` and ``EsTemplate``), ``EsRunResult`` and
+``LlmExchange``, in field order.  ``read_session`` requires every field, and
+each value must have its field's JSON type (``json_value``): a float field
+also accepts an integer, and nothing else is converted.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, get_type_hints
 
-from .es import EsRunResult, EsTemplate, ObjectiveSpec
+from .es import ConfigurationError, EsRunResult
 from .llm import LlmExchange
 from .models import (
     STATUS_ABORTED,
@@ -62,6 +70,7 @@ __all__ = [
     "append_log_line",
     "format_log_line",
     "format_number",
+    "json_value",
     "read_session",
     "render_log",
     "trial_stats",
@@ -114,10 +123,7 @@ def append_log_line(trial: Trial, log: str, include_std: bool = True) -> str:
 
 
 def render_log(trials: Iterable[Trial], include_std: bool = True) -> str:
-    text = ""
-    for trial in trials:
-        text = append_log_line(trial, text, include_std)
-    return text
+    return "".join(append_log_line(trial, "", include_std) for trial in trials)
 
 
 def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
@@ -144,26 +150,6 @@ def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
 
 _EXCHANGE_KEYS = ("prompt", "response", "latency_ms", "timestamp", "attempt")
 _TRIAL_KEYS = ("tau", "replicates", "mean_score", "std_score")
-_RESULT_KEYS = ("seed", "best_f", "score", "final_sigma", "generations_run")
-
-
-def _config_dict(cfg: SessionConfig) -> dict[str, Any]:
-    return {
-        "objective": {"name": cfg.objective.name, "dimension": cfg.objective.dimension},
-        "es_template": {
-            "sigma0": cfg.es_template.sigma0,
-            "dimension": cfg.es_template.dimension,
-            "max_generations": cfg.es_template.max_generations,
-            "init_low": cfg.es_template.init_low,
-            "init_high": cfg.es_template.init_high,
-        },
-        "master_seed": cfg.master_seed,
-        "replicates": cfg.replicates,
-        "budget": cfg.budget,
-        "duplicate_tolerance": cfg.duplicate_tolerance,
-        "max_propose_retries": cfg.max_propose_retries,
-        "log_std": cfg.log_std,
-    }
 
 
 def _exchange_record(exchange: LlmExchange) -> dict[str, Any]:
@@ -178,9 +164,7 @@ def _trial_record(trial: Trial) -> dict[str, Any]:
     rec: dict[str, Any] = {
         "record": "trial",
         "tau": trial.tau,
-        "replicates": [
-            {key: getattr(r, key) for key in _RESULT_KEYS} for r in trial.results
-        ],
+        "replicates": [asdict(r) for r in trial.results],
         "mean_score": trial.mean_score,
         "std_score": trial.std_score,
     }
@@ -192,7 +176,7 @@ def _header_record(session: TuningSession) -> dict[str, Any]:
     header: dict[str, Any] = {
         "record": "header",
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(session.config),
+        "config": asdict(session.config),
     }
     header.update(session.extras.get("header", {}))
     return header
@@ -271,56 +255,44 @@ def _extras(rec: dict[str, Any], known: Sequence[str]) -> dict[str, Any]:
     return {k: v for k, v in rec.items() if k not in skip}
 
 
-def _parse_config(raw: dict[str, Any]) -> SessionConfig:
-    obj = raw["objective"]
-    tpl = raw["es_template"]
-    return SessionConfig(
-        objective=ObjectiveSpec(name=obj["name"], dimension=int(obj["dimension"])),
-        es_template=EsTemplate(
-            sigma0=float(tpl["sigma0"]),
-            dimension=int(tpl["dimension"]),
-            max_generations=int(tpl["max_generations"]),
-            init_low=float(tpl["init_low"]),
-            init_high=float(tpl["init_high"]),
-        ),
-        master_seed=int(raw["master_seed"]),
-        replicates=int(raw["replicates"]),
-        budget=int(raw["budget"]),
-        duplicate_tolerance=float(raw["duplicate_tolerance"]),
-        max_propose_retries=int(raw["max_propose_retries"]),
-        log_std=bool(raw["log_std"]),
-    )
+def json_value(name: str, value: Any, kind: type) -> Any:
+    """``value``, checked to have the JSON type of a ``kind`` field.
+
+    A float field also accepts an integer, returned as a float; ``bool`` is
+    not a number here.  Raises ConfigurationError for any other type.
+    """
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif type(value) is kind:
+        return value
+    raise ConfigurationError(f"{name} must be {kind.__name__}, not {value!r}")
 
 
-def _parse_trial(rec: dict[str, Any]) -> Trial:
-    results = [
-        EsRunResult(
-            best_f=float(r["best_f"]),
-            score=float(r["score"]),
-            final_sigma=float(r["final_sigma"]),
-            generations_run=int(r["generations_run"]),
-            seed=int(r["seed"]),
-        )
-        for r in rec["replicates"]
-    ]
-    return Trial(
-        tau=float(rec["tau"]),
-        results=results,
-        mean_score=float(rec["mean_score"]),
-        std_score=float(rec["std_score"]),
-        extras=_extras(rec, _TRIAL_KEYS),
-    )
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, resolved type, is a dataclass) of each field of ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], is_dataclass(hints[f.name])) for f in fields(cls))
 
 
-def _parse_exchange(rec: dict[str, Any]) -> LlmExchange:
-    return LlmExchange(
-        prompt=rec["prompt"],
-        response=rec["response"],
-        latency_ms=float(rec["latency_ms"]),
-        timestamp=rec["timestamp"],
-        attempt=int(rec["attempt"]),
-        extras=_extras(rec, _EXCHANGE_KEYS),
-    )
+def _build(cls: type, raw: Any, **given: Any) -> Any:
+    """A ``cls`` from a JSON object that holds every field not ``given``.
+
+    Each value passes ``json_value``; a dataclass field is built the same
+    way.  Keys that are not fields are ignored.
+    """
+    if not isinstance(raw, dict):
+        raise TypeError(f"{cls.__name__} must be an object, not {raw!r}")
+    for name, kind, nested in _field_types(cls):
+        if name not in given:
+            value = raw[name]
+            if type(value) is not kind:
+                value = _build(kind, value) if nested else json_value(name, value, kind)
+            given[name] = value
+    return cls(**given)
 
 
 def read_session(path) -> TuningSession:
@@ -348,7 +320,7 @@ def read_session(path) -> TuningSession:
             line_number=1,
         )
     try:
-        config = _parse_config(header["config"])
+        config = _build(SessionConfig, header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
 
@@ -378,20 +350,26 @@ def read_session(path) -> TuningSession:
         kind = rec.get("record")
         try:
             if kind == "trial":
-                trial = _parse_trial(rec)
-                trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
+                trial = _build(
+                    Trial, rec,
+                    results=[_build(EsRunResult, r) for r in rec["replicates"]],
+                    exchanges=session.pending_exchanges,
+                    extras=_extras(rec, _TRIAL_KEYS),
+                )
                 session.trials.append(trial)
+                session.pending_exchanges = []
             elif kind == "exchange":
-                session.pending_exchanges.append(_parse_exchange(rec))
+                exchange = _build(LlmExchange, rec, extras=_extras(rec, _EXCHANGE_KEYS))
+                session.pending_exchanges.append(exchange)
             elif kind == "status":
                 status = rec.get("status")
                 if status not in _STATUSES:
                     raise _fail(f"unknown status {status!r}")
                 session.status = status
                 if "best_tau" in rec:
-                    session.best_tau = float(rec["best_tau"])
+                    session.best_tau = json_value("best_tau", rec["best_tau"], float)
                 if "error" in rec:
-                    session.error = rec["error"]
+                    session.error = json_value("error", rec["error"], str)
                 status_extras = _extras(rec, ("status", "best_tau", "error"))
                 if status_extras:
                     session.extras["status"] = status_extras

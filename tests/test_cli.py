@@ -114,7 +114,11 @@ class TestTuneCommand:
         ([], None),
         (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}),
         (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}),
-    ], ids=["scripted_requires_responses", "temperature_warm", "temperature_null"])
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": True}),
+        (None, {"endpoint": "http://127.0.0.1:9", "model": ["x"]}),
+        (None, {"endpoint": 9}),
+    ], ids=["scripted_requires_responses", "temperature_warm", "temperature_null",
+            "temperature_true", "model_list", "endpoint_number"])
     def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, capsys, script, config):
         argv = ["tune", "--out", str(tmp_path / "x")] + FAST
         if script is not None:

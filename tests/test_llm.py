@@ -11,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import estune.llm as llm
+from estune.es import ConfigurationError
 from estune.llm import (
-    PARSE_DIRECTIVE,
     ExtractionError,
     HttpBackend,
     LlmBackendConfig,
-    PromptPair,
     ScriptedBackend,
     TransportError,
     extract_tau,
@@ -32,41 +31,33 @@ SAMPLE_LOG = "tau = 0.7, Fitness: 0.1162058339177609\ntau = 0.95, Fitness: 66.05
 class TestPrompts:
     def test_default_tune_prompt_matches_golden(self):
         golden = (FIXTURES / "golden_tune_prompt.txt").read_text(encoding="utf-8")
-        assert render_tune_prompt(PromptPair()) == golden
+        assert render_tune_prompt() == golden
 
     def test_default_analysis_prompt_matches_golden(self):
         golden = (FIXTURES / "golden_analysis_prompt.txt").read_text(encoding="utf-8")
-        assert render_analysis_prompt(PromptPair(), SAMPLE_LOG) == golden
+        assert render_analysis_prompt(SAMPLE_LOG) == golden
 
     def test_tune_prompt_first_line(self):
-        assert render_tune_prompt(PromptPair()).startswith(
+        assert render_tune_prompt().startswith(
             "Tune the hyperparameter tau of an Evolution Stratety.\n"
         )
 
-    def test_custom_instruction_passthrough(self):
-        pair = PromptPair(tune_instruction="Pick tau.")
-        assert render_tune_prompt(pair) == f"Pick tau.\n\n{PARSE_DIRECTIVE}"
-
-    def test_empty_tune_instruction_rejected(self):
-        with pytest.raises(ValueError):
-            render_tune_prompt(PromptPair(tune_instruction="  "))
-
     def test_analysis_prompt_contains_log_lines(self):
-        prompt = render_analysis_prompt(PromptPair(), SAMPLE_LOG)
+        prompt = render_analysis_prompt(SAMPLE_LOG)
         assert "tau = 0.7, Fitness: 0.1162058339177609" in prompt
         assert prompt.startswith("Analyze the following results concerning")
 
     def test_analysis_preserves_trailing_newline(self):
-        prompt = render_analysis_prompt(PromptPair(), "tau = 1, Fitness: 2\n")
+        prompt = render_analysis_prompt("tau = 1, Fitness: 2\n")
         assert prompt.endswith("tau = 1, Fitness: 2\n")
 
     def test_analysis_single_line_log(self):
-        prompt = render_analysis_prompt(PromptPair(), "tau = 1, Fitness: 2")
+        prompt = render_analysis_prompt("tau = 1, Fitness: 2")
         assert prompt.endswith("tau = 1, Fitness: 2")
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            render_analysis_prompt(PromptPair(), "")
+            render_analysis_prompt("")
 
 
 class TestScriptedBackend:
@@ -91,13 +82,13 @@ class TestScriptedBackend:
 
 class TestBackendConfig:
     def test_http_requires_base_url(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LlmBackendConfig()
 
     @pytest.mark.parametrize("kwargs", [{"temperature": 2.5}, {"timeout_seconds": 0},
                                         {"transport_retries": -1}])
     def test_bad_numbers(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LlmBackendConfig(base_url="http://x", **kwargs)
 
 

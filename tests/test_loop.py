@@ -9,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from estune.es import TAU_MAX, EsRunResult, EsTemplate, NumericalError, ObjectiveSpec
+from estune.es import (
+    TAU_MAX,
+    ConfigurationError,
+    EsRunResult,
+    EsTemplate,
+    NumericalError,
+    ObjectiveSpec,
+)
 from estune.llm import (
     DUPLICATE_REMINDER,
     ExtractionError,
-    PromptPair,
     ScriptedBackend,
     TransportError,
     render_analysis_prompt,
@@ -122,6 +128,22 @@ class TestRunTrial:
         assert run_trial(0.95, paper_cfg, 0).mean_score > run_trial(1.5, paper_cfg, 1).mean_score
 
 
+class TestSessionConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"replicates": 0},
+        {"budget": 0},
+        {"master_seed": -1},
+        {"master_seed": 1 << 64},
+        {"duplicate_tolerance": 0.0},
+        {"duplicate_tolerance": math.nan},
+        {"max_propose_retries": -1},
+        {"objective": ObjectiveSpec("sphere", 4)},
+    ])
+    def test_bad_setting_rejected(self, fast_cfg, kwargs):
+        with pytest.raises(ConfigurationError):
+            replace(fast_cfg, **kwargs)
+
+
 class TestIsDuplicate:
     def _session(self, fast_cfg, taus):
         session = TuningSession(config=fast_cfg)
@@ -129,16 +151,20 @@ class TestIsDuplicate:
         return session
 
     def test_exact_match(self, fast_cfg):
-        assert is_duplicate(0.95, self._session(fast_cfg, [0.95]), 1e-9)
+        assert is_duplicate(0.95, self._session(fast_cfg, [0.95]))
 
     def test_within_tolerance(self, fast_cfg):
-        assert is_duplicate(0.95 + 1e-12, self._session(fast_cfg, [0.95]), 1e-9)
+        assert is_duplicate(0.95 + 1e-12, self._session(fast_cfg, [0.95]))
 
     def test_outside_tolerance(self, fast_cfg):
-        assert not is_duplicate(1.0, self._session(fast_cfg, [0.95]), 1e-9)
+        assert not is_duplicate(1.0, self._session(fast_cfg, [0.95]))
+
+    def test_tolerance_is_the_sessions(self, fast_cfg):
+        cfg = replace(fast_cfg, duplicate_tolerance=0.1)
+        assert is_duplicate(1.0, self._session(cfg, [0.95]))
 
     def test_empty_session(self, fast_cfg):
-        assert not is_duplicate(0.95, self._session(fast_cfg, []), 1e-9)
+        assert not is_duplicate(0.95, self._session(fast_cfg, []))
 
 
 class TestBestTrial:
@@ -175,7 +201,7 @@ class TestProposeNextTau:
         backend = ScriptedBackend(["tau = 0.7"])
         assert propose_next_tau(session, backend) == 0.7
         assert len(session.exchanges) == 1
-        assert session.exchanges[0].prompt == render_tune_prompt(PromptPair())
+        assert session.exchanges[0].prompt == render_tune_prompt()
 
     def test_populated_session_uses_analysis_prompt(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
@@ -349,10 +375,10 @@ class TestRunSession:
             assert session.status == "completed"
             prompts = [e.prompt for e in session.exchanges if e.attempt == 0]
             assert len(prompts) == cfg.budget
-            assert prompts[0] == render_tune_prompt(PromptPair())
+            assert prompts[0] == render_tune_prompt()
             for k, prompt in enumerate(prompts[1:], start=1):
                 log = render_log(session.trials[:k], include_std=log_std)
-                assert prompt == render_analysis_prompt(PromptPair(), log)
+                assert prompt == render_analysis_prompt(log)
 
 
 class DiskProbe:

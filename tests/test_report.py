@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from estune.es import EsRunResult
+from estune.es import ConfigurationError, EsRunResult
 from estune.loop import derive_seed
 from estune.models import Trial
 from estune.report import GridSpec, emit_csv, emit_plot, grid_values, run_grid
@@ -49,7 +49,7 @@ class TestGridValues:
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             GridSpec(**kwargs)
 
 

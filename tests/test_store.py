@@ -221,6 +221,36 @@ class TestSessionFileErrors:
         with pytest.raises(SchemaVersionError):
             read_session(path)
 
+    @pytest.mark.parametrize("kind,keys,value", [
+        ("header", ("config", "log_std"), "false"),
+        ("header", ("config", "replicates"), 2.9),
+        ("header", ("config", "budget"), "5"),
+        ("header", ("config", "es_template", "sigma0"), None),
+        ("trial", ("replicates", 0, "seed"), 1.5),
+        ("trial", ("replicates", 0, "best_f"), 10**400),
+        ("exchange", ("attempt",), "0"),
+    ], ids=["log_std_string", "replicates_float", "budget_string", "sigma0_missing",
+            "seed_float", "best_f_overflows", "attempt_string"])
+    def test_value_of_the_wrong_type(self, fast_cfg, tmp_path, kind, keys, value):
+        # value None deletes the key.
+        path = self._write_demo(fast_cfg, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if f'"record":"{kind}"' in line)
+        rec = json.loads(lines[at])
+        inner = rec
+        for key in keys[:-1]:
+            inner = inner[key]
+        if value is None:
+            del inner[keys[-1]]
+        else:
+            inner[keys[-1]] = value
+        lines[at] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        assert exc_info.value.line_number == at + 1
+        assert str(exc_info.value).startswith(f"line {at + 1}: ")
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"record":"trial","tau":1.0}\n', encoding="utf-8")
