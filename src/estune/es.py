@@ -21,11 +21,22 @@ draws one ``uniform(init_low, init_high, size=dimension)`` vector, then each
 generation consumes one ``standard_normal(dimension)`` vector (numpy's
 ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
-``run_batch`` is the one kernel: it advances many runs ("rows") in lockstep
-on ``(rows, dimension)`` arrays.  The rows share one ``EsTemplate`` (sigma0,
-dimension, generation count and init box) and differ in tau and seed.  Every
-row is bit-identical to the stepwise loop built from ``mutate``,
-``sphere_eval`` and ``update_sigma``:
+``run_batch`` is the one kernel.  Its rows share one ``EsTemplate`` (sigma0,
+dimension, generation count and init box) and differ in tau and seed.  It
+has two paths, chosen by row count alone:
+
+* a batch of at most 3 rows runs one row at a time by speculation.  Under
+  the 1/5th rule about four offspring in five are rejected, so a round
+  assumes the next k (at most 12) are all rejected, makes all k candidates
+  and evaluates them in one objective call, and keeps the prefix up to the
+  first acceptance.  With so few rows numpy's fixed cost per call
+  dominates; a round makes about as many calls as a lockstep generation
+  and advances about five generations;
+* a batch of 4 or more rows advances all rows in lockstep, one generation
+  at a time on ``(rows, dimension)`` arrays.
+
+Every row on either path is bit-identical to the stepwise loop built from
+``mutate``, ``sphere_eval`` and ``update_sigma``:
 
 * each row keeps its own generator and draws its normals in blocks of at
   most ``BLOCK_GENERATIONS`` generations, ``standard_normal((k, dimension))``,
@@ -42,7 +53,18 @@ row is bit-identical to the stepwise loop built from ``mutate``,
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
   expression ``update_sigma`` evaluates every generation.  ``TAU_MAX``
-  keeps both factors finite.
+  keeps both factors finite;
+* a speculation round takes the sigmas of its k generations from
+  ``np.multiply.accumulate([sigma, down, ..., down])``, which makes the
+  same rounded products, in the same order, as k stepwise rejections.
+  Until the first acceptance the parent does not change, so each candidate
+  up to it is exactly the stepwise loop's.  Candidates after it were never
+  made by the stepwise loop: they are discarded, and may overflow without
+  raising.
+
+Both paths raise ``NumericalError`` with the same message in the same
+cases: a non-finite candidate among those the stepwise loop makes, then,
+checked only after all rows, sigma at 0 before a generation.
 """
 
 from __future__ import annotations
@@ -84,7 +106,16 @@ TAU_MAX = 100
 # its block buffers stay small however long the run.
 BLOCK_GENERATIONS = 128
 
+# Batches of at most this many rows run one row at a time by speculation;
+# larger ones run in lockstep (see the module docstring).
+_SPECULATIVE_ROWS = 3
+
+# How many generations one speculation round makes and evaluates at once.
+_SPECULATION_DEPTH = 12
+
 _SEED_LIMIT = 1 << 64
+
+_NON_FINITE = "a candidate left the finite floating-point range"
 
 
 class ConfigurationError(ValueError):
@@ -128,7 +159,12 @@ _OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {"sphere": sphere_r
 
 
 def register_objective(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Add a row-wise objective to the registry used by ObjectiveSpec lookups."""
+    """Add a row-wise objective to the registry used by ObjectiveSpec lookups.
+
+    ``fn`` must give each row's value from that row alone, and a non-finite
+    value for a row with a non-finite entry: ``run_batch`` screens its
+    candidates by their values.
+    """
     _OBJECTIVES[name] = fn
 
 
@@ -244,7 +280,7 @@ def run_es(template: EsTemplate, objective: ObjectiveSpec, tau: float, seed: int
 def run_batch(
     template: EsTemplate, objective: ObjectiveSpec, taus: Sequence[float], seeds: Sequence[int]
 ) -> list[EsRunResult]:
-    """Run one lockstep (1+1)-ES row per (tau, seed) pair, all on ``template``.
+    """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
     Each row's result is bit-identical to the stepwise loop of its tau and
     seed alone (see the module docstring), and the batch raises
@@ -267,37 +303,23 @@ def run_batch(
     fn = get_objective(objective.name)
     rngs = [make_rng(seed) for seed in seeds]
     x = np.array([rng.uniform(template.init_low, template.init_high, size=dim) for rng in rngs])
-    sigma = np.full(len(rngs), float(template.sigma0))
-    up = np.array([math.exp(tau * (1.0 - 0.2)) for tau in taus])
-    down = np.array([math.exp(tau * (0.0 - 0.2)) for tau in taus])
-
-    block = min(BLOCK_GENERATIONS, generations)
-    z = np.empty((len(rngs), block, dim))
-    candidates = np.empty((block, len(rngs), dim))
-    finite = True
-    # A failing row runs on with inf/nan and is reported once the run ends;
-    # squares that overflow to inf are legal, as in sphere_eval.
+    up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
+    down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
+    # A failing row runs on with inf/nan until the check at the end of its
+    # block or round; squares that overflow to inf are legal, as in
+    # sphere_eval.
     with np.errstate(over="ignore", invalid="ignore"):
-        f = fn(x)
-        for start in range(0, generations, block):
-            n = min(block, generations - start)
-            for row, rng in enumerate(rngs):
-                rng.standard_normal(out=z[row, :n])
-            for g in range(n):
-                c = candidates[g]
-                np.multiply(sigma[:, None], z[:, g], out=c)
-                np.add(x, c, out=c)
-                f_new = fn(c)
-                success = f_new <= f
-                np.copyto(x, c, where=success[:, None])
-                np.copyto(f, f_new, where=success)
-                before_last, sigma = sigma, sigma * np.where(success, up, down)
-            finite = finite and bool(np.isfinite(candidates[:n]).all())
+        if len(rngs) <= _SPECULATIVE_ROWS:
+            rows = [
+                _speculate(fn, rng, x[i : i + 1], template.sigma0, up[i], down[i], generations)
+                for i, rng in enumerate(rngs)
+            ]
+            f, sigma, before_last = zip(*rows)
+        else:
+            f, sigma, before_last = _lockstep(fn, rngs, x, template.sigma0, up, down, generations)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
-    if not finite:
-        raise NumericalError("a candidate left the finite floating-point range")
-    if not (before_last > 0).all():
+    if not all(s > 0 for s in before_last):
         raise NumericalError("sigma reached 0 before the last generation")
     return [
         EsRunResult(
@@ -307,5 +329,79 @@ def run_batch(
             final_sigma=final_sigma,
             generations_run=generations,
         )
-        for seed, best_f, final_sigma in zip(seeds, f.tolist(), sigma.tolist())
+        for seed, best_f, final_sigma in zip(seeds, f, sigma)
     ]
+
+
+def _lockstep(fn, rngs, x, sigma0, up, down, generations):
+    """All rows one generation at a time: ``(f, sigma, sigma before the last
+    generation)``, one list entry per row."""
+    rows, dim = x.shape
+    sigma = np.full(rows, float(sigma0))
+    up, down = np.array(up), np.array(down)
+    block = min(BLOCK_GENERATIONS, generations)
+    z = np.empty((rows, block, dim))
+    candidates = np.empty((block, rows, dim))
+    f = fn(x)
+    for start in range(0, generations, block):
+        n = min(block, generations - start)
+        for row, rng in enumerate(rngs):
+            rng.standard_normal(out=z[row, :n])
+        for g in range(n):
+            c = candidates[g]
+            np.multiply(sigma[:, None], z[:, g], out=c)
+            np.add(x, c, out=c)
+            f_new = fn(c)
+            success = f_new <= f
+            np.copyto(x, c, where=success[:, None])
+            np.copyto(f, f_new, where=success)
+            before_last, sigma = sigma, sigma * np.where(success, up, down)
+        if not np.isfinite(candidates[:n]).all():
+            raise NumericalError(_NON_FINITE)
+    return f.tolist(), sigma.tolist(), before_last.tolist()
+
+
+def _speculate(fn, rng, x, sigma, up, down, generations):
+    """One row by speculation: ``(f, sigma, sigma before the last generation)``.
+
+    Each round assumes the next k offspring are all rejected, makes and
+    evaluates them at once, and keeps the prefix up to the first acceptance.
+    ``x`` is the row's ``(1, dimension)`` start point; it is overwritten.
+    """
+    block = min(BLOCK_GENERATIONS, generations)
+    z = np.empty((block, x.shape[1]))
+    candidates = np.empty((_SPECULATION_DEPTH, x.shape[1]))
+    factors = np.full(_SPECULATION_DEPTH, down)
+    sigmas = np.empty(_SPECULATION_DEPTH)
+    f = fn(x).item(0)
+    for start in range(0, generations, block):
+        n = min(block, generations - start)
+        rng.standard_normal(out=z[:n])
+        g = 0
+        while g < n:
+            k = min(_SPECULATION_DEPTH, n - g)
+            # sigma before each of the next k generations if all are rejected:
+            # the stepwise loop's own sequence of rounded products.
+            factors[0] = sigma
+            np.multiply.accumulate(factors[:k], out=sigmas[:k])
+            c = candidates[:k]
+            np.multiply(sigmas[:k, None], z[g : g + k], out=c)
+            np.add(x, c, out=c)
+            values = fn(c).tolist()
+            # j: the first acceptance, or the last candidate if there is none.
+            for j, value in enumerate(values):
+                if value <= f:
+                    break
+            # Candidates past j were never made by the stepwise loop.  A
+            # non-finite candidate has a non-finite value, so only a
+            # non-finite sum needs the exact check.
+            if not math.isfinite(sum(values[: j + 1])) and not np.isfinite(c[: j + 1]).all():
+                raise NumericalError(_NON_FINITE)
+            before_last = sigmas.item(j)
+            if values[j] <= f:
+                x[0] = c[j]
+                f, sigma = values[j], before_last * up
+            else:
+                sigma = before_last * down
+            g += j + 1
+    return f, sigma, before_last

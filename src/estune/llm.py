@@ -60,6 +60,9 @@ TOKEN_ENV_VAR = "ESTUNE_TOKEN"
 
 RETRY_BACKOFF_SECONDS = 1.0
 
+# Longest request timeout: a day.  Socket timeouts overflow past about 9.2e9 s.
+MAX_TIMEOUT_SECONDS = 86400
+
 # Scripted exchanges carry a fixed instant so replayed sessions serialize to
 # identical bytes.
 SCRIPTED_TIMESTAMP = "1970-01-01T00:00:00+00:00"
@@ -107,8 +110,8 @@ class LlmBackendConfig:
             raise ConfigurationError("http backend requires base_url")
         if not (0.0 <= self.temperature <= 2.0):
             raise ConfigurationError("temperature must be in [0, 2]")
-        if not (self.timeout_seconds > 0):
-            raise ConfigurationError("timeout_seconds must be > 0")
+        if not (0 < self.timeout_seconds <= MAX_TIMEOUT_SECONDS):
+            raise ConfigurationError(f"timeout_seconds must be > 0 and <= {MAX_TIMEOUT_SECONDS}")
         if self.transport_retries < 0:
             raise ConfigurationError("transport_retries must be >= 0")
 

@@ -150,6 +150,9 @@ def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
 
 _EXCHANGE_KEYS = ("prompt", "response", "latency_ms", "timestamp", "attempt")
 _TRIAL_KEYS = ("tau", "replicates", "mean_score", "std_score")
+# A replicate holds only scalars, so a shallow dict gives asdict's keys and
+# values without its deep copy of each one.
+_REPLICATE_KEYS = tuple(f.name for f in fields(EsRunResult))
 
 
 def _exchange_record(exchange: LlmExchange) -> dict[str, Any]:
@@ -164,7 +167,7 @@ def _trial_record(trial: Trial) -> dict[str, Any]:
     rec: dict[str, Any] = {
         "record": "trial",
         "tau": trial.tau,
-        "replicates": [asdict(r) for r in trial.results],
+        "replicates": [{key: getattr(r, key) for key in _REPLICATE_KEYS} for r in trial.results],
         "mean_score": trial.mean_score,
         "std_score": trial.std_score,
     }

@@ -110,17 +110,22 @@ class TestTuneCommand:
     def test_scripted_without_script_exits_2(self, run_cli, tmp_path):
         assert run_cli(["tune", "--backend", "scripted", "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("script,config", [
-        ([], None),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": True}),
-        (None, {"endpoint": "http://127.0.0.1:9", "model": ["x"]}),
-        (None, {"endpoint": 9}),
+    @pytest.mark.parametrize("script,config,flags", [
+        ([], None, []),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}, []),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}, []),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": True}, []),
+        (None, {"endpoint": "http://127.0.0.1:9", "model": ["x"]}, []),
+        (None, {"endpoint": 9}, []),
+        # The config is checked before any connection is made.
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "inf"]),
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e300"]),
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e10"]),
     ], ids=["scripted_requires_responses", "temperature_warm", "temperature_null",
-            "temperature_true", "model_list", "endpoint_number"])
-    def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, capsys, script, config):
-        argv = ["tune", "--out", str(tmp_path / "x")] + FAST
+            "temperature_true", "model_list", "endpoint_number", "timeout_inf",
+            "timeout_1e300", "timeout_1e10"])
+    def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, capsys, script, config, flags):
+        argv = ["tune", "--out", str(tmp_path / "x")] + FAST + flags
         if script is not None:
             argv += ["--backend", "scripted", "--script", _script_file(tmp_path, script)]
         if config is not None:

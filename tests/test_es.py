@@ -293,6 +293,29 @@ def _batches(draw):
     return template, rows
 
 
+@st.composite
+def _lockstep_batches(draw):
+    """Like ``_batches``, but 4-8 rows: more than the speculative path takes."""
+    template = EsTemplate(
+        sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
+        dimension=draw(st.integers(1, 64)),
+        max_generations=draw(st.integers(1, 200)),
+    )
+    rows = draw(st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
+        st.integers(0, (1 << 64) - 1),
+    ), min_size=4, max_size=8))
+    return template, rows
+
+
+def _hex_rows_or_error(template, taus, seeds):
+    try:
+        results = run_batch(template, ObjectiveSpec("sphere", template.dimension), taus, seeds)
+    except NumericalError:
+        return "NumericalError"
+    return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
+
+
 def _oracle_or_error(template, tau, seed):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -316,6 +339,39 @@ class TestRunBatch:
         results = run_batch(template, objective, taus, seeds)
         got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
         assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lockstep_batches())
+    def test_lockstep_rows_equal_speculative_chunks(self, batch):
+        # 4+ rows run in lockstep, chunks of at most 3 by speculation.
+        template, rows = batch
+        taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
+        chunks = [
+            _hex_rows_or_error(template, taus[i : i + 3], seeds[i : i + 3])
+            for i in range(0, len(rows), 3)
+        ]
+        speculative = (
+            "NumericalError" if "NumericalError" in chunks else [r for c in chunks for r in c]
+        )
+        assert _hex_rows_or_error(template, taus, seeds) == speculative
+
+    def test_one_row_at_the_paper_setting_matches_stepwise(self):
+        # run-es traffic: one row, 5-D, 1000 generations.
+        template = _paper_template()
+        for seed in (0, 7, 123456789):
+            result = run_es(template, SPHERE_5D, 0.95, seed)
+            f, sigma = stepwise_run(template, 0.95, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_non_finite_message_is_the_same_on_both_paths(self):
+        template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
+        seed = 16789950873655392269
+        messages = []
+        for seeds in ([2, seed], [2, seed, 3, 4]):
+            with pytest.raises(NumericalError) as caught:
+                run_batch(template, SPHERE_5D, [1.0] * len(seeds), seeds)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_raises_on_a_non_finite_candidate(self):
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
@@ -349,6 +405,19 @@ class TestRunBatch:
         monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
         with pytest.raises(NumericalError):
             run_batch(_paper_template(reach_zero + 1), objective, [TAU_MAX], [0])
+
+    def test_zero_sigma_message_is_the_same_on_both_paths(self, monkeypatch):
+        # Every offspring is worse than the start point, so sigma reaches 0.
+        messages = []
+        for rows in (1, 4):
+            first = iter([0.0])
+            monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
+                                lambda x: np.full(len(x), next(first, 1.0)))
+            with pytest.raises(NumericalError) as caught:
+                run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
+                          [TAU_MAX] * rows, list(range(rows)))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_empty_batch(self):
         assert run_batch(_paper_template(), SPHERE_5D, [], []) == []

@@ -86,7 +86,8 @@ class TestBackendConfig:
             LlmBackendConfig()
 
     @pytest.mark.parametrize("kwargs", [{"temperature": 2.5}, {"timeout_seconds": 0},
-                                        {"transport_retries": -1}])
+                                        {"transport_retries": -1},
+                                        {"timeout_seconds": 86400.5}])
     def test_bad_numbers(self, kwargs):
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(base_url="http://x", **kwargs)
