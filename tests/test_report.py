@@ -4,10 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from estune.es import ConfigurationError, EsRunResult
+from estune.es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from estune.loop import derive_seed
-from estune.models import Trial
+from estune.models import SessionConfig, Trial
 from estune.report import GridSpec, emit_csv, emit_plot, grid_values, run_grid
+from estune.store import render_log
+
+from conftest import FIXTURES
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -60,6 +63,24 @@ class TestRunGrid:
         assert [t.tau for t in trials] == grid_values(spec)
         for i, trial in enumerate(trials):
             assert trial.results[0].seed == derive_seed(fast_cfg.master_seed, i, 0)
+
+    def test_paper_grid_matches_the_golden_bytes(self, tmp_path):
+        # The config `estune grid --seed 1` builds from its default flags:
+        # 100 rows of the 5-D sphere at 1000 generations, one lockstep batch.
+        spec = GridSpec()
+        cfg = SessionConfig(
+            objective=ObjectiveSpec("sphere", 5),
+            es_template=EsTemplate(sigma0=1.0, dimension=5, max_generations=1000),
+            master_seed=1,
+            replicates=10,
+            budget=spec.steps,
+        )
+        trials = run_grid(spec, cfg)
+        emit_csv(trials, tmp_path / "grid.csv")
+        golden = FIXTURES / "golden_paper_grid"
+        assert (tmp_path / "grid.csv").read_bytes() == golden.with_suffix(".csv").read_bytes()
+        log = render_log(trials).encode("utf-8")
+        assert log == golden.with_suffix(".log").read_bytes()
 
 
 class TestEmitCsv:
