@@ -33,7 +33,11 @@ has two paths, chosen by row count alone:
   dominates; a round makes about as many calls as a lockstep generation
   and advances about five generations;
 * a batch of 4 or more rows advances all rows in lockstep, one generation
-  at a time on ``(rows, dimension)`` arrays.
+  at a time on ``(dimension, rows)`` arrays, one row per column.
+
+An objective takes a ``(dimension, N)`` array of any strides, one candidate
+per column, and returns N values.  Summing down a column's coordinates is
+then one vectorised step per coordinate across all N candidates.
 
 Every row on either path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -43,12 +47,13 @@ Every row on either path is bit-identical to the stepwise loop built from
   which yields exactly the values of k successive
   ``standard_normal(dimension)`` draws;
 * a candidate is ``x + sigma * z``: one multiply, then one add;
-* the sphere sums its squares strictly left to right with ``np.cumsum``
-  along each row.  Do not replace it with ``np.sum``, ``np.dot``,
-  ``math.fsum`` or the builtin ``sum()``: the first two sum pairwise or
-  blocked, the last two round differently (since Python 3.12 ``sum()`` of
-  floats is compensated), and any of them changes the last bits.  For the
-  same reason ``store.trial_stats`` folds its sums with ``+=``;
+* the sphere sums its squares strictly in coordinate order with
+  ``np.add.accumulate`` down each column, whatever the array's strides.
+  Do not replace it with ``np.sum``, ``np.dot``, ``math.fsum`` or the
+  builtin ``sum()``: the first two sum pairwise or blocked, the last two
+  round differently (since Python 3.12 ``sum()`` of floats is
+  compensated), and any of them changes the last bits.  For the same
+  reason ``store.trial_stats`` folds its sums with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
@@ -90,8 +95,8 @@ __all__ = [
     "run_batch",
     "run_es",
     "score_of",
+    "sphere_columns",
     "sphere_eval",
-    "sphere_rows",
     "update_sigma",
 ]
 
@@ -144,26 +149,30 @@ def sphere_eval(x) -> float:
     return total
 
 
-def sphere_rows(x: np.ndarray) -> np.ndarray:
-    """``sphere_eval`` of every row of a 2-D array, bit for bit.
+def sphere_columns(x: np.ndarray) -> np.ndarray:
+    """``sphere_eval`` of every column of a ``(dimension, N)`` array, bit for bit.
 
-    ``np.cumsum`` adds the squares strictly left to right, the order
-    ``sphere_eval`` uses.  Rows are not checked for finiteness here;
-    ``run_batch`` checks its candidates.
+    ``np.add.accumulate`` down axis 0 adds the squares strictly in
+    coordinate order, the order ``sphere_eval`` uses; ``x`` may have any
+    strides.  Columns are not checked for finiteness here; ``run_batch``
+    checks its candidates.
     """
-    return np.cumsum(x * x, axis=1)[:, -1]
+    squares = x * x
+    np.add.accumulate(squares, axis=0, out=squares)
+    return squares[-1]
 
 
-# Objectives map a (rows, dimension) array to one value per row.
-_OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {"sphere": sphere_rows}
+# Objectives map a (dimension, N) array, one candidate per column, to N values.
+_OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {"sphere": sphere_columns}
 
 
 def register_objective(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Add a row-wise objective to the registry used by ObjectiveSpec lookups.
+    """Add a column-wise objective to the registry used by ObjectiveSpec lookups.
 
-    ``fn`` must give each row's value from that row alone, and a non-finite
-    value for a row with a non-finite entry: ``run_batch`` screens its
-    candidates by their values.
+    ``fn`` takes a ``(dimension, N)`` array of any strides, one candidate per
+    column, and returns N values.  It must give each column's value from
+    that column alone, and a non-finite value for a column with a
+    non-finite entry: ``run_batch`` screens its candidates by their values.
     """
     _OBJECTIVES[name] = fn
 
@@ -335,13 +344,23 @@ def run_batch(
 
 def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     """All rows one generation at a time: ``(f, sigma, sigma before the last
-    generation)``, one list entry per row."""
+    generation)``, one list entry per row.
+
+    ``x`` holds the start points as ``(rows, dimension)``; the loop keeps
+    the parents and candidates as ``(dimension, rows)``, one row per column.
+    """
     rows, dim = x.shape
+    x = np.ascontiguousarray(x.T)
     sigma = np.full(rows, float(sigma0))
     up, down = np.array(up), np.array(down)
     block = min(BLOCK_GENERATIONS, generations)
-    z = np.empty((rows, block, dim))
-    candidates = np.empty((block, rows, dim))
+    # Each row draws its block of normals into its own row of this buffer;
+    # generation g reads them through the (dimension, rows) view z[:, g].T.
+    # 8 doubles of padding keep the row stride off a power of two, where
+    # those strided reads would contend for the same cache sets.
+    z = np.empty((rows, block * dim + 8))[:, : block * dim].reshape(rows, block, dim)
+    candidates = np.empty((block, dim, rows))
+    success = np.empty(rows, dtype=bool)
     f = fn(x)
     for start in range(0, generations, block):
         n = min(block, generations - start)
@@ -349,11 +368,11 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
             rng.standard_normal(out=z[row, :n])
         for g in range(n):
             c = candidates[g]
-            np.multiply(sigma[:, None], z[:, g], out=c)
+            np.multiply(sigma, z[:, g].T, out=c)
             np.add(x, c, out=c)
             f_new = fn(c)
-            success = f_new <= f
-            np.copyto(x, c, where=success[:, None])
+            np.less_equal(f_new, f, out=success)
+            np.copyto(x, c, where=success)
             np.copyto(f, f_new, where=success)
             before_last, sigma = sigma, sigma * np.where(success, up, down)
         if not np.isfinite(candidates[:n]).all():
@@ -367,13 +386,15 @@ def _speculate(fn, rng, x, sigma, up, down, generations):
     Each round assumes the next k offspring are all rejected, makes and
     evaluates them at once, and keeps the prefix up to the first acceptance.
     ``x`` is the row's ``(1, dimension)`` start point; it is overwritten.
+    The candidates are rows of a ``(k, dimension)`` buffer; the objective
+    sees them as columns through its transpose.
     """
     block = min(BLOCK_GENERATIONS, generations)
     z = np.empty((block, x.shape[1]))
     candidates = np.empty((_SPECULATION_DEPTH, x.shape[1]))
     factors = np.full(_SPECULATION_DEPTH, down)
     sigmas = np.empty(_SPECULATION_DEPTH)
-    f = fn(x).item(0)
+    f = fn(x.T).item(0)
     for start in range(0, generations, block):
         n = min(block, generations - start)
         rng.standard_normal(out=z[:n])
@@ -387,7 +408,7 @@ def _speculate(fn, rng, x, sigma, up, down, generations):
             c = candidates[:k]
             np.multiply(sigmas[:k, None], z[g : g + k], out=c)
             np.add(x, c, out=c)
-            values = fn(c).tolist()
+            values = fn(c.T).tolist()
             # j: the first acceptance, or the last candidate if there is none.
             for j, value in enumerate(values):
                 if value <= f:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
+from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from .llm import LlmExchange
 
 __all__ = [
@@ -59,8 +59,9 @@ class SessionConfig:
             raise ConfigurationError("budget must be >= 1")
         if not (0 <= self.master_seed < (1 << 64)):
             raise ConfigurationError("master_seed must be an unsigned 64-bit integer")
-        if not (self.duplicate_tolerance > 0):
-            raise ConfigurationError("duplicate_tolerance must be > 0")
+        # At TAU_MAX or above every admissible tau duplicates the first trial.
+        if not (0 < self.duplicate_tolerance < TAU_MAX):
+            raise ConfigurationError(f"duplicate_tolerance must be > 0 and < {TAU_MAX}")
         if self.max_propose_retries < 0:
             raise ConfigurationError("max_propose_retries must be >= 0")
         if self.objective.dimension != self.es_template.dimension:

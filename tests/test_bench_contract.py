@@ -34,7 +34,7 @@ def test_tracer_resolves_every_wrapped_name(tracer_cls):
     finally:
         tracer.restore()
     assert loop_mod.run_es is es_mod.run_es
-    assert es_mod.get_objective("sphere") is es_mod.sphere_rows
+    assert es_mod.get_objective("sphere") is es_mod.sphere_columns
 
 
 def test_session_spans_are_called(tracer_cls, fast_cfg, tmp_path):

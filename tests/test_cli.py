@@ -136,6 +136,17 @@ class TestTuneCommand:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "x.session.jsonl").exists()
 
+    @pytest.mark.parametrize("tolerance", ["inf", "100", "1e300"])
+    def test_duplicate_tolerance_at_tau_max_exits_2(self, run_cli, tmp_path, capsys, tolerance):
+        # Every admissible tau would duplicate the first trial, so every
+        # session would abort at its second proposal.
+        script = _script_file(tmp_path, ["tau = 0.7", "tau = 1.1"])
+        code = run_cli(["tune", "--backend", "scripted", "--script", script, "--budget", "2",
+                        "--duplicate-tolerance", tolerance, "--out", str(tmp_path / "x")] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: duplicate_tolerance")
+        assert not (tmp_path / "x.session.jsonl").exists()
+
     def test_http_without_endpoint_exits_2(self, run_cli, tmp_path, capsys):
         code = run_cli(["tune", "--out", str(tmp_path / "x")] + FAST)
         assert code == 2

@@ -363,6 +363,18 @@ class TestRunBatch:
             f, sigma = stepwise_run(template, 0.95, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
+    def test_paper_grid_rows_match_stepwise(self):
+        # The paper grid's 100 rows in lockstep; 300 generations cross two
+        # boundaries of the normals' blocks.
+        assert 2 * es_mod.BLOCK_GENERATIONS < 300 < 3 * es_mod.BLOCK_GENERATIONS
+        template = _paper_template(300)
+        taus = [tau for tau in grid_values(GridSpec()) for _ in range(10)]
+        seeds = list(range(100))
+        results = run_batch(template, SPHERE_5D, taus, seeds)
+        for result, tau, seed in zip(results, taus, seeds):
+            f, sigma = stepwise_run(template, tau, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
     def test_non_finite_message_is_the_same_on_both_paths(self):
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
         seed = 16789950873655392269
@@ -391,7 +403,7 @@ class TestRunBatch:
 
             def fn(x):
                 calls.append(None)
-                return np.full(len(x), 0.0 if len(calls) == 1 else 1.0)
+                return np.full(x.shape[1], 0.0 if len(calls) == 1 else 1.0)
 
             return fn
 
@@ -412,7 +424,7 @@ class TestRunBatch:
         for rows in (1, 4):
             first = iter([0.0])
             monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
-                                lambda x: np.full(len(x), next(first, 1.0)))
+                                lambda x: np.full(x.shape[1], next(first, 1.0)))
             with pytest.raises(NumericalError) as caught:
                 run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
                           [TAU_MAX] * rows, list(range(rows)))

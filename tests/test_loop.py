@@ -138,10 +138,18 @@ class TestSessionConfig:
         {"duplicate_tolerance": math.nan},
         {"max_propose_retries": -1},
         {"objective": ObjectiveSpec("sphere", 4)},
+        # Every admissible tau would duplicate the first trial.
+        {"duplicate_tolerance": math.inf},
+        {"duplicate_tolerance": TAU_MAX},
+        {"duplicate_tolerance": 1e300},
     ])
     def test_bad_setting_rejected(self, fast_cfg, kwargs):
         with pytest.raises(ConfigurationError):
             replace(fast_cfg, **kwargs)
+
+    def test_largest_duplicate_tolerance_accepted(self, fast_cfg):
+        tol = math.nextafter(TAU_MAX, 0)
+        assert replace(fast_cfg, duplicate_tolerance=tol).duplicate_tolerance == tol
 
 
 class TestIsDuplicate:
