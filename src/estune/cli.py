@@ -13,7 +13,7 @@ from .llm import HttpBackend, LlmBackendConfig, ScriptedBackend, TransportError
 from .loop import best_of, run_session, run_trial
 from .models import STATUS_COMPLETED, SessionConfig
 from .report import GridSpec, emit_csv, emit_plot, run_grid
-from .store import append_log_line, format_number, json_value, render_log
+from .store import format_number, json_value, log_line, render_log
 
 ENDPOINT_ENV_VAR = "ESTUNE_ENDPOINT"
 MODEL_ENV_VAR = "ESTUNE_MODEL"
@@ -23,28 +23,29 @@ CONFIG_ENV_VAR = "ESTUNE_CONFIG"
 _CONFIG_TYPES = {"endpoint": str, "model": str, "temperature": float}
 
 _EPILOG = (
-    "Settings resolve as: command-line flags, then ESTUNE_ENDPOINT / "
+    "HTTP settings resolve as: command-line flags, then ESTUNE_ENDPOINT / "
     "ESTUNE_MODEL environment variables, then the --config JSON file "
     "(keys: endpoint, model, temperature), then built-in defaults. "
     "An optional bearer token is read from ESTUNE_TOKEN only."
 )
 
 
-def _add_es_args(p: argparse.ArgumentParser) -> None:
+def _add_es_args(p: argparse.ArgumentParser, replicates: int = SessionConfig.replicates) -> None:
     p.add_argument("--function", default="sphere", choices=objective_names(),
-                   help="objective function (default: sphere)")
-    p.add_argument("--dim", type=int, default=5, help="problem dimension (default: 5)")
-    p.add_argument("--generations", type=int, default=1000,
-                   help="generations per ES run (default: 1000)")
-    p.add_argument("--sigma0", type=float, default=1.0,
-                   help="initial step size (default: 1.0)")
-    p.add_argument("--init-low", type=float, default=-5.0,
-                   help="initialization box lower bound (default: -5)")
-    p.add_argument("--init-high", type=float, default=5.0,
-                   help="initialization box upper bound (default: 5)")
-    p.add_argument("--replicates", type=int, default=None,
-                   help="ES runs per trial (default: 10; run-es: 1)")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
+                   help="objective function (default: %(default)s)")
+    p.add_argument("--dim", type=int, default=EsTemplate.dimension,
+                   help="problem dimension (default: %(default)s)")
+    p.add_argument("--generations", type=int, default=EsTemplate.max_generations,
+                   help="generations per ES run (default: %(default)s)")
+    p.add_argument("--sigma0", type=float, default=EsTemplate.sigma0,
+                   help="initial step size (default: %(default)s)")
+    p.add_argument("--init-low", type=float, default=EsTemplate.init_low,
+                   help="initialization box lower bound (default: %(default)s)")
+    p.add_argument("--init-high", type=float, default=EsTemplate.init_high,
+                   help="initialization box upper bound (default: %(default)s)")
+    p.add_argument("--replicates", type=int, default=replicates,
+                   help="ES runs per trial (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=1, help="master seed (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,41 +58,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="run the LLM feedback loop", epilog=_EPILOG)
     _add_es_args(tune)
-    tune.add_argument("--budget", type=int, default=12, help="number of trials (default: 12)")
+    tune.add_argument("--budget", type=int, default=SessionConfig.budget,
+                      help="number of trials (default: %(default)s)")
     tune.add_argument("--backend", choices=("http", "scripted"), default="http")
     tune.add_argument("--endpoint", default=None, help="chat-completion base URL")
-    tune.add_argument("--model", default=None, help="model name (default: llama3)")
+    tune.add_argument("--model", default=None,
+                      help=f"model name (default: {LlmBackendConfig.model})")
     tune.add_argument("--temperature", type=float, default=None)
-    tune.add_argument("--timeout", type=float, default=60.0,
-                      help="request timeout in seconds (default: 60)")
-    tune.add_argument("--transport-retries", type=int, default=2,
-                      help="HTTP retries before aborting (default: 2)")
+    tune.add_argument("--timeout", type=float, default=LlmBackendConfig.timeout_seconds,
+                      help="request timeout in seconds (default: %(default)s)")
+    tune.add_argument("--transport-retries", type=int, default=LlmBackendConfig.transport_retries,
+                      help="HTTP retries before aborting (default: %(default)s)")
     tune.add_argument("--script", default=None,
                       help="JSON file with an array of scripted responses")
-    tune.add_argument("--duplicate-tolerance", type=float, default=1e-9)
-    tune.add_argument("--max-propose-retries", type=int, default=2)
-    tune.add_argument("--config", default=None, help="JSON config file")
+    tune.add_argument("--duplicate-tolerance", type=float,
+                      default=SessionConfig.duplicate_tolerance)
+    tune.add_argument("--max-propose-retries", type=int, default=SessionConfig.max_propose_retries)
+    tune.add_argument("--config", default=None, help="JSON config file (http backend only)")
     tune.add_argument("--out", default="estune_tune", help="output base path")
-    tune.set_defaults(func=cmd_tune, default_replicates=10)
+    tune.set_defaults(func=cmd_tune)
 
     grid = sub.add_parser("grid", help="sweep tau over an even grid (no LLM)")
     _add_es_args(grid)
-    grid.add_argument("--tau-min", type=float, default=0.6)
-    grid.add_argument("--tau-max", type=float, default=1.5)
-    grid.add_argument("--steps", type=int, default=10)
+    grid.add_argument("--tau-min", type=float, default=GridSpec.tau_min)
+    grid.add_argument("--tau-max", type=float, default=GridSpec.tau_max)
+    grid.add_argument("--steps", type=int, default=GridSpec.steps)
     grid.add_argument("--out", default="estune_grid", help="output base path")
-    grid.set_defaults(func=cmd_grid, default_replicates=10)
+    grid.set_defaults(func=cmd_grid)
 
     run_es_p = sub.add_parser("run-es", help="run one trial and print its log line")
     run_es_p.add_argument("--tau", type=float, required=True)
-    _add_es_args(run_es_p)
-    run_es_p.set_defaults(func=cmd_run_es, default_replicates=1)
+    _add_es_args(run_es_p, replicates=1)
+    run_es_p.set_defaults(func=cmd_run_es)
 
     return parser
 
 
-def _session_config(args: argparse.Namespace, budget: int) -> SessionConfig:
-    replicates = args.replicates if args.replicates is not None else args.default_replicates
+def _session_config(args: argparse.Namespace, **settings) -> SessionConfig:
     return SessionConfig(
         objective=ObjectiveSpec(name=args.function, dimension=args.dim),
         es_template=EsTemplate(
@@ -102,10 +105,8 @@ def _session_config(args: argparse.Namespace, budget: int) -> SessionConfig:
             init_high=args.init_high,
         ),
         master_seed=args.seed,
-        replicates=replicates,
-        budget=budget,
-        duplicate_tolerance=getattr(args, "duplicate_tolerance", 1e-9),
-        max_propose_retries=getattr(args, "max_propose_retries", 2),
+        replicates=args.replicates,
+        **settings,
     )
 
 
@@ -126,7 +127,6 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
-    file_cfg = _load_config_file(args.config)
     if args.backend == "scripted":
         if not args.script:
             raise ConfigurationError("--backend scripted requires --script FILE")
@@ -140,19 +140,21 @@ def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
             raise ConfigurationError(f"script file {args.script} holds no responses")
         return ScriptedBackend(responses)
 
+    # Every key of the config file, and every environment fallback, is an HTTP setting.
+    file_cfg = _load_config_file(args.config)
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR) or file_cfg.get("endpoint")
     if not endpoint:
         raise ConfigurationError(
             "http backend needs an endpoint: pass --endpoint, set ESTUNE_ENDPOINT, "
             "or put 'endpoint' in the config file"
         )
-    model = args.model or os.environ.get(MODEL_ENV_VAR) or file_cfg.get("model") or "llama3"
+    model = args.model or os.environ.get(MODEL_ENV_VAR) or file_cfg.get("model")
     temperature = args.temperature
     if temperature is None:
-        temperature = file_cfg.get("temperature", 0.7)
+        temperature = file_cfg.get("temperature", LlmBackendConfig.temperature)
     return HttpBackend(LlmBackendConfig(
         base_url=endpoint,
-        model=model,
+        model=model or LlmBackendConfig.model,
         temperature=temperature,
         timeout_seconds=args.timeout,
         transport_retries=args.transport_retries,
@@ -160,7 +162,8 @@ def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _session_config(args, budget=args.budget)
+    cfg = _session_config(args, budget=args.budget, duplicate_tolerance=args.duplicate_tolerance,
+                          max_propose_retries=args.max_propose_retries)
     backend = _backend(args)
     session = run_session(cfg, backend, out_base=args.out)
     if session.status != STATUS_COMPLETED:
@@ -188,7 +191,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_run_es(args: argparse.Namespace) -> int:
     cfg = _session_config(args, budget=1)
     trial = run_trial(args.tau, cfg, 0)
-    sys.stdout.write(append_log_line(trial, "", include_std=cfg.log_std))
+    sys.stdout.write(log_line(trial, include_std=cfg.log_std))
     return 0
 
 

@@ -14,9 +14,9 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Sequence
 
 from .es import ConfigurationError
 
@@ -92,7 +92,6 @@ class LlmExchange:
     latency_ms: float
     timestamp: str
     attempt: int = 0
-    extras: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .models import (
     Trial,
     TuningSession,
 )
-from .store import SessionWriter, append_log_line, trial_stats
+from .store import SessionWriter, log_line, trial_stats
 from .store import render_log  # also wrapped by name in bench/tracer.py
 from .store import write_session  # noqa: F401  (bench/tracer.py wraps loop.write_session by name)
 
@@ -195,9 +195,10 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
             trial = run_trial(tau, cfg, trial_index)
             trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
             session.trials.append(trial)
-            log_text = append_log_line(trial, log_text, include_std=cfg.log_std)
+            line = log_line(trial, include_std=cfg.log_std)
+            log_text += line
             if writer is not None:
-                writer.append_trial(session, log_text)
+                writer.append_trial(trial, line)
         session.best_tau = best_of(session.trials).tau
         session.status = STATUS_COMPLETED
     except (TransportError, ExtractionError, NumericalError) as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from .llm import LlmExchange
@@ -36,7 +35,6 @@ class Trial:
     mean_score: float
     std_score: float
     exchanges: list[LlmExchange] = field(default_factory=list)
-    extras: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class TuningSession:
     status: str = STATUS_RUNNING
     best_tau: float | None = None
     error: str | None = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
     @property
     def exchanges(self) -> list[LlmExchange]:

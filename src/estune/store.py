@@ -23,22 +23,23 @@ per line, in chronological order:
 
 A running session's files are appended to as it happens (``SessionWriter``):
 the header before the first backend call, then after each trial the
-exchanges that proposed it and the trial record, in one write, with the
-trial's line appended to ``.log``; the status record comes last.  Every
+exchanges that proposed it and the trial record, in one write, with its
+``log_line`` appended to ``.log``; the status record comes last.  Every
 record therefore reaches the disk once.  A crash can leave at most a torn
 last line, which ``read_session`` reports as a ``SessionFileError`` whose
 ``partial`` holds everything before it.
 
 ``write_session`` writes the same header, trial blocks and tail in one go.
 A trial's exchanges precede its record; any exchanges after the last trial
-belong to a proposal that has no trial.  Unknown top-level fields in any
-record survive a read/write round trip.
+belong to a proposal that has no trial.
 
-The config, replicate and exchange keys are the fields of ``SessionConfig``
-(with its nested ``ObjectiveSpec`` and ``EsTemplate``), ``EsRunResult`` and
-``LlmExchange``, in field order.  ``read_session`` requires every field, and
-each value must have its field's JSON type (``json_value``): a float field
-also accepts an integer, and nothing else is converted.
+Each record holds exactly the fields of its dataclass, in field order: the
+config is ``SessionConfig`` (with its nested ``ObjectiveSpec`` and
+``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``,
+and a trial ``Trial``, with its ``results`` under the key ``replicates`` and
+its ``exchanges`` as the records before it.  ``read_session`` requires every
+field and ignores any other key.  Each value must have its field's JSON type (``json_value``): a float
+field also accepts an integer, and nothing else is converted.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ __all__ = [
     "SchemaVersionError",
     "SessionFileError",
     "SessionWriter",
-    "append_log_line",
-    "format_log_line",
     "format_number",
     "json_value",
+    "log_line",
     "read_session",
     "render_log",
     "trial_stats",
@@ -109,21 +109,16 @@ def format_number(x: float) -> str:
     return s
 
 
-def format_log_line(tau: float, fitness: float, std: float | None = None) -> str:
-    line = f"tau = {format_number(tau)}, Fitness: {format_number(fitness)}"
-    if std is not None:
-        line += f", Std: {format_number(std)}"
-    return line
-
-
-def append_log_line(trial: Trial, log: str, include_std: bool = True) -> str:
-    """Return ``log`` with the trial's result line appended."""
-    std = trial.std_score if include_std else None
-    return log + format_log_line(trial.tau, trial.mean_score, std) + "\n"
+def log_line(trial: Trial, include_std: bool = True) -> str:
+    """The trial's result line, with its newline."""
+    line = f"tau = {format_number(trial.tau)}, Fitness: {format_number(trial.mean_score)}"
+    if include_std:
+        line += f", Std: {format_number(trial.std_score)}"
+    return line + "\n"
 
 
 def render_log(trials: Iterable[Trial], include_std: bool = True) -> str:
-    return "".join(append_log_line(trial, "", include_std) for trial in trials)
+    return "".join(log_line(trial, include_std) for trial in trials)
 
 
 def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
@@ -148,10 +143,9 @@ def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(squares / (n - 1))
 
 
-_EXCHANGE_KEYS = ("prompt", "response", "latency_ms", "timestamp", "attempt")
-_TRIAL_KEYS = ("tau", "replicates", "mean_score", "std_score")
-# A replicate holds only scalars, so a shallow dict gives asdict's keys and
-# values without its deep copy of each one.
+# Exchanges and replicates hold only scalars, so a shallow dict gives
+# asdict's keys and values without its deep copy of each one.
+_EXCHANGE_KEYS = tuple(f.name for f in fields(LlmExchange))
 _REPLICATE_KEYS = tuple(f.name for f in fields(EsRunResult))
 
 
@@ -159,30 +153,21 @@ def _exchange_record(exchange: LlmExchange) -> dict[str, Any]:
     rec: dict[str, Any] = {"record": "exchange"}
     for key in _EXCHANGE_KEYS:
         rec[key] = getattr(exchange, key)
-    rec.update(exchange.extras)
     return rec
 
 
 def _trial_record(trial: Trial) -> dict[str, Any]:
-    rec: dict[str, Any] = {
+    return {
         "record": "trial",
         "tau": trial.tau,
         "replicates": [{key: getattr(r, key) for key in _REPLICATE_KEYS} for r in trial.results],
         "mean_score": trial.mean_score,
         "std_score": trial.std_score,
     }
-    rec.update(trial.extras)
-    return rec
 
 
 def _header_record(session: TuningSession) -> dict[str, Any]:
-    header: dict[str, Any] = {
-        "record": "header",
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(session.config),
-    }
-    header.update(session.extras.get("header", {}))
-    return header
+    return {"record": "header", "schema_version": SCHEMA_VERSION, "config": asdict(session.config)}
 
 
 def _status_record(session: TuningSession) -> dict[str, Any]:
@@ -191,7 +176,6 @@ def _status_record(session: TuningSession) -> dict[str, Any]:
         status["best_tau"] = session.best_tau
     if session.error is not None:
         status["error"] = session.error
-    status.update(session.extras.get("status", {}))
     return status
 
 
@@ -234,28 +218,17 @@ class SessionWriter:
         base.parent.mkdir(parents=True, exist_ok=True)
         self.session_path = base.with_name(base.name + ".session.jsonl")
         self.log_path = base.with_name(base.name + ".log")
-        self._log_chars = 0
         self.session_path.write_text(_lines([_header_record(session)]), encoding="utf-8")
         self.log_path.write_text("", encoding="utf-8")
 
-    def append_trial(self, session: TuningSession, log_text: str) -> None:
-        """Append the newest trial after the exchanges that proposed it.
-
-        ``log_text`` is the session's whole log so far; its unwritten tail
-        goes to ``.log``.
-        """
-        _append(self.session_path, _trial_block(session.trials[-1]))
-        _append(self.log_path, log_text[self._log_chars:])
-        self._log_chars = len(log_text)
+    def append_trial(self, trial: Trial, line: str) -> None:
+        """Append ``trial`` after the exchanges that proposed it, and its log ``line``."""
+        _append(self.session_path, _trial_block(trial))
+        _append(self.log_path, line)
 
     def finish(self, session: TuningSession) -> None:
         """Append the pending exchanges, then the status record."""
         _append(self.session_path, _tail(session))
-
-
-def _extras(rec: dict[str, Any], known: Sequence[str]) -> dict[str, Any]:
-    skip = set(known) | {"record"}
-    return {k: v for k, v in rec.items() if k not in skip}
 
 
 def json_value(name: str, value: Any, kind: type) -> Any:
@@ -328,9 +301,6 @@ def read_session(path) -> TuningSession:
         raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
 
     session = TuningSession(config=config)
-    header_extras = _extras(header, ("schema_version", "config"))
-    if header_extras:
-        session.extras["header"] = header_extras
 
     saw_status = False
     for lineno, line in enumerate(lines[1:], start=2):
@@ -357,13 +327,11 @@ def read_session(path) -> TuningSession:
                     Trial, rec,
                     results=[_build(EsRunResult, r) for r in rec["replicates"]],
                     exchanges=session.pending_exchanges,
-                    extras=_extras(rec, _TRIAL_KEYS),
                 )
                 session.trials.append(trial)
                 session.pending_exchanges = []
             elif kind == "exchange":
-                exchange = _build(LlmExchange, rec, extras=_extras(rec, _EXCHANGE_KEYS))
-                session.pending_exchanges.append(exchange)
+                session.pending_exchanges.append(_build(LlmExchange, rec))
             elif kind == "status":
                 status = rec.get("status")
                 if status not in _STATUSES:
@@ -373,9 +341,6 @@ def read_session(path) -> TuningSession:
                     session.best_tau = json_value("best_tau", rec["best_tau"], float)
                 if "error" in rec:
                     session.error = json_value("error", rec["error"], str)
-                status_extras = _extras(rec, ("status", "best_tau", "error"))
-                if status_extras:
-                    session.extras["status"] = status_extras
                 saw_status = True
             else:
                 raise _fail(f"unknown record type {kind!r}")

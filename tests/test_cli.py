@@ -1,11 +1,13 @@
 """Exit codes, determinism, and file outputs of the command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from estune.store import read_session, render_log
 
+FIXTURES = Path(__file__).parent / "fixtures"
 FAST = ["--dim", "3", "--generations", "25", "--replicates", "2", "--seed", "11"]
 
 
@@ -241,6 +243,15 @@ class TestGridCommand:
         ) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_defaults_match_the_golden_paper_grid(self, run_cli, tmp_path):
+        # No flag but the seed: the defaults are the paper setting.
+        assert run_cli(["grid", "--seed", "1", "--out", str(tmp_path / "paper")]) == 0
+        golden = FIXTURES / "golden_paper_grid"
+        for suffix in (".csv", ".log"):
+            assert (tmp_path / ("paper" + suffix)).read_bytes() == (
+                golden.with_suffix(suffix).read_bytes()
+            )
+
     def test_byte_identical_outputs(self, run_cli, tmp_path):
         argv = lambda out: ["grid", "--steps", "3", "--out", str(out)] + FAST
         assert run_cli(argv(tmp_path / "g1")) == 0
@@ -270,6 +281,21 @@ class TestPrecedence:
              "--budget", "1", "--out", str(tmp_path / "file")] + FAST
         )
         assert code == 1
+
+    @pytest.mark.parametrize("via", ["env", "flag"])
+    def test_config_file_ignored_by_scripted_backend(self, run_cli, tmp_path, monkeypatch, via):
+        # Every config-file key is an HTTP setting, so an offline replay
+        # never reads the file.
+        missing = str(tmp_path / "nonexistent" / "cfg.json")
+        argv = ["tune", "--backend", "scripted", "--script", _script_file(tmp_path, ["tau = 0.7"]),
+                "--budget", "1", "--dim", "3", "--generations", "20", "--replicates", "2",
+                "--out", str(tmp_path / "replay")]
+        if via == "env":
+            monkeypatch.setenv("ESTUNE_CONFIG", missing)
+        else:
+            argv += ["--config", missing]
+        assert run_cli(argv) == 0
+        assert read_session(tmp_path / "replay.session.jsonl").status == "completed"
 
     def test_corrupt_config_file_exits_2(self, run_cli, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -17,9 +17,8 @@ from estune.store import (
     SCHEMA_VERSION,
     SchemaVersionError,
     SessionFileError,
-    append_log_line,
-    format_log_line,
     format_number,
+    log_line,
     read_session,
     render_log,
     trial_stats,
@@ -67,25 +66,26 @@ class TestFormatNumber:
 class TestLogLines:
     def test_reference_line_bytes(self):
         trial = _trial(0.7, 0.1162058339177609)
-        assert append_log_line(trial, "", include_std=False) == (
+        assert log_line(trial, include_std=False) == (
             "tau = 0.7, Fitness: 0.1162058339177609\n"
         )
 
     def test_append_order(self):
-        log = append_log_line(_trial(0.7, 1.0), "", include_std=False)
-        log = append_log_line(_trial(0.95, 2.0), log, include_std=False)
+        log = log_line(_trial(0.7, 1.0), include_std=False)
+        log += log_line(_trial(0.95, 2.0), include_std=False)
         assert log == "tau = 0.7, Fitness: 1\ntau = 0.95, Fitness: 2\n"
+        assert render_log([_trial(0.7, 1.0), _trial(0.95, 2.0)], include_std=False) == log
 
     def test_std_suffix_for_single_replicate(self):
-        assert append_log_line(_trial(1.1, 3.5), "").endswith(", Std: 0\n")
+        assert log_line(_trial(1.1, 3.5)).endswith(", Std: 0\n")
 
     def test_grammar_and_tau_recovery(self):
         for trial in [_trial(0.7, 0.116), _trial(0.95, 66.055, std=1.25)]:
             for include_std in (False, True):
-                line = format_log_line(
-                    trial.tau, trial.mean_score, trial.std_score if include_std else None
-                )
-                assert LOG_LINE.match(line), line
+                line = log_line(trial, include_std)
+                assert line.endswith("\n") and line.count("\n") == 1, line
+                assert LOG_LINE.match(line[:-1]), line
+                assert (", Std: " in line) == include_std
                 assert extract_tau(line) == trial.tau
 
     def test_render_is_append_only(self):
@@ -258,20 +258,24 @@ class TestSessionFileErrors:
             read_session(path)
 
 
-class TestUnknownFieldPreservation:
-    def test_future_fields_survive_rewrite(self, fast_cfg, tmp_path):
+class TestUnknownKeys:
+    @pytest.mark.parametrize("kind", ["header", "exchange", "trial", "status"])
+    def test_unknown_key_is_ignored(self, fast_cfg, tmp_path, kind):
         session = _scripted_session(fast_cfg, [0.7, 1.1])
         path = tmp_path / "s.jsonl"
         write_session(session, path)
+        original = path.read_bytes()
 
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines):
-            rec = json.loads(line)
-            rec["future_field"] = {"keep": i}
-            lines[i] = json.dumps(rec, separators=(",", ":"))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = original.decode("utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if f'"record":"{kind}"' in line)
+        rec = json.loads(lines[at])
+        rec["future_field"] = {"keep": at}
+        lines[at] = json.dumps(rec, separators=(",", ":"))
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+        stored = read_session(edited)
+        assert stored == read_session(path)
         rewritten = tmp_path / "rewritten.jsonl"
-        write_session(read_session(path), rewritten)
-        for line in rewritten.read_text(encoding="utf-8").splitlines():
-            assert json.loads(line)["future_field"]["keep"] >= 0
+        write_session(stored, rewritten)
+        assert rewritten.read_bytes() == original
