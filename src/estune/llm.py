@@ -26,6 +26,7 @@ __all__ = [
     "HttpBackend",
     "LlmBackendConfig",
     "LlmExchange",
+    "MAX_RESPONSE_BYTES",
     "PARSE_DIRECTIVE",
     "ScriptedBackend",
     "TransportError",
@@ -59,6 +60,10 @@ CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 TOKEN_ENV_VAR = "ESTUNE_TOKEN"
 
 RETRY_BACKOFF_SECONDS = 1.0
+
+# Largest reply body read, far above any chat reply; a longer body is a
+# TransportError, so one reply cannot exhaust memory.
+MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 
 # Longest request timeout: a day.  Socket timeouts overflow past about 9.2e9 s.
 MAX_TIMEOUT_SECONDS = 86400
@@ -156,9 +161,10 @@ class HttpBackend:
 
     POSTs ``{"model", "messages", "temperature", "stream": false}`` and reads
     the reply from ``choices[0].message.content``.  Transport failures
-    (connection errors, timeouts, non-2xx, malformed bodies) are retried with
-    exponential backoff (1s, 2s, 4s, ...) before giving up.  An optional
-    bearer token is taken from the ESTUNE_TOKEN environment variable.
+    (connection errors, timeouts, non-2xx, malformed bodies, bodies longer
+    than ``MAX_RESPONSE_BYTES``) are retried with exponential backoff (1s,
+    2s, 4s, ...) before giving up.  An optional bearer token is taken from
+    the ESTUNE_TOKEN environment variable.
     """
 
     def __init__(self, config: LlmBackendConfig):
@@ -193,11 +199,14 @@ class HttpBackend:
                 except urllib.error.HTTPError as exc:
                     resp = exc  # a non-2xx reply still carries its body
                 with resp:
-                    status, text = resp.status, resp.read().decode("utf-8", errors="replace")
+                    status, reply = resp.status, resp.read(MAX_RESPONSE_BYTES + 1)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 detail = f"{type(exc).__name__}: {exc}"
             else:
-                if 200 <= status < 300:
+                text = reply.decode("utf-8", errors="replace")
+                if len(reply) > MAX_RESPONSE_BYTES:
+                    detail = f"HTTP {status}: body longer than {MAX_RESPONSE_BYTES} bytes"
+                elif 200 <= status < 300:
                     try:
                         content = json.loads(text)["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError):

@@ -181,29 +181,33 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     When ``out_base`` is given, ``<out_base>.session.jsonl`` and
     ``<out_base>.log`` are appended to as the session runs (see
     ``store.SessionWriter``), so the files on disk reflect all completed
-    work even if the loop aborts.  Backend transport and extraction
-    failures, and an ES run that leaves the finite floating-point range,
-    abort the session (status "aborted", diagnostics in ``session.error``)
-    instead of raising.
+    work even if the loop aborts; both are closed however the call ends.
+    Backend transport and extraction failures, and an ES run that leaves
+    the finite floating-point range, abort the session (status "aborted",
+    diagnostics in ``session.error``) instead of raising.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
     log_text = ""
     try:
-        for trial_index in range(cfg.budget):
-            tau = propose_next_tau(session, backend, log_text)
-            trial = run_trial(tau, cfg, trial_index)
-            trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
-            session.trials.append(trial)
-            line = log_line(trial, include_std=cfg.log_std)
-            log_text += line
-            if writer is not None:
-                writer.append_trial(trial, line)
-        session.best_tau = best_of(session.trials).tau
-        session.status = STATUS_COMPLETED
-    except (TransportError, ExtractionError, NumericalError) as exc:
-        session.status = STATUS_ABORTED
-        session.error = f"{type(exc).__name__}: {exc}"
-    if writer is not None:
-        writer.finish(session)
+        try:
+            for trial_index in range(cfg.budget):
+                tau = propose_next_tau(session, backend, log_text)
+                trial = run_trial(tau, cfg, trial_index)
+                trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
+                session.trials.append(trial)
+                line = log_line(trial, include_std=cfg.log_std)
+                log_text += line
+                if writer is not None:
+                    writer.append_trial(trial, line)
+            session.best_tau = best_of(session.trials).tau
+            session.status = STATUS_COMPLETED
+        except (TransportError, ExtractionError, NumericalError) as exc:
+            session.status = STATUS_ABORTED
+            session.error = f"{type(exc).__name__}: {exc}"
+        if writer is not None:
+            writer.finish(session)
+    finally:
+        if writer is not None:
+            writer.close()
     return session

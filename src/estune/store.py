@@ -24,10 +24,19 @@ per line, in chronological order:
 A running session's files are appended to as it happens (``SessionWriter``):
 the header before the first backend call, then after each trial the
 exchanges that proposed it and the trial record, in one write, with its
-``log_line`` appended to ``.log``; the status record comes last.  Every
-record therefore reaches the disk once.  A crash can leave at most a torn
-last line, which ``read_session`` reports as a ``SessionFileError`` whose
-``partial`` holds everything before it.
+``log_line`` appended to ``.log``; the status record comes last.  Both
+files are opened once and held open until the status record is written (or
+an exception leaves ``run_session``); each write is flushed to the OS before
+the next proposal.  Every record therefore reaches the disk once.  A crash
+can leave at most a torn last line, which ``read_session`` reports as a
+``SessionFileError`` whose ``partial`` holds everything before it.
+
+Analysis prompts repeat the whole log, so the writer keeps the analysis
+prompt over the log it has written, and its JSON escape, and extends both
+by one line per trial.  An exchange whose prompt starts with that prompt is
+written from the cached escape plus the escape of its own tail; any other
+prompt goes through ``json.dumps``.  Either way the bytes are those of
+``write_session``, the uncached reference.
 
 ``write_session`` writes the same header, trial blocks and tail in one go.
 A trial's exchanges precede its record; any exchanges after the last trial
@@ -44,15 +53,17 @@ field also accepts an integer, and nothing else is converted.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 from dataclasses import asdict, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
 from .es import ConfigurationError, EsRunResult
-from .llm import LlmExchange
+from .llm import LlmExchange, render_analysis_prompt
 from .models import (
     STATUS_ABORTED,
     STATUS_COMPLETED,
@@ -179,38 +190,48 @@ def _status_record(session: TuningSession) -> dict[str, Any]:
     return status
 
 
-def _lines(records: Iterable[dict[str, Any]]) -> str:
-    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+def _line(record: dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _trial_block(trial: Trial) -> str:
+def _exchange_line(exchange: LlmExchange) -> str:
+    return _line(_exchange_record(exchange))
+
+
+def _trial_block(trial: Trial, exchange_line=_exchange_line) -> str:
     """A trial's record, after the exchanges that proposed it."""
-    return _lines([_exchange_record(e) for e in trial.exchanges] + [_trial_record(trial)])
+    return "".join(map(exchange_line, trial.exchanges)) + _line(_trial_record(trial))
 
 
-def _tail(session: TuningSession) -> str:
+def _tail(session: TuningSession, exchange_line=_exchange_line) -> str:
     """The pending exchanges, then the status record once the session has ended."""
-    records = [_exchange_record(e) for e in session.pending_exchanges]
+    text = "".join(map(exchange_line, session.pending_exchanges))
     if session.status != STATUS_RUNNING:
-        records.append(_status_record(session))
-    return _lines(records)
+        text += _line(_status_record(session))
+    return text
 
 
 def write_session(session: TuningSession, path) -> None:
-    blocks = [_lines([_header_record(session)])] + [_trial_block(t) for t in session.trials]
+    blocks = [_line(_header_record(session))] + [_trial_block(t) for t in session.trials]
     Path(path).write_text("".join(blocks) + _tail(session), encoding="utf-8")
 
 
-def _append(path: Path, text: str) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
+# An exchange line up to the first character of its prompt's escape:
+# ``prompt`` is the first field of LlmExchange.
+_PROMPT_AT = '{"record":"exchange","prompt":"'
 
 
 class SessionWriter:
     """Appends one session's records and log lines as they happen.
 
-    The finished files equal ``write_session`` of the session and
+    Both files stay open from the header to ``finish`` (or ``close``).  Each
+    trial's block and log line go out with one write and one flush per
+    file, so every trial reaches the OS before the next proposal.  The
+    finished files equal ``write_session`` of the session and
     ``render_log`` of its trials; in between they hold every trial so far.
+    Prompts that start with the analysis prompt over the log so far are
+    escaped from a cache, so persisting a trial costs its new bytes, not
+    the whole log again.
     """
 
     def __init__(self, session: TuningSession, out_base):
@@ -218,17 +239,47 @@ class SessionWriter:
         base.parent.mkdir(parents=True, exist_ok=True)
         self.session_path = base.with_name(base.name + ".session.jsonl")
         self.log_path = base.with_name(base.name + ".log")
-        self.session_path.write_text(_lines([_header_record(session)]), encoding="utf-8")
-        self.log_path.write_text("", encoding="utf-8")
+        self._log = ""
+        self._prompt = self._prompt_json = ""  # render_analysis_prompt(self._log), escaped
+        with contextlib.ExitStack() as stack:
+            self._session_file = stack.enter_context(open(self.session_path, "w", encoding="utf-8"))
+            self._log_file = stack.enter_context(open(self.log_path, "w", encoding="utf-8"))
+            _emit(self._session_file, _line(_header_record(session)))
+            self._files = stack.pop_all()
+
+    def _fast_exchange_line(self, exchange: LlmExchange) -> str:
+        """``_exchange_line(exchange)``, with the prompt escaped from the cache."""
+        prompt = exchange.prompt
+        if not (self._prompt and prompt.startswith(self._prompt)):
+            return _exchange_line(exchange)
+        rest = {key: getattr(exchange, key) for key in _EXCHANGE_KEYS[1:]}
+        return (_PROMPT_AT + self._prompt_json + _escape(prompt[len(self._prompt):])[1:]
+                + "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n")
 
     def append_trial(self, trial: Trial, line: str) -> None:
         """Append ``trial`` after the exchanges that proposed it, and its log ``line``."""
-        _append(self.session_path, _trial_block(trial))
-        _append(self.log_path, line)
+        _emit(self._session_file, _trial_block(trial, self._fast_exchange_line))
+        _emit(self._log_file, line)
+        self._log += line
+        prompt = render_analysis_prompt(self._log)
+        if not prompt.startswith(self._prompt):
+            self._prompt = self._prompt_json = ""
+        self._prompt_json += _escape(prompt[len(self._prompt):])[1:-1]
+        self._prompt = prompt
 
     def finish(self, session: TuningSession) -> None:
-        """Append the pending exchanges, then the status record."""
-        _append(self.session_path, _tail(session))
+        """Append the pending exchanges, then the status record, and close both files."""
+        _emit(self._session_file, _tail(session, self._fast_exchange_line))
+        self.close()
+
+    def close(self) -> None:
+        """Close both files; a second call does nothing."""
+        self._files.close()
+
+
+def _emit(fh, text: str) -> None:
+    fh.write(text)
+    fh.flush()
 
 
 def json_value(name: str, value: Any, kind: type) -> Any:
@@ -271,22 +322,30 @@ def _build(cls: type, raw: Any, **given: Any) -> Any:
     return cls(**given)
 
 
+def _parse(raw: bytes, lineno: int, partial: TuningSession | None) -> Any:
+    """The JSON value of one line, or a SessionFileError at that line."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        what = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "invalid JSON"
+        raise SessionFileError(
+            f"line {lineno}: {what}: {exc}", line_number=lineno, partial=partial
+        ) from exc
+
+
 def read_session(path) -> TuningSession:
     """Rebuild a TuningSession from its record file.
 
     Raises EmptySessionError for an empty file, SchemaVersionError for an
     unsupported version, and SessionFileError (with line number and the
-    partial session parsed so far) for any corrupt line.
+    partial session parsed so far) for any corrupt line, a line that is not
+    UTF-8 included.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_bytes().splitlines()
     if not any(line.strip() for line in lines):
         raise EmptySessionError(f"session file {path} is empty")
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SessionFileError(f"line 1: invalid JSON: {exc}", line_number=1) from exc
+    header = _parse(lines[0], 1, None)
     if not isinstance(header, dict) or header.get("record") != "header":
         raise SessionFileError("line 1: expected a header record", line_number=1)
     version = header.get("schema_version")
@@ -312,10 +371,7 @@ def read_session(path) -> TuningSession:
                 f"line {lineno}: {message}", line_number=lineno, partial=session
             )
 
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _fail(f"invalid JSON: {exc}") from exc
+        rec = _parse(line, lineno, session)
         if not isinstance(rec, dict):
             raise _fail("record is not an object")
         if saw_status:

@@ -168,6 +168,29 @@ class TestTuneCommand:
         assert session.trials == []
         assert session.error
 
+    def test_oversized_reply_aborts_with_exit_1(self, run_cli, tmp_path, monkeypatch, capsys):
+        import io
+        import urllib.request
+
+        import estune.llm as llm
+
+        monkeypatch.setattr(llm, "MAX_RESPONSE_BYTES", 1000)
+        monkeypatch.setattr(llm, "_sleep", lambda s: None)
+
+        class Oversized(io.BytesIO):
+            status = 200
+
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout=None: Oversized(b" " * 1001))
+        out = tmp_path / "big"
+        code = run_cli(["tune", "--backend", "http", "--endpoint", "http://llm.test",
+                        "--out", str(out)] + FAST)
+        assert code == 1
+        assert "body longer than 1000 bytes" in capsys.readouterr().err
+        session = read_session(tmp_path / "big.session.jsonl")
+        assert session.status == "aborted"
+        assert session.trials == []
+
     def test_exhausted_script_aborts_with_exit_1(self, run_cli, tmp_path):
         script = _script_file(tmp_path, ["tau = 0.7"])
         code = run_cli(

@@ -119,6 +119,34 @@ class TestUpdateSigma:
         assert product == pytest.approx(sigma**5, rel=1e-12)
 
 
+# The first draws of make_rng(seed): uniform(-5, 5, 3), then, from a fresh
+# generator, standard_normal(3).  Every golden file and bench digest rests
+# on this stream.
+STREAM_CANARY = {
+    0: (
+        ["0x1.5e9f361e81990p+0", "-0x1.26ac4a2571befp+1", "-0x1.25c6e5d8bafd4p+2"],
+        ["0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3", "0x1.47e57a468b06dp-1"],
+    ),
+    2**64 - 1: (
+        ["0x1.ccde48c97ac90p+0", "0x1.b9ffc1cdc0188p+1", "-0x1.3b4314409a990p+2"],
+        ["0x1.715303191d87bp-1", "-0x1.f10c32096a2bdp-1", "0x1.1b8d40660f8bfp-4"],
+    ),
+}
+
+
+class TestRandomStream:
+    @pytest.mark.parametrize("seed", sorted(STREAM_CANARY))
+    def test_first_draws_are_pinned(self, seed):
+        drawn = (
+            [x.hex() for x in make_rng(seed).uniform(-5, 5, 3)],
+            [x.hex() for x in make_rng(seed).standard_normal(3)],
+        )
+        assert drawn == STREAM_CANARY[seed], (
+            f"numpy {np.__version__} changed its PCG64 or ziggurat standard_normal "
+            f"stream at seed {seed}: every golden session, grid and digest changes with it"
+        )
+
+
 class TestScore:
     def test_log_of_one(self):
         assert score_of(1.0) == 0.0

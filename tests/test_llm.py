@@ -107,6 +107,23 @@ def _http_error(code, body):
     return urllib.error.HTTPError("http://llm.test", code, "error", {}, io.BytesIO(body))
 
 
+class _EndlessResponse:
+    """A 2xx reply whose body never ends: only a bounded read returns."""
+
+    status = 200
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("unbounded read of an endless body")
+        return b" " * size
+
+
 def _http_backend(retries=2):
     return HttpBackend(LlmBackendConfig(base_url="http://llm.test", transport_retries=retries))
 
@@ -195,6 +212,22 @@ class TestHttpBackend:
         monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: malformed)
         with pytest.raises(TransportError):
             _http_backend(retries=0).send("p")
+
+
+    def test_body_at_the_cap_is_read(self, monkeypatch):
+        reply = _reply("tau = 1.0")
+        monkeypatch.setattr(llm, "MAX_RESPONSE_BYTES", len(reply.getvalue()))
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: reply)
+        assert _http_backend(retries=0).send("p").response == "tau = 1.0"
+
+    def test_body_past_the_cap_is_transport_error(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(llm, "_sleep", sleeps.append)
+        monkeypatch.setattr(llm, "MAX_RESPONSE_BYTES", 1000)
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: _EndlessResponse())
+        with pytest.raises(TransportError, match="body longer than 1000 bytes"):
+            _http_backend(retries=1).send("p")
+        assert sleeps == [1.0]
 
 
 class TestExtractTau:

@@ -1,5 +1,6 @@
 """Seed derivation, trials, proposal dedupe, and full sessions."""
 
+import gc
 import math
 import tempfile
 from dataclasses import replace
@@ -412,6 +413,48 @@ class DiskProbe:
         return self.scripted.send(prompt, attempt)
 
 
+class RecordsAnotherPrompt:
+    """ScriptedBackend whose exchanges record ``edit(prompt)``, not the prompt sent."""
+
+    def __init__(self, responses, edit):
+        self.scripted = ScriptedBackend(responses)
+        self.edit = edit
+
+    def send(self, prompt, attempt=0):
+        exchange = self.scripted.send(prompt, attempt)
+        exchange.prompt = self.edit(prompt)
+        return exchange
+
+
+class CrashingBackend:
+    """ScriptedBackend that raises RuntimeError, which the loop does not catch,
+    at send number ``crash_at``."""
+
+    def __init__(self, responses, crash_at):
+        self.scripted = ScriptedBackend(responses)
+        self.crash_at = crash_at
+        self.sends = 0
+
+    def send(self, prompt, attempt=0):
+        if self.sends == self.crash_at:
+            raise RuntimeError("backend bug")
+        self.sends += 1
+        return self.scripted.send(prompt, attempt)
+
+
+# Non-ASCII text, control characters, a lone surrogate, quotes and a backslash.
+_ODD_TEXT = 'é ü \U0001f600 "quoted" back\\slash \x00\x1f\x7f \u2028 \ud800'
+
+
+def _assert_files_match_the_reference(session, out, tmp):
+    write_session(session, Path(tmp) / "whole.session.jsonl")
+    data = out.with_name(out.name + ".session.jsonl").read_bytes()
+    assert data == (Path(tmp) / "whole.session.jsonl").read_bytes()
+    assert read_session(out.with_name(out.name + ".session.jsonl")) == session
+    log = out.with_name(out.name + ".log").read_text(encoding="utf-8")
+    assert log == render_log(session.trials, include_std=session.config.log_std)
+
+
 # Fresh, duplicate, unparseable and fallback proposals, then (for budget 5)
 # an exhausted script.
 PROBE_REPLIES = ["tau = 0.7", "tau = 0.7", "tau = 1.1", "nothing"] + ["tau = 0.9"] * 4
@@ -459,6 +502,53 @@ class TestSessionFiles:
         if status == "completed":
             assert log == (FIXTURES / "golden_completed.log").read_bytes()
         assert log == render_log(session.trials).encode("utf-8")
+
+
+    @pytest.mark.parametrize("status", ["completed", "aborted"])
+    @pytest.mark.parametrize("edit", [
+        lambda p: p + _ODD_TEXT,
+        lambda p: _ODD_TEXT + p,
+        lambda p: p[:-1],
+        lambda p: _ODD_TEXT,
+    ], ids=["appended", "prepended", "cut", "replaced"])
+    def test_recorded_prompt_is_written_as_recorded(self, tmp_path, edit, status):
+        out = tmp_path / "s"
+        backend = RecordsAnotherPrompt(GOLDEN_REPLIES[status], edit)
+        session = run_session(GOLDEN_CFG, backend, out_base=out)
+        assert session.status == status
+        assert session.exchanges[0].prompt == edit(render_tune_prompt())
+        _assert_files_match_the_reference(session, out, tmp_path)
+
+    def test_files_closed_when_an_exception_escapes(self, tmp_path):
+        out = tmp_path / "s"
+        backend = CrashingBackend(GOLDEN_REPLIES["completed"], crash_at=4)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            run_session(GOLDEN_CFG, backend, out_base=out)
+        # The traceback is gone: a file left open is collected here and its
+        # ResourceWarning fails the test.
+        gc.collect()
+        stored = read_session(tmp_path / "s.session.jsonl")
+        assert stored.status == "running"
+        assert [t.tau for t in stored.trials] == [0.7, 1.1]
+        assert len(stored.exchanges) == 3  # the crashed proposal's exchange is not on disk
+        log = (tmp_path / "s.log").read_text(encoding="utf-8")
+        assert log == render_log(stored.trials)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(
+            st.floats(0.3, 2.0).map(lambda t: f"tau = {t!r}"),
+            st.floats(0.3, 2.0).map(lambda t: f"Für tau = {t!r} ✓ „gut“"),
+            st.text(max_size=100),
+        ), min_size=1, max_size=12),
+        st.one_of(st.none(), st.text(max_size=50)),
+    )
+    def test_files_equal_the_reference_serializers(self, replies, tail):
+        edit = (lambda p: p) if tail is None else (lambda p: p + tail)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "s"
+            session = run_session(WRITER_CFG, RecordsAnotherPrompt(replies, edit), out_base=out)
+            _assert_files_match_the_reference(session, out, tmp)
 
 
 # The golden session files were written by this config and these replies.
@@ -516,6 +606,10 @@ HOSTILE_CFG = SessionConfig(
     replicates=2,
     budget=3,
 )
+
+
+# Without the Std column, so both log grammars pass through the writer's cache.
+WRITER_CFG = replace(HOSTILE_CFG, budget=5, log_std=False)
 
 
 class TestHostileReplies:

@@ -25,6 +25,8 @@ from estune.store import (
     write_session,
 )
 
+from conftest import FIXTURES
+
 LOG_LINE = re.compile(
     r"^tau = -?[0-9.e+-]+, Fitness: -?[0-9.e+-]+(, Std: -?[0-9.e+-]+)?$"
 )
@@ -250,6 +252,28 @@ class TestSessionFileErrors:
             read_session(path)
         assert exc_info.value.line_number == at + 1
         assert str(exc_info.value).startswith(f"line {at + 1}: ")
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        lines = (FIXTURES / "golden_completed.session.jsonl").read_bytes().splitlines(True)
+        lines[3] = lines[3][:40] + b"\xff" + lines[3][40:]  # the exchange after the first trial
+        path = tmp_path / "damaged.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        err = exc_info.value
+        assert err.line_number == 4
+        assert str(err).startswith("line 4: not UTF-8: ")
+        assert [t.tau for t in err.partial.trials] == [0.7]
+
+    def test_deeply_nested_header_names_line_1(self, tmp_path):
+        lines = (FIXTURES / "golden_completed.session.jsonl").read_bytes().splitlines(True)
+        path = tmp_path / "nested.jsonl"
+        path.write_bytes(b"[" * 200000 + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        assert exc_info.value.line_number == 1
+        assert str(exc_info.value).startswith("line 1: invalid JSON: ")
+        assert exc_info.value.partial is None
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
