@@ -23,15 +23,22 @@ ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
 ``run_batch`` is the one kernel.  Its rows share one ``EsTemplate`` (sigma0,
 dimension, generation count and init box) and differ in tau and seed.  It
-has two paths, chosen by row count alone:
+has three paths, chosen by row count, objective name and dimension:
 
-* a batch of at most 3 rows runs one row at a time by speculation.  Under
-  the 1/5th rule about four offspring in five are rejected, so a round
-  assumes the next k (at most 12) are all rejected, makes all k candidates
-  and evaluates them in one objective call, and keeps the prefix up to the
-  first acceptance.  With so few rows numpy's fixed cost per call
-  dominates; a round makes about as many calls as a lockstep generation
-  and advances about five generations;
+* a batch of at most 3 sphere rows of at most 12 dimensions runs one row
+  at a time, one generation at a time, in Python floats.  At these sizes
+  numpy's fixed cost per call, 1-3 us, outweighs its arithmetic, while
+  Python floats cost about 0.1 us per coordinate and generation; past
+  about 12 dimensions speculation wins again.  The sphere is chosen by its
+  registry name, not by the registered function, so a wrapped entry (the
+  benchmark's tracer installs one) keeps the path;
+* any other batch of at most 3 rows runs one row at a time by
+  speculation.  Under the 1/5th rule about four offspring in five are
+  rejected, so a round assumes the next k (at most 12) are all rejected,
+  makes all k candidates and evaluates them in one objective call, and
+  keeps the prefix up to the first acceptance.  With so few rows numpy's
+  fixed cost per call dominates; a round makes about as many calls as a
+  lockstep generation and advances about five generations;
 * a batch of 4 or more rows advances all rows in lockstep, one generation
   at a time on ``(dimension, rows)`` arrays, one row per column.
 
@@ -39,21 +46,23 @@ An objective takes a ``(dimension, N)`` array of any strides, one candidate
 per column, and returns N values.  Summing down a column's coordinates is
 then one vectorised step per coordinate across all N candidates.
 
-Every row on either path is bit-identical to the stepwise loop built from
+Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
 
 * each row keeps its own generator and draws its normals in blocks of at
   most ``BLOCK_GENERATIONS`` generations, ``standard_normal((k, dimension))``,
   which yields exactly the values of k successive
   ``standard_normal(dimension)`` draws;
-* a candidate is ``x + sigma * z``: one multiply, then one add;
-* the sphere sums its squares strictly in coordinate order with
-  ``np.add.accumulate`` down each column, whatever the array's strides.
-  Do not replace it with ``np.sum``, ``np.dot``, ``math.fsum`` or the
-  builtin ``sum()``: the first two sum pairwise or blocked, the last two
-  round differently (since Python 3.12 ``sum()`` of floats is
-  compensated), and any of them changes the last bits.  For the same
-  reason ``store.trial_stats`` folds its sums with ``+=``;
+* a candidate is ``x + sigma * z``: one multiply, then one add, in numpy
+  or per coordinate in Python floats, which round alike;
+* the sphere sums its squares strictly in coordinate order: with
+  ``np.add.accumulate`` down each column, whatever the array's strides, or
+  with ``+=`` on the stepwise path.  Do not replace either with
+  ``np.sum``, ``np.dot``, ``math.fsum`` or the builtin ``sum()``: the
+  first two sum pairwise or blocked, the last two round differently (since
+  Python 3.12 ``sum()`` of floats is compensated), and any of them changes
+  the last bits.  For the same reason ``store.trial_stats`` folds its sums
+  with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
@@ -67,9 +76,9 @@ Every row on either path is bit-identical to the stepwise loop built from
   made by the stepwise loop: they are discarded, and may overflow without
   raising.
 
-Both paths raise ``NumericalError`` with the same message in the same
-cases: a non-finite candidate among those the stepwise loop makes, then,
-checked only after all rows, sigma at 0 before a generation.
+All three paths raise ``NumericalError`` with the same message in the
+same cases: a non-finite candidate among those the stepwise loop makes,
+then, checked only after all rows, sigma at 0 before a generation.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ import numpy as np
 
 __all__ = [
     "FITNESS_FLOOR",
+    "MAX_DIMENSION",
     "ConfigurationError",
     "EsRunResult",
     "EsTemplate",
@@ -111,9 +121,18 @@ TAU_MAX = 100
 # its block buffers stay small however long the run.
 BLOCK_GENERATIONS = 128
 
+# Largest accepted dimension.  A lockstep row holds 2 * BLOCK_GENERATIONS *
+# dimension doubles of normals and candidates: at most 2 MB here.
+MAX_DIMENSION = 1000
+
 # Batches of at most this many rows run one row at a time by speculation;
 # larger ones run in lockstep (see the module docstring).
 _SPECULATIVE_ROWS = 3
+
+# Sphere rows of at most this dimension, in batches of at most
+# _SPECULATIVE_ROWS rows, run stepwise in Python floats: below it numpy's
+# fixed cost per call outweighs the arithmetic (crossover table in CHANGES.md).
+_STEPWISE_DIMENSION = 12
 
 # How many generations one speculation round makes and evaluates at once.
 _SPECULATION_DEPTH = 12
@@ -218,8 +237,8 @@ class EsTemplate:
     def __post_init__(self) -> None:
         if not (0 < self.sigma0 < math.inf):
             raise ConfigurationError("sigma0 must be > 0 and finite")
-        if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
+        if not (1 <= self.dimension <= MAX_DIMENSION):
+            raise ConfigurationError(f"dimension must be >= 1 and <= {MAX_DIMENSION}")
         if self.max_generations < 1:
             raise ConfigurationError("max_generations must be >= 1")
         # Also rejects infinite bounds; numpy's uniform() raises on a range
@@ -311,21 +330,31 @@ def run_batch(
         return []
     fn = get_objective(objective.name)
     rngs = [make_rng(seed) for seed in seeds]
-    x = np.array([rng.uniform(template.init_low, template.init_high, size=dim) for rng in rngs])
+    starts = [rng.uniform(template.init_low, template.init_high, size=dim) for rng in rngs]
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
-    # A failing row runs on with inf/nan until the check at the end of its
-    # block or round; squares that overflow to inf are legal, as in
-    # sphere_eval.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(rngs) <= _SPECULATIVE_ROWS:
+    sigma0 = template.sigma0
+    if len(rngs) > _SPECULATIVE_ROWS:
+        # A failing row runs on with inf/nan until the check at the end of
+        # its block or round; squares that overflow to inf are legal, as in
+        # sphere_eval.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, sigma, before_last = _lockstep(fn, rngs, np.array(starts), sigma0, up, down,
+                                              generations)
+    else:
+        # By name, not by fn: a wrapped registry entry must not change the path.
+        if objective.name == "sphere" and dim <= _STEPWISE_DIMENSION:
             rows = [
-                _speculate(fn, rng, x[i : i + 1], template.sigma0, up[i], down[i], generations)
+                _stepwise(rng, starts[i].tolist(), sigma0, up[i], down[i], generations)
                 for i, rng in enumerate(rngs)
             ]
-            f, sigma, before_last = zip(*rows)
         else:
-            f, sigma, before_last = _lockstep(fn, rngs, x, template.sigma0, up, down, generations)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = [
+                    _speculate(fn, rng, starts[i][None], sigma0, up[i], down[i], generations)
+                    for i, rng in enumerate(rngs)
+                ]
+        f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
     if not all(s > 0 for s in before_last):
@@ -378,6 +407,40 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
         if not np.isfinite(candidates[:n]).all():
             raise NumericalError(_NON_FINITE)
     return f.tolist(), sigma.tolist(), before_last.tolist()
+
+
+def _stepwise(rng, x, sigma, up, down, generations):
+    """One sphere row, one generation at a time in Python floats: ``(f,
+    sigma, sigma before the last generation)``.
+
+    ``x`` is the row's start point as a list.  Each candidate coordinate is
+    ``xi + sigma * zi`` and the squares are summed with ``+=`` in coordinate
+    order: the stepwise loop's own operations, in its order.  Only an
+    accepted candidate is kept, made again from the same operands.
+    """
+    f = 0.0
+    for xi in x:
+        f += xi * xi
+    for start in range(0, generations, BLOCK_GENERATIONS):
+        n = min(BLOCK_GENERATIONS, generations - start)
+        for z in rng.standard_normal((n, len(x))).tolist():
+            f_new = 0.0
+            for xi, zi in zip(x, z):
+                ci = xi + sigma * zi
+                f_new += ci * ci
+            # A non-finite candidate has a non-finite value; so has a finite
+            # one whose squares overflow, which is legal.
+            if not f_new < math.inf and not all(
+                math.isfinite(xi + sigma * zi) for xi, zi in zip(x, z)
+            ):
+                raise NumericalError(_NON_FINITE)
+            before_last = sigma
+            if f_new <= f:
+                x = [xi + sigma * zi for xi, zi in zip(x, z)]
+                f, sigma = f_new, sigma * up
+            else:
+                sigma = sigma * down
+    return f, sigma, before_last
 
 
 def _speculate(fn, rng, x, sigma, up, down, generations):

@@ -9,6 +9,7 @@ from .llm import LlmExchange
 
 __all__ = [
     "EmptySessionError",
+    "MAX_REPLICATES",
     "STATUS_ABORTED",
     "STATUS_COMPLETED",
     "STATUS_RUNNING",
@@ -16,6 +17,10 @@ __all__ = [
     "Trial",
     "TuningSession",
 ]
+
+# Largest accepted replicate count.  A trial is one kernel batch of
+# ``replicates`` rows, so its buffers take at most about 200 MB at MAX_DIMENSION.
+MAX_REPLICATES = 100
 
 STATUS_RUNNING = "running"
 STATUS_COMPLETED = "completed"
@@ -51,8 +56,8 @@ class SessionConfig:
     log_std: bool = True
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be >= 1")
+        if not (1 <= self.replicates <= MAX_REPLICATES):
+            raise ConfigurationError(f"replicates must be >= 1 and <= {MAX_REPLICATES}")
         if self.budget < 1:
             raise ConfigurationError("budget must be >= 1")
         if not (0 <= self.master_seed < (1 << 64)):

@@ -15,7 +15,11 @@ from .loop import run_trials
 from .models import SessionConfig, Trial
 from .store import format_number
 
-__all__ = ["GridSpec", "emit_csv", "emit_plot", "grid_values", "run_grid"]
+__all__ = ["MAX_GRID_STEPS", "GridSpec", "emit_csv", "emit_plot", "grid_values", "run_grid"]
+
+# Largest accepted grid.  A grid is one kernel batch of steps * replicates
+# rows; at the paper's 5-D and MAX_REPLICATES its buffers take about 100 MB.
+MAX_GRID_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,8 @@ class GridSpec:
             raise ConfigurationError("tau_min must be < tau_max")
         if not (self.tau_max <= TAU_MAX):
             raise ConfigurationError(f"tau_max must be <= {TAU_MAX}")
-        if self.steps < 2:
-            raise ConfigurationError("steps must be >= 2")
+        if not (2 <= self.steps <= MAX_GRID_STEPS):
+            raise ConfigurationError(f"steps must be >= 2 and <= {MAX_GRID_STEPS}")
 
 
 def grid_values(spec: GridSpec) -> list[float]:

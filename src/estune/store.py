@@ -190,8 +190,12 @@ def _status_record(session: TuningSession) -> dict[str, Any]:
     return status
 
 
+# json.dumps with non-default separators builds a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _line(record: dict[str, Any]) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return _encode(record) + "\n"
 
 
 def _exchange_line(exchange: LlmExchange) -> str:
@@ -254,7 +258,7 @@ class SessionWriter:
             return _exchange_line(exchange)
         rest = {key: getattr(exchange, key) for key in _EXCHANGE_KEYS[1:]}
         return (_PROMPT_AT + self._prompt_json + _escape(prompt[len(self._prompt):])[1:]
-                + "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n")
+                + "," + _encode(rest)[1:] + "\n")
 
     def append_trial(self, trial: Trial, line: str) -> None:
         """Append ``trial`` after the exchanges that proposed it, and its log ``line``."""

@@ -1,6 +1,19 @@
+import warnings
 from pathlib import Path
 
 import pytest
+
+# On a failing example hypothesis's pytest plugin imports its patch writer,
+# whose libcst import raises mypy_extensions' DeprecationWarning; under
+# filterwarnings = ["error"] that turned the failure into an INTERNALERROR
+# that stopped the run.  Importing it here, warnings silenced, leaves it
+# cached for the plugin.  Without libcst there is nothing to pre-import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from estune import EsTemplate, ObjectiveSpec, SessionConfig
 

@@ -47,3 +47,16 @@ def test_session_spans_are_called(tracer_cls, fast_cfg, tmp_path):
     for name in ("loop.propose_next_tau", "loop.run_trial", "llm.render_prompt",
                  "llm.extract_tau", "llm.send"):
         assert summary[name]["calls"] > 0, name
+
+
+def test_traced_trial_takes_the_untraced_path(tracer_cls, fast_cfg):
+    # fast_cfg's 3 rows at 3-D run stepwise, with the squares summed inline.
+    # The tracer wraps the registry's sphere entry; that must not send a
+    # traced trial down another path.
+    untraced = loop_mod.run_trial(0.9, fast_cfg, 0)
+    with tracer_cls() as tracer:
+        since = tracer.mark()
+        traced = loop_mod.run_trial(0.9, fast_cfg, 0)
+        summary = tracer.summary(since)
+    assert traced == untraced
+    assert summary["es.sphere_eval"]["calls"] == 0

@@ -75,6 +75,38 @@ class TestRunEsCommand:
         assert "Traceback" not in err
 
 
+class TestSizeBounds:
+    """Sizes past their bounds exit 2 before any run starts.
+
+    The runners are replaced, so a missing bound fails the test instead of
+    allocating what the size asks for.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started past a size bound")
+
+        monkeypatch.setattr("estune.cli.run_trial", refuse)
+        monkeypatch.setattr("estune.cli.run_grid", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-es", "--tau", "0.9", "--dim", "100000000000"],
+            ["run-es", "--tau", "0.9", "--replicates", "100000000000", "--generations", "1"],
+            ["grid", "--steps", "100000000000"],
+        ],
+        ids=["dim", "replicates", "steps"],
+    )
+    def test_size_past_its_bound_exits_2(self, run_cli, tmp_path, argv, capsys):
+        if argv[0] == "grid":
+            argv = argv + ["--out", str(tmp_path / "g")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTuneCommand:
     def test_scripted_end_to_end(self, run_cli, tmp_path, capsys):
         script = _script_file(tmp_path, ["tau = 0.7", "I propose a new value tau = 0.95."])

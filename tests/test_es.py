@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import estune.es as es_mod
 from estune.es import (
     FITNESS_FLOOR,
+    MAX_DIMENSION,
     TAU_MAX,
     ConfigurationError,
     EsTemplate,
@@ -284,6 +285,9 @@ class TestConfigValidation:
         assert result.generations_run == 50
         assert (result.best_f, result.final_sigma) == stepwise_run(template, 1.1, 77)
 
+    def test_largest_dimension_accepted(self):
+        assert EsTemplate(dimension=MAX_DIMENSION).dimension == MAX_DIMENSION
+
     def test_tau_max_itself_accepted(self):
         run_es(_paper_template(10), SPHERE_5D, TAU_MAX, 0)
 
@@ -298,11 +302,19 @@ class TestConfigValidation:
             {"init_low": 5.0, "init_high": -5.0},
             {"init_low": -math.inf},
             {"init_high": math.inf},
+            {"dimension": MAX_DIMENSION + 1},
         ],
     )
     def test_bad_template_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             EsTemplate(**kwargs)
+
+
+# Dimensions on both sides of the stepwise path's limit.
+_DIMENSIONS = st.one_of(
+    st.integers(1, es_mod._STEPWISE_DIMENSION),
+    st.integers(es_mod._STEPWISE_DIMENSION + 1, 64),
+)
 
 
 @st.composite
@@ -311,7 +323,7 @@ def _batches(draw):
     where an unmoved candidate ties its parent."""
     template = EsTemplate(
         sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
-        dimension=draw(st.integers(1, 64)),
+        dimension=draw(_DIMENSIONS),
         max_generations=draw(st.integers(1, 200)),
     )
     rows = draw(st.lists(st.tuples(
@@ -323,10 +335,11 @@ def _batches(draw):
 
 @st.composite
 def _lockstep_batches(draw):
-    """Like ``_batches``, but 4-8 rows: more than the speculative path takes."""
+    """Like ``_batches``, but 4-8 rows: more than the stepwise and speculative
+    paths take."""
     template = EsTemplate(
         sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
-        dimension=draw(st.integers(1, 64)),
+        dimension=draw(_DIMENSIONS),
         max_generations=draw(st.integers(1, 200)),
     )
     rows = draw(st.lists(st.tuples(
@@ -342,6 +355,18 @@ def _hex_rows_or_error(template, taus, seeds):
     except NumericalError:
         return "NumericalError"
     return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
+
+
+def _spy_paths(monkeypatch):
+    """The names of the row paths ``run_batch`` takes from here on."""
+    taken = set()
+    for name in ("_stepwise", "_speculate", "_lockstep"):
+        def spy(*args, _name=name, _real=getattr(es_mod, name)):
+            taken.add(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(es_mod, name, spy)
+    return taken
 
 
 def _oracle_or_error(template, tau, seed):
@@ -371,7 +396,8 @@ class TestRunBatch:
     @settings(max_examples=100, deadline=None)
     @given(_lockstep_batches())
     def test_lockstep_rows_equal_speculative_chunks(self, batch):
-        # 4+ rows run in lockstep, chunks of at most 3 by speculation.
+        # 4+ rows run in lockstep, chunks of at most 3 stepwise or by
+        # speculation, as their dimension decides.
         template, rows = batch
         taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
         chunks = [
@@ -403,15 +429,51 @@ class TestRunBatch:
             f, sigma = stepwise_run(template, tau, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
-    def test_non_finite_message_is_the_same_on_both_paths(self):
-        template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
+    @pytest.mark.parametrize(
+        "rows, dimension, path",
+        [
+            (1, 1, "_stepwise"),
+            (3, es_mod._STEPWISE_DIMENSION, "_stepwise"),
+            (1, es_mod._STEPWISE_DIMENSION + 1, "_speculate"),
+            (3, 64, "_speculate"),
+            (4, 3, "_lockstep"),
+            (4, 64, "_lockstep"),
+        ],
+    )
+    def test_path_is_chosen_by_rows_and_dimension(self, monkeypatch, rows, dimension, path):
+        # A wrapped registry entry, as the benchmark's tracer installs, must
+        # not change the path: it is chosen by the objective's name.
+        sphere = es_mod.get_objective("sphere")
+        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", lambda x: sphere(x))
+        taken = _spy_paths(monkeypatch)
+        template = EsTemplate(dimension=dimension, max_generations=20)
+        results = run_batch(template, ObjectiveSpec("sphere", dimension),
+                            [0.9] * rows, list(range(rows)))
+        assert taken == {path}
+        for result, seed in zip(results, range(rows)):
+            f, sigma = stepwise_run(template, 0.9, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_non_finite_message_is_the_same_on_both_paths(self, monkeypatch):
+        # Three paths: 2 rows at 5-D run stepwise, 2 rows past the stepwise
+        # limit by speculation, 4 rows in lockstep.
         seed = 16789950873655392269
+        cases = [
+            (5, [2, seed], "_stepwise"),
+            (es_mod._STEPWISE_DIMENSION + 1, [2, seed], "_speculate"),
+            (5, [2, seed, 3, 4], "_lockstep"),
+        ]
         messages = []
-        for seeds in ([2, seed], [2, seed, 3, 4]):
-            with pytest.raises(NumericalError) as caught:
-                run_batch(template, SPHERE_5D, [1.0] * len(seeds), seeds)
+        for dimension, seeds, path in cases:
+            template = EsTemplate(sigma0=1e308, dimension=dimension, max_generations=200)
+            with monkeypatch.context() as patch:
+                taken = _spy_paths(patch)
+                with pytest.raises(NumericalError) as caught:
+                    run_batch(template, ObjectiveSpec("sphere", dimension),
+                              [1.0] * len(seeds), seeds)
+            assert taken == {path}
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
 
     def test_raises_on_a_non_finite_candidate(self):
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
@@ -447,17 +509,32 @@ class TestRunBatch:
             run_batch(_paper_template(reach_zero + 1), objective, [TAU_MAX], [0])
 
     def test_zero_sigma_message_is_the_same_on_both_paths(self, monkeypatch):
-        # Every offspring is worse than the start point, so sigma reaches 0.
+        # Every offspring is worse than the start point, so sigma reaches 0:
+        # by speculation in 1 row, in lockstep in 4.  Only the sphere runs
+        # stepwise, and on the sphere a tiny sigma leaves the candidate
+        # equal to its parent, a tie that is accepted; so the stepwise row
+        # is started at sigma 0, which stays 0.
         messages = []
-        for rows in (1, 4):
+        for rows, path in ((1, "_speculate"), (4, "_lockstep")):
             first = iter([0.0])
             monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
                                 lambda x: np.full(x.shape[1], next(first, 1.0)))
-            with pytest.raises(NumericalError) as caught:
-                run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
-                          [TAU_MAX] * rows, list(range(rows)))
+            with monkeypatch.context() as patch:
+                taken = _spy_paths(patch)
+                with pytest.raises(NumericalError) as caught:
+                    run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
+                              [TAU_MAX] * rows, list(range(rows)))
+            assert taken == {path}
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        stepwise = es_mod._stepwise
+        start = [1.0, -2.0, 3.0, 0.5, 0.0]
+        assert stepwise(make_rng(0), start, 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
+        monkeypatch.setattr(es_mod, "_stepwise",
+                            lambda rng, x, sigma, *rest: stepwise(rng, x, 0.0, *rest))
+        with pytest.raises(NumericalError) as caught:
+            run_batch(_paper_template(200), SPHERE_5D, [TAU_MAX], [0])
+        messages.append(str(caught.value))
+        assert len(set(messages)) == 1
 
     def test_empty_batch(self):
         assert run_batch(_paper_template(), SPHERE_5D, [], []) == []

@@ -35,7 +35,7 @@ from estune.loop import (
     run_trial,
     run_trials,
 )
-from estune.models import EmptySessionError, SessionConfig, Trial, TuningSession
+from estune.models import MAX_REPLICATES, EmptySessionError, SessionConfig, Trial, TuningSession
 from estune.store import read_session, render_log, write_session
 
 from conftest import FIXTURES
@@ -143,10 +143,14 @@ class TestSessionConfig:
         {"duplicate_tolerance": math.inf},
         {"duplicate_tolerance": TAU_MAX},
         {"duplicate_tolerance": 1e300},
+        {"replicates": MAX_REPLICATES + 1},
     ])
     def test_bad_setting_rejected(self, fast_cfg, kwargs):
         with pytest.raises(ConfigurationError):
             replace(fast_cfg, **kwargs)
+
+    def test_most_replicates_accepted(self, fast_cfg):
+        assert replace(fast_cfg, replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
 
     def test_largest_duplicate_tolerance_accepted(self, fast_cfg):
         tol = math.nextafter(TAU_MAX, 0)

@@ -7,7 +7,7 @@ import pytest
 from estune.es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from estune.loop import derive_seed
 from estune.models import SessionConfig, Trial
-from estune.report import GridSpec, emit_csv, emit_plot, grid_values, run_grid
+from estune.report import MAX_GRID_STEPS, GridSpec, emit_csv, emit_plot, grid_values, run_grid
 from estune.store import render_log
 
 from conftest import FIXTURES
@@ -49,11 +49,15 @@ class TestGridValues:
             {"tau_min": -0.1, "tau_max": 1.0},
             {"steps": 1},
             {"tau_min": 1.0, "tau_max": 101.0},
+            {"steps": MAX_GRID_STEPS + 1},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             GridSpec(**kwargs)
+
+    def test_most_steps_accepted(self):
+        assert GridSpec(steps=MAX_GRID_STEPS).steps == MAX_GRID_STEPS
 
 
 class TestRunGrid:
