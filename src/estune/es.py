@@ -334,10 +334,10 @@ def run_batch(
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
     sigma0 = template.sigma0
+    # On the numpy paths a failing row runs on with inf/nan until the check
+    # at the end of its block or round; squares that overflow to inf are
+    # legal, as in sphere_eval.
     if len(rngs) > _SPECULATIVE_ROWS:
-        # A failing row runs on with inf/nan until the check at the end of
-        # its block or round; squares that overflow to inf are legal, as in
-        # sphere_eval.
         with np.errstate(over="ignore", invalid="ignore"):
             f, sigma, before_last = _lockstep(fn, rngs, np.array(starts), sigma0, up, down,
                                               generations)
