@@ -2,7 +2,7 @@
 
 from .es import EsTemplate, ObjectiveSpec
 from .llm import ScriptedBackend
-from .models import SessionConfig
+from .store import SessionConfig
 
 __all__ = ["EsTemplate", "ObjectiveSpec", "ScriptedBackend", "SessionConfig"]
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -11,9 +10,11 @@ from pathlib import Path
 from .es import ConfigurationError, EsTemplate, NumericalError, ObjectiveSpec, objective_names
 from .llm import HttpBackend, LlmBackendConfig, ScriptedBackend, TransportError
 from .loop import best_of, run_session, run_trial
-from .models import STATUS_COMPLETED, SessionConfig
 from .report import GridSpec, emit_csv, emit_plot, run_grid
-from .store import format_number, json_value, log_line, render_log
+from .store import (
+    STATUS_COMPLETED, SessionConfig, decode_json, format_number, json_value, log_line,
+    output_paths, render_log,
+)
 
 ENDPOINT_ENV_VAR = "ESTUNE_ENDPOINT"
 MODEL_ENV_VAR = "ESTUNE_MODEL"
@@ -110,14 +111,19 @@ def _session_config(args: argparse.Namespace, **settings) -> SessionConfig:
     )
 
 
+def _read_json_file(path: str, what: str) -> object:
+    """The JSON value of the ``what`` file at ``path``; ConfigurationError if it cannot be read."""
+    try:
+        return decode_json(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    data = _read_json_file(path, "config")
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     for key, kind in _CONFIG_TYPES.items():
@@ -130,10 +136,7 @@ def _backend(args: argparse.Namespace) -> ScriptedBackend | HttpBackend:
     if args.backend == "scripted":
         if not args.script:
             raise ConfigurationError("--backend scripted requires --script FILE")
-        try:
-            responses = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read script file {args.script}: {exc}") from exc
+        responses = _read_json_file(args.script, "script")
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ConfigurationError(f"script file {args.script} must hold a JSON array of strings")
         if not responses:
@@ -177,13 +180,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     spec = GridSpec(tau_min=args.tau_min, tau_max=args.tau_max, steps=args.steps)
     cfg = _session_config(args, budget=args.steps)
+    csv_path, log_path, svg_path = output_paths(args.out, ".csv", ".log", ".svg")
     trials = run_grid(spec, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    emit_csv(trials, out.with_name(out.name + ".csv"))
-    out.with_name(out.name + ".log").write_text(render_log(trials), encoding="utf-8")
+    emit_csv(trials, csv_path)
+    log_path.write_text(render_log(trials), encoding="utf-8")
     best = best_of(trials)
-    emit_plot(trials, out.with_name(out.name + ".svg"), best_tau=best.tau)
+    emit_plot(trials, svg_path, best_tau=best.tau)
     print(f"best tau = {format_number(best.tau)} (mean fitness {format_number(best.mean_score)})")
     return 0
 

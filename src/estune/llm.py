@@ -209,7 +209,7 @@ class HttpBackend:
                 elif 200 <= status < 300:
                     try:
                         content = json.loads(text)["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError, TypeError):
+                    except (ValueError, KeyError, IndexError, TypeError, RecursionError):
                         detail = f"malformed response body: {text[:500]!r}"
                     else:
                         if isinstance(content, str):
@@ -235,13 +235,14 @@ class HttpBackend:
 _NUMBER = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 
 # Three accepted shapes: an assignment, "tau of <x>", and "value for tau
-# ... <x>" with the number inside the same sentence.
-_TAU_PATTERN = re.compile(
-    rf"\btau\b\s*=\s*({_NUMBER})"
-    rf"|\btau\s+of\b[^.!?]*?({_NUMBER})"
-    rf"|\bvalue\s+for\s+tau\b[^.!?]*?({_NUMBER})",
+# ... <x>" with the number inside the same sentence.  The last two are an
+# anchor here, and the number after it is found with _GAP_NUMBER.
+_TAU_ANCHOR = re.compile(
+    rf"\btau\b\s*=\s*({_NUMBER})|\btau\s+of\b|\bvalue\s+for\s+tau\b",
     re.IGNORECASE,
 )
+_GAP_NUMBER = re.compile(rf"[^.!?]*?({_NUMBER})")
+_SENTENCE_END = re.compile(r"[.!?]")
 
 _FENCE_MARKER = re.compile(r"```[ \t]*(?:python|code)?", re.IGNORECASE)
 _BARE_FENCE_LABEL = re.compile(r"^[ \t]*(?:python|code)[ \t]*$", re.IGNORECASE | re.MULTILINE)
@@ -257,8 +258,19 @@ def extract_tau(response: str) -> float:
     text = _FENCE_MARKER.sub("", response)
     text = _BARE_FENCE_LABEL.sub("", text)
     last: str | None = None
-    for m in _TAU_PATTERN.finditer(text):
-        last = next(g for g in m.groups() if g is not None)
+    pos = 0
+    while m := _TAU_ANCHOR.search(text, pos):
+        n = m if m.group(1) is not None else _GAP_NUMBER.match(text, m.end())
+        if n:
+            last, pos = n.group(1), n.end()
+        else:
+            # No number can start between here and the sentence's end, so
+            # neither can a match: skip the sentence instead of rescanning
+            # it from every later anchor, which made long replies quadratic.
+            end = _SENTENCE_END.search(text, m.end())
+            if end is None:
+                break
+            pos = end.end()
     if last is None:
         raise ExtractionError("no tau value found in response")
     value = float(last)

@@ -21,16 +21,10 @@ from .llm import (
     render_analysis_prompt,
     render_tune_prompt,
 )
-from .models import (
-    STATUS_ABORTED,
-    STATUS_COMPLETED,
-    STATUS_RUNNING,
-    EmptySessionError,
-    SessionConfig,
-    Trial,
-    TuningSession,
+from .store import (
+    STATUS_ABORTED, STATUS_COMPLETED, STATUS_RUNNING, EmptySessionError, SessionConfig,
+    SessionWriter, Trial, TuningSession, log_line, trial_stats,
 )
-from .store import SessionWriter, log_line, trial_stats
 from .store import render_log  # also wrapped by name in bench/tracer.py
 from .store import write_session  # noqa: F401  (bench/tracer.py wraps loop.write_session by name)
 

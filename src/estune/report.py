@@ -12,8 +12,7 @@ from pathlib import Path
 from .es import TAU_MAX, ConfigurationError
 from .loop import run_trial  # noqa: F401  (bench/tracer.py wraps report.run_trial by name)
 from .loop import run_trials
-from .models import SessionConfig, Trial
-from .store import format_number
+from .store import SessionConfig, Trial, format_number
 
 __all__ = ["MAX_GRID_STEPS", "GridSpec", "emit_csv", "emit_plot", "grid_values", "run_grid"]
 

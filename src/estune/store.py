@@ -1,6 +1,7 @@
-"""Results log and session persistence.
+"""A session's records, their files, and the other files the CLI reads and names.
 
-Two files describe a tuning session.
+The records are ``Trial``, ``SessionConfig`` and ``TuningSession``; two
+files describe a tuning session.
 
 ``<name>.log`` is the human-readable results log, the exact bytes fed back
 to the LLM inside analysis prompts.  Grammar, one line per trial::
@@ -47,8 +48,10 @@ config is ``SessionConfig`` (with its nested ``ObjectiveSpec`` and
 ``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``,
 and a trial ``Trial``, with its ``results`` under the key ``replicates`` and
 its ``exchanges`` as the records before it.  ``read_session`` requires every
-field and ignores any other key.  Each value must have its field's JSON type (``json_value``): a float
-field also accepts an integer, and nothing else is converted.
+field and ignores any other key.  Each value must have its field's JSON type
+(``json_value``): a float field also accepts an integer, and nothing else is
+converted.  ``decode_json`` decodes each line, and the CLI's script and
+config files too; ``output_paths`` names every file the CLI writes.
 """
 
 from __future__ import annotations
@@ -57,40 +60,98 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
-from .es import ConfigurationError, EsRunResult
+from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from .llm import LlmExchange, render_analysis_prompt
-from .models import (
-    STATUS_ABORTED,
-    STATUS_COMPLETED,
-    STATUS_RUNNING,
-    EmptySessionError,
-    SessionConfig,
-    Trial,
-    TuningSession,
-)
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "SchemaVersionError",
-    "SessionFileError",
-    "SessionWriter",
-    "format_number",
-    "json_value",
-    "log_line",
-    "read_session",
-    "render_log",
-    "trial_stats",
-    "write_session",
+    "EmptySessionError", "MAX_REPLICATES", "SCHEMA_VERSION", "STATUS_ABORTED",
+    "STATUS_COMPLETED", "STATUS_RUNNING", "SchemaVersionError", "SessionConfig",
+    "SessionFileError", "SessionWriter", "Trial", "TuningSession", "decode_json",
+    "format_number", "json_value", "log_line", "output_paths", "read_session",
+    "render_log", "trial_stats", "write_session",
 ]
 
 SCHEMA_VERSION = 1
 
+# Largest accepted replicate count.  A trial is one kernel batch of
+# ``replicates`` rows, so its buffers take at most about 200 MB at MAX_DIMENSION.
+MAX_REPLICATES = 100
+
+STATUS_RUNNING = "running"
+STATUS_COMPLETED = "completed"
+STATUS_ABORTED = "aborted"
+
 _STATUSES = (STATUS_RUNNING, STATUS_COMPLETED, STATUS_ABORTED)
+
+
+class EmptySessionError(ValueError):
+    """A session with no trials was asked for trial-derived data."""
+
+
+@dataclass
+class Trial:
+    """One tau value with its replicate results, statistics and proposing exchanges."""
+
+    tau: float
+    results: list[EsRunResult]
+    mean_score: float
+    std_score: float
+    exchanges: list[LlmExchange] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """Experiment protocol for one tuning session."""
+
+    objective: ObjectiveSpec
+    es_template: EsTemplate
+    master_seed: int
+    replicates: int = 10
+    budget: int = 12
+    duplicate_tolerance: float = 1e-9
+    max_propose_retries: int = 2
+    log_std: bool = True
+
+    def __post_init__(self) -> None:
+        if not (1 <= self.replicates <= MAX_REPLICATES):
+            raise ConfigurationError(f"replicates must be >= 1 and <= {MAX_REPLICATES}")
+        if self.budget < 1:
+            raise ConfigurationError("budget must be >= 1")
+        if not (0 <= self.master_seed < (1 << 64)):
+            raise ConfigurationError("master_seed must be an unsigned 64-bit integer")
+        # At TAU_MAX or above every admissible tau duplicates the first trial.
+        if not (0 < self.duplicate_tolerance < TAU_MAX):
+            raise ConfigurationError(f"duplicate_tolerance must be > 0 and < {TAU_MAX}")
+        if self.max_propose_retries < 0:
+            raise ConfigurationError("max_propose_retries must be >= 0")
+        if self.objective.dimension != self.es_template.dimension:
+            raise ConfigurationError(
+                f"objective dimension {self.objective.dimension} != "
+                f"template dimension {self.es_template.dimension}"
+            )
+
+
+@dataclass
+class TuningSession:
+    """Ordered trial history, LLM exchanges, and outcome of one session."""
+
+    config: SessionConfig
+    trials: list[Trial] = field(default_factory=list)
+    # The exchanges of a proposal that has no trial yet.
+    pending_exchanges: list[LlmExchange] = field(default_factory=list)
+    status: str = STATUS_RUNNING
+    best_tau: float | None = None
+    error: str | None = None
+
+    @property
+    def exchanges(self) -> list[LlmExchange]:
+        """Every exchange of the session, in call order."""
+        return [e for trial in self.trials for e in trial.exchanges] + self.pending_exchanges
 
 
 class SessionFileError(ValueError):
@@ -160,13 +221,6 @@ _EXCHANGE_KEYS = tuple(f.name for f in fields(LlmExchange))
 _REPLICATE_KEYS = tuple(f.name for f in fields(EsRunResult))
 
 
-def _exchange_record(exchange: LlmExchange) -> dict[str, Any]:
-    rec: dict[str, Any] = {"record": "exchange"}
-    for key in _EXCHANGE_KEYS:
-        rec[key] = getattr(exchange, key)
-    return rec
-
-
 def _trial_record(trial: Trial) -> dict[str, Any]:
     return {
         "record": "trial",
@@ -199,7 +253,10 @@ def _line(record: dict[str, Any]) -> str:
 
 
 def _exchange_line(exchange: LlmExchange) -> str:
-    return _line(_exchange_record(exchange))
+    rec: dict[str, Any] = {"record": "exchange"}
+    for key in _EXCHANGE_KEYS:
+        rec[key] = getattr(exchange, key)
+    return _line(rec)
 
 
 def _trial_block(trial: Trial, exchange_line=_exchange_line) -> str:
@@ -218,6 +275,19 @@ def _tail(session: TuningSession, exchange_line=_exchange_line) -> str:
 def write_session(session: TuningSession, path) -> None:
     blocks = [_line(_header_record(session))] + [_trial_block(t) for t in session.trials]
     Path(path).write_text("".join(blocks) + _tail(session), encoding="utf-8")
+
+
+def output_paths(out_base, *suffixes: str) -> list[Path]:
+    """The path ``<out_base><suffix>`` of each suffix, with its directory made.
+
+    Raises ConfigurationError when ``out_base`` ends in no file name
+    (``""``, ``"."``, ``".."``, ``"/"``), before anything is made.
+    """
+    base = Path(out_base)
+    if base.name in ("", ".."):
+        raise ConfigurationError(f"output base {str(out_base)!r} names no file")
+    base.parent.mkdir(parents=True, exist_ok=True)
+    return [base.with_name(base.name + suffix) for suffix in suffixes]
 
 
 # An exchange line up to the first character of its prompt's escape:
@@ -239,10 +309,7 @@ class SessionWriter:
     """
 
     def __init__(self, session: TuningSession, out_base):
-        base = Path(out_base)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        self.session_path = base.with_name(base.name + ".session.jsonl")
-        self.log_path = base.with_name(base.name + ".log")
+        self.session_path, self.log_path = output_paths(out_base, ".session.jsonl", ".log")
         self._log = ""
         self._prompt = self._prompt_json = ""  # render_analysis_prompt(self._log), escaped
         with contextlib.ExitStack() as stack:
@@ -326,15 +393,29 @@ def _build(cls: type, raw: Any, **given: Any) -> Any:
     return cls(**given)
 
 
+def decode_json(raw: bytes) -> Any:
+    """The JSON value of UTF-8 bytes.
+
+    Raises ValueError, its text starting ``not UTF-8: `` or ``invalid
+    JSON: ``, for bytes that are not UTF-8 or text that is not JSON (too
+    deep a nesting and too long an integer included).
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+
+
 def _parse(raw: bytes, lineno: int, partial: TuningSession | None) -> Any:
     """The JSON value of one line, or a SessionFileError at that line."""
     try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        what = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "invalid JSON"
-        raise SessionFileError(
-            f"line {lineno}: {what}: {exc}", line_number=lineno, partial=partial
-        ) from exc
+        return decode_json(raw)
+    except ValueError as exc:
+        raise SessionFileError(f"line {lineno}: {exc}", line_number=lineno, partial=partial) from exc
 
 
 def read_session(path) -> TuningSession:

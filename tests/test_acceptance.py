@@ -16,7 +16,7 @@ import pytest
 from estune.es import EsTemplate, ObjectiveSpec, sphere_eval, update_sigma
 from estune.llm import ExtractionError, ScriptedBackend, extract_tau
 from estune.loop import best_of, run_session, run_trial
-from estune.models import SessionConfig
+from estune.store import SessionConfig
 from estune.report import GridSpec, run_grid
 from estune.store import SessionFileError, read_session, write_session
 

@@ -358,3 +358,76 @@ class TestPrecedence:
         assert run_cli(
             ["tune", "--config", str(cfg), "--out", str(tmp_path / "x")] + FAST
         ) == 2
+
+
+class TestFilesTheCliNames:
+    """An output base with no file name, and a script or config file that
+    cannot be decoded, are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    def test_tune_out_without_file_name_exits_2(self, run_cli, tmp_path, capsys, out):
+        script = _script_file(tmp_path, ["tau = 0.7"])
+        code = run_cli(["tune", "--backend", "scripted", "--script", script, "--budget", "1",
+                        "--out", out] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    def test_grid_out_without_file_name_exits_2_before_any_run(
+        self, run_cli, monkeypatch, capsys, out
+    ):
+        import estune.cli as cli
+
+        def no_run(*args):
+            raise AssertionError("the grid ran before its outputs were named")
+
+        monkeypatch.setattr(cli, "run_grid", no_run)
+        assert run_cli(["grid", "--steps", "2", "--out", out] + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"[\"tau = 0.7\xff\"]", b"[" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_undecodable_script_file_exits_2(self, run_cli, tmp_path, capsys, content):
+        script = tmp_path / "script.json"
+        script.write_bytes(content)
+        code = run_cli(["tune", "--backend", "scripted", "--script", str(script),
+                        "--out", str(tmp_path / "x")] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"usage error: cannot read script file {script}")
+        assert not (tmp_path / "x.session.jsonl").exists()
+
+    @pytest.mark.parametrize("content", [b"{\"model\": \"\xff\"}", b"[" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_undecodable_config_file_exits_2(self, run_cli, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code = run_cli(["tune", "--endpoint", "http://127.0.0.1:9", "--config", str(cfg),
+                        "--out", str(tmp_path / "x")] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"usage error: cannot read config file {cfg}")
+        assert not (tmp_path / "x.session.jsonl").exists()
+
+    def test_too_deep_http_reply_aborts_with_exit_1(self, run_cli, tmp_path, monkeypatch, capsys):
+        import io
+        import urllib.request
+
+        import estune.llm as llm
+
+        monkeypatch.setattr(llm, "_sleep", lambda s: None)
+
+        class Nested(io.BytesIO):
+            status = 200
+
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout=None: Nested(b"[" * 200_000))
+        code = run_cli(["tune", "--backend", "http", "--endpoint", "http://llm.test",
+                        "--out", str(tmp_path / "deep")] + FAST)
+        assert code == 1
+        assert "malformed response body" in capsys.readouterr().err
+        session = read_session(tmp_path / "deep.session.jsonl")
+        assert session.status == "aborted"
+        assert session.trials == []

@@ -2,12 +2,15 @@
 
 import io
 import json
+import math
+import re
 import sys
+import time
 import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import estune.llm as llm
@@ -259,3 +262,61 @@ class TestExtractTau:
                      allow_nan=False, allow_infinity=False))
     def test_round_trip_over_repr(self, value):
         assert extract_tau(f"tau = {value!r}") == value
+
+
+# extract_tau's matching as one regex scanned by finditer, before the scan
+# became linear; the reference for the equivalence test below.
+_REFERENCE_NUMBER = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_REFERENCE_PATTERN = re.compile(
+    rf"\btau\b\s*=\s*({_REFERENCE_NUMBER})"
+    rf"|\btau\s+of\b[^.!?]*?({_REFERENCE_NUMBER})"
+    rf"|\bvalue\s+for\s+tau\b[^.!?]*?({_REFERENCE_NUMBER})",
+    re.IGNORECASE,
+)
+
+
+def _reference_match(text):
+    text = llm._BARE_FENCE_LABEL.sub("", llm._FENCE_MARKER.sub("", text))
+    last = None
+    for m in _REFERENCE_PATTERN.finditer(text):
+        last = next(g for g in m.groups() if g is not None)
+    return last
+
+
+def _outcome(text):
+    try:
+        return extract_tau(text)
+    except ExtractionError:
+        return None
+
+
+# Sentences made of an anchor, filler words, an optional number and an
+# optional end, so that anchors often find no number before the end.
+_SENTENCES = st.tuples(
+    st.sampled_from(["", "tau of ", "value for tau ", "tau = ", "Tau=", "xtau of "]),
+    st.lists(st.sampled_from(["x", "of", "for", "value", "tau", "e", ",", "="]), max_size=3)
+    .map(" ".join),
+    st.sampled_from(["", "", " 0.5", " .7", "5.", " 1e5", " -2", "+3"]),
+    st.sampled_from([".", "!", "?", " ", "\n"]),
+).map("".join)
+
+
+class TestExtractTauScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SENTENCES | st.text(max_size=3), max_size=8).map("".join))
+    @example("tau of x. tau = 5")
+    @example("value for tau x! tau of 3")
+    def test_matches_the_single_regex_reference(self, text):
+        expected = _reference_match(text)
+        value = None if expected is None else float(expected)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            value = None
+        assert _outcome(text) == value
+
+    @pytest.mark.parametrize("unit", ["tau of x ", "value for tau "])
+    def test_one_megabyte_sentence_without_a_number_is_rejected_within_a_second(self, unit):
+        text = unit * (1_000_000 // len(unit))
+        start = time.perf_counter()
+        with pytest.raises(ExtractionError):
+            extract_tau(text)
+        assert time.perf_counter() - start < 1.0

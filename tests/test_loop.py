@@ -35,7 +35,7 @@ from estune.loop import (
     run_trial,
     run_trials,
 )
-from estune.models import MAX_REPLICATES, EmptySessionError, SessionConfig, Trial, TuningSession
+from estune.store import MAX_REPLICATES, EmptySessionError, SessionConfig, Trial, TuningSession
 from estune.store import read_session, render_log, write_session
 
 from conftest import FIXTURES

@@ -6,7 +6,7 @@ import pytest
 
 from estune.es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
 from estune.loop import derive_seed
-from estune.models import SessionConfig, Trial
+from estune.store import SessionConfig, Trial
 from estune.report import MAX_GRID_STEPS, GridSpec, emit_csv, emit_plot, grid_values, run_grid
 from estune.store import render_log
 

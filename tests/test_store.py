@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from estune.es import EsRunResult
+from estune.es import ConfigurationError, EsRunResult
 from estune.llm import ScriptedBackend, extract_tau
 from estune.loop import run_session
-from estune.models import EmptySessionError, Trial, TuningSession
+from estune.store import EmptySessionError, Trial, TuningSession
 from estune.store import (
     SCHEMA_VERSION,
     SchemaVersionError,
     SessionFileError,
+    decode_json,
     format_number,
     log_line,
+    output_paths,
     read_session,
     render_log,
     trial_stats,
@@ -303,3 +305,36 @@ class TestUnknownKeys:
         rewritten = tmp_path / "rewritten.jsonl"
         write_session(stored, rewritten)
         assert rewritten.read_bytes() == original
+
+
+class TestDecodeJson:
+    def test_value_of_utf8_json(self):
+        assert decode_json('{"tau": [0.7, "\u00e9"]}'.encode("utf-8")) == {"tau": [0.7, "\u00e9"]}
+
+    @pytest.mark.parametrize("raw,prefix", [
+        (b'["\xff"]', "not UTF-8: "),
+        (b"{not json", "invalid JSON: "),
+        (b"[" * 100_000, "invalid JSON: "),
+        (b"1" * 5000, "invalid JSON: "),
+    ], ids=["not_utf8", "syntax", "nested_too_deep", "integer_too_long"])
+    def test_failures_are_value_errors_named_by_prefix(self, raw, prefix):
+        with pytest.raises(ValueError) as exc_info:
+            decode_json(raw)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value).startswith(prefix)
+
+
+class TestOutputPaths:
+    def test_suffixes_name_siblings_and_make_the_directory(self, tmp_path):
+        base = tmp_path / "runs" / "demo"
+        assert output_paths(base, ".csv", ".log") == [
+            tmp_path / "runs" / "demo.csv", tmp_path / "runs" / "demo.log",
+        ]
+        assert (tmp_path / "runs").is_dir()
+
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "runs/.."])
+    def test_base_without_file_name_is_a_configuration_error(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError):
+            output_paths(out, ".log")
+        assert list(tmp_path.iterdir()) == []
