@@ -323,6 +323,15 @@ class TestDecodeJson:
         assert type(exc_info.value) is ValueError
         assert str(exc_info.value).startswith(prefix)
 
+    def test_too_long_integer_in_a_session_file_names_its_line(self, tmp_path):
+        lines = (FIXTURES / "golden_completed.session.jsonl").read_bytes().splitlines(True)
+        path = tmp_path / "long.jsonl"
+        path.write_bytes(lines[0] + b'{"record":"trial","tau":' + b"1" * 5000 + b"}\n")
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        assert str(exc_info.value).startswith("line 2: invalid JSON: ")
+        assert exc_info.value.partial.trials == []
+
 
 class TestOutputPaths:
     def test_suffixes_name_siblings_and_make_the_directory(self, tmp_path):
