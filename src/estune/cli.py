@@ -197,16 +197,22 @@ def cmd_run_es(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_line(exc: Exception) -> str:
+    """The error's text on one line: a file name given on the command line
+    may hold line breaks."""
+    return str(exc).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except (OSError, TransportError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 1
 
 

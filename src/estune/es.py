@@ -39,8 +39,10 @@ has three paths, chosen by row count, objective name and dimension:
   keeps the prefix up to the first acceptance.  With so few rows numpy's
   fixed cost per call dominates; a round makes about as many calls as a
   lockstep generation and advances about five generations;
-* a batch of 4 or more rows advances all rows in lockstep, one generation
-  at a time on ``(dimension, rows)`` arrays, one row per column.
+* a batch of 4 or more rows advances its rows in lockstep, one generation
+  at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
+  run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
+  independent, so the chunks change no result.
 
 An objective takes a ``(dimension, N)`` array of any strides, one candidate
 per column, and returns N values.  Summing down a column's coordinates is
@@ -55,14 +57,18 @@ Every row on each path is bit-identical to the stepwise loop built from
   ``standard_normal(dimension)`` draws;
 * a candidate is ``x + sigma * z``: one multiply, then one add, in numpy
   or per coordinate in Python floats, which round alike;
-* the sphere sums its squares strictly in coordinate order: with
-  ``np.add.accumulate`` down each column, whatever the array's strides, or
-  with ``+=`` on the stepwise path.  Do not replace either with
-  ``np.sum``, ``np.dot``, ``math.fsum`` or the builtin ``sum()``: the
-  first two sum pairwise or blocked, the last two round differently (since
-  Python 3.12 ``sum()`` of floats is compensated), and any of them changes
-  the last bits.  For the same reason ``store.trial_stats`` folds its sums
-  with ``+=``;
+* the sphere sums its squares strictly in coordinate order, never along
+  the array's fast axis in memory, where numpy sums pairwise.  A
+  C-ordered array of at least 2 columns, the lockstep path's layout, has
+  its columns along the fast axis, so ``np.add.reduce`` down axis 0 adds
+  whole rows in turn; any other layout (the speculative path's F-ordered
+  transpose, a single column) goes through ``np.add.accumulate`` down
+  each column, and the stepwise path folds with ``+=``.  Do not replace
+  these with ``np.sum`` along the fast axis, ``np.dot``, ``math.fsum`` or
+  the builtin ``sum()``: the first two sum pairwise or blocked, the last
+  two round differently (since Python 3.12 ``sum()`` of floats is
+  compensated), and any of them changes the last bits.  For the same
+  reason ``store.trial_stats`` folds its sums with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
@@ -125,6 +131,11 @@ BLOCK_GENERATIONS = 128
 # dimension doubles of normals and candidates: at most 2 MB here.
 MAX_DIMENSION = 1000
 
+# The lockstep path runs a batch's rows in chunks whose normals and
+# candidates take at most this many bytes (32 rows at MAX_DIMENSION), so a
+# batch of any size stays within it; the paper grid's 100 rows are one chunk.
+_LOCKSTEP_BYTES = 64 << 20
+
 # Batches of at most this many rows run one row at a time by speculation;
 # larger ones run in lockstep (see the module docstring).
 _SPECULATIVE_ROWS = 3
@@ -171,12 +182,20 @@ def sphere_eval(x) -> float:
 def sphere_columns(x: np.ndarray) -> np.ndarray:
     """``sphere_eval`` of every column of a ``(dimension, N)`` array, bit for bit.
 
-    ``np.add.accumulate`` down axis 0 adds the squares strictly in
-    coordinate order, the order ``sphere_eval`` uses; ``x`` may have any
-    strides.  Columns are not checked for finiteness here; ``run_batch``
+    The squares are added strictly in coordinate order, the order
+    ``sphere_eval`` uses; ``x`` may have any strides.  numpy sums pairwise
+    only along the fast axis in memory.  When the squares are C-ordered
+    with at least 2 columns, that axis runs across the columns and
+    ``np.add.reduce`` down axis 0 adds one whole row at a time; otherwise
+    (F order, as in the speculative path's transpose, or a single column,
+    which is its own fast axis) ``np.add.accumulate`` folds down each
+    column.  Columns are not checked for finiteness here; ``run_batch``
     checks its candidates.
     """
     squares = x * x
+    # The flag first: the speculative path's F-ordered rounds stop there.
+    if squares.flags.c_contiguous and squares.shape[1] > 1:
+        return np.add.reduce(squares, axis=0)
     np.add.accumulate(squares, axis=0, out=squares)
     return squares[-1]
 
@@ -338,9 +357,15 @@ def run_batch(
     # at the end of its block or round; squares that overflow to inf are
     # legal, as in sphere_eval.
     if len(rngs) > _SPECULATIVE_ROWS:
+        # A row's normals and candidates: 2 * block * dim + 8 doubles.
+        block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
+        chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
+        rows = []
         with np.errstate(over="ignore", invalid="ignore"):
-            f, sigma, before_last = _lockstep(fn, rngs, np.array(starts), sigma0, up, down,
-                                              generations)
+            for i in range(0, len(rngs), chunk):
+                part = slice(i, i + chunk)
+                rows += _lockstep(fn, rngs[part], np.array(starts[part]), sigma0, up[part],
+                                  down[part], generations)
     else:
         # By name, not by fn: a wrapped registry entry must not change the path.
         if objective.name == "sphere" and dim <= _STEPWISE_DIMENSION:
@@ -354,7 +379,7 @@ def run_batch(
                     _speculate(fn, rng, starts[i][None], sigma0, up[i], down[i], generations)
                     for i, rng in enumerate(rngs)
                 ]
-        f, sigma, before_last = zip(*rows)
+    f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
     if not all(s > 0 for s in before_last):
@@ -373,7 +398,7 @@ def run_batch(
 
 def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     """All rows one generation at a time: ``(f, sigma, sigma before the last
-    generation)``, one list entry per row.
+    generation)`` of each row.
 
     ``x`` holds the start points as ``(rows, dimension)``; the loop keeps
     the parents and candidates as ``(dimension, rows)``, one row per column.
@@ -406,7 +431,7 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
             before_last, sigma = sigma, sigma * np.where(success, up, down)
         if not np.isfinite(candidates[:n]).all():
             raise NumericalError(_NON_FINITE)
-    return f.tolist(), sigma.tolist(), before_last.tolist()
+    return list(zip(f.tolist(), sigma.tolist(), before_last.tolist()))
 
 
 def _stepwise(rng, x, sigma, up, down, generations):

@@ -17,7 +17,8 @@ from .store import SessionConfig, Trial, format_number
 __all__ = ["MAX_GRID_STEPS", "GridSpec", "emit_csv", "emit_plot", "grid_values", "run_grid"]
 
 # Largest accepted grid.  A grid is one kernel batch of steps * replicates
-# rows; at the paper's 5-D and MAX_REPLICATES its buffers take about 100 MB.
+# rows, run in lockstep chunks whose buffers fit es._LOCKSTEP_BYTES (64 MiB):
+# at the paper's 5-D and MAX_REPLICATES, 10^4 rows are 2 chunks.
 MAX_GRID_STEPS = 100
 
 

@@ -47,11 +47,13 @@ Each record holds exactly the fields of its dataclass, in field order: the
 config is ``SessionConfig`` (with its nested ``ObjectiveSpec`` and
 ``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``,
 and a trial ``Trial``, with its ``results`` under the key ``replicates`` and
-its ``exchanges`` as the records before it.  ``read_session`` requires every
-field and ignores any other key.  Each value must have its field's JSON type
-(``json_value``): a float field also accepts an integer, and nothing else is
-converted.  ``decode_json`` decodes each line, and the CLI's script and
-config files too; ``output_paths`` names every file the CLI writes.
+its ``exchanges`` as the records before it.  ``read_session`` reads a file
+in one pass, line by line, holding only the records it has built; it
+requires every field and ignores any other key.  Each value must have its
+field's JSON type (``json_value``): a float field also accepts an integer,
+and nothing else is converted.  ``decode_json`` decodes each line, and the
+CLI's script and config files too; ``output_paths`` names every file the
+CLI writes.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # Largest accepted replicate count.  A trial is one kernel batch of
-# ``replicates`` rows, so its buffers take at most about 200 MB at MAX_DIMENSION.
+# ``replicates`` rows; in lockstep they run in chunks whose buffers fit
+# es._LOCKSTEP_BYTES (64 MiB), so at MAX_DIMENSION a trial is 4 chunks.
 MAX_REPLICATES = 100
 
 STATUS_RUNNING = "running"
@@ -281,12 +284,20 @@ def output_paths(out_base, *suffixes: str) -> list[Path]:
     """The path ``<out_base><suffix>`` of each suffix, with its directory made.
 
     Raises ConfigurationError when ``out_base`` ends in no file name
-    (``""``, ``"."``, ``".."``, ``"/"``), before anything is made.
+    (``""``, ``"."``, ``".."``, ``"/"``), or when a component of its
+    directory is an existing non-directory, before anything is made.
     """
     base = Path(out_base)
     if base.name in ("", ".."):
         raise ConfigurationError(f"output base {str(out_base)!r} names no file")
-    base.parent.mkdir(parents=True, exist_ok=True)
+    # Every component above the non-directory exists, so mkdir has made
+    # nothing when it fails on it.
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigurationError(
+            f"output base {str(out_base)!r} is below a non-directory: {exc}"
+        ) from exc
     return [base.with_name(base.name + suffix) for suffix in suffixes]
 
 
@@ -419,74 +430,82 @@ def _parse(raw: bytes, lineno: int, partial: TuningSession | None) -> Any:
 
 
 def read_session(path) -> TuningSession:
-    """Rebuild a TuningSession from its record file.
+    """Rebuild a TuningSession from its record file, in one pass over it.
 
-    Raises EmptySessionError for an empty file, SchemaVersionError for an
-    unsupported version, and SessionFileError (with line number and the
-    partial session parsed so far) for any corrupt line, a line that is not
-    UTF-8 included.
+    Lines are split as ``bytes.splitlines`` splits them (at LF, CR LF and
+    a lone CR) and decoded one at a time, so only the records built so far
+    and the current line are held.  Raises EmptySessionError for a file of
+    blank lines, SchemaVersionError for an unsupported version, and
+    SessionFileError (with line number and the partial session parsed so
+    far) for any corrupt line, a line that is not UTF-8 included.
     """
-    lines = Path(path).read_bytes().splitlines()
-    if not any(line.strip() for line in lines):
-        raise EmptySessionError(f"session file {path} is empty")
+    with open(path, "rb") as fh:
+        # The file yields chunks that end in \n (or at its end), so no \r\n
+        # straddles two of them, and splitting each chunk splits the file.
+        lines = enumerate((line for chunk in fh for line in chunk.splitlines()), start=1)
+        _, first = next(lines, (1, b""))
+        # A blank first line is a corrupt header unless every line is blank.
+        if not first.strip() and not any(line.strip() for _, line in lines):
+            raise EmptySessionError(f"session file {path} is empty")
 
-    header = _parse(lines[0], 1, None)
-    if not isinstance(header, dict) or header.get("record") != "header":
-        raise SessionFileError("line 1: expected a header record", line_number=1)
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"line 1: schema_version {version!r} not supported (this build reads {SCHEMA_VERSION})",
-            line_number=1,
-        )
-    try:
-        config = _build(SessionConfig, header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
-
-    session = TuningSession(config=config)
-
-    saw_status = False
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-
-        def _fail(message: str) -> SessionFileError:
-            return SessionFileError(
-                f"line {lineno}: {message}", line_number=lineno, partial=session
+        header = _parse(first, 1, None)
+        if not isinstance(header, dict) or header.get("record") != "header":
+            raise SessionFileError("line 1: expected a header record", line_number=1)
+        version = header.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaVersionError(
+                f"line 1: schema_version {version!r} not supported "
+                f"(this build reads {SCHEMA_VERSION})",
+                line_number=1,
             )
-
-        rec = _parse(line, lineno, session)
-        if not isinstance(rec, dict):
-            raise _fail("record is not an object")
-        if saw_status:
-            raise _fail("records after the status record")
-        kind = rec.get("record")
         try:
-            if kind == "trial":
-                trial = _build(
-                    Trial, rec,
-                    results=[_build(EsRunResult, r) for r in rec["replicates"]],
-                    exchanges=session.pending_exchanges,
-                )
-                session.trials.append(trial)
-                session.pending_exchanges = []
-            elif kind == "exchange":
-                session.pending_exchanges.append(_build(LlmExchange, rec))
-            elif kind == "status":
-                status = rec.get("status")
-                if status not in _STATUSES:
-                    raise _fail(f"unknown status {status!r}")
-                session.status = status
-                if "best_tau" in rec:
-                    session.best_tau = json_value("best_tau", rec["best_tau"], float)
-                if "error" in rec:
-                    session.error = json_value("error", rec["error"], str)
-                saw_status = True
-            else:
-                raise _fail(f"unknown record type {kind!r}")
+            config = _build(SessionConfig, header["config"])
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SessionFileError):
-                raise
-            raise _fail(f"bad {kind} record: {exc}") from exc
+            raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
+
+        session = TuningSession(config=config)
+
+        saw_status = False
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+
+            def _fail(message: str) -> SessionFileError:
+                return SessionFileError(
+                    f"line {lineno}: {message}", line_number=lineno, partial=session
+                )
+
+            rec = _parse(line, lineno, session)
+            if not isinstance(rec, dict):
+                raise _fail("record is not an object")
+            if saw_status:
+                raise _fail("records after the status record")
+            kind = rec.get("record")
+            try:
+                if kind == "trial":
+                    trial = _build(
+                        Trial, rec,
+                        results=[_build(EsRunResult, r) for r in rec["replicates"]],
+                        exchanges=session.pending_exchanges,
+                    )
+                    session.trials.append(trial)
+                    session.pending_exchanges = []
+                elif kind == "exchange":
+                    session.pending_exchanges.append(_build(LlmExchange, rec))
+                elif kind == "status":
+                    status = rec.get("status")
+                    if status not in _STATUSES:
+                        raise _fail(f"unknown status {status!r}")
+                    session.status = status
+                    if "best_tau" in rec:
+                        session.best_tau = json_value("best_tau", rec["best_tau"], float)
+                    if "error" in rec:
+                        session.error = json_value("error", rec["error"], str)
+                    saw_status = True
+                else:
+                    raise _fail(f"unknown record type {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                if isinstance(exc, SessionFileError):
+                    raise
+                raise _fail(f"bad {kind} record: {exc}") from exc
     return session

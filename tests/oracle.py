@@ -1,11 +1,22 @@
-"""Stepwise (1+1)-ES reference, built only from the es primitives.
+"""References that the fast paths are checked against.
 
-One generation at a time: ``mutate``, then ``sphere_eval``, then
-``update_sigma``.  The lockstep kernel must match it bit for bit and raise
-exactly where it raises.
+``stepwise_run`` is the stepwise (1+1)-ES, built only from the es
+primitives: one generation at a time, ``mutate``, then ``sphere_eval``,
+then ``update_sigma``.  The lockstep kernel must match it bit for bit and
+raise exactly where it raises.
+
+``whole_file_read_session`` reads a session file whole, as
+``store.read_session`` once did.
 """
 
-from estune.es import make_rng, mutate, sphere_eval, update_sigma
+from pathlib import Path
+
+from estune.es import EsRunResult, make_rng, mutate, sphere_eval, update_sigma
+from estune.llm import LlmExchange
+from estune.store import (
+    _STATUSES, SCHEMA_VERSION, EmptySessionError, SchemaVersionError, SessionConfig,
+    SessionFileError, Trial, TuningSession, _build, _parse, json_value,
+)
 
 
 def stepwise_run(template, tau, seed, history=None):
@@ -24,3 +35,74 @@ def stepwise_run(template, tau, seed, history=None):
         if history is not None:
             history.append(f)
     return f, sigma
+
+
+def whole_file_read_session(path):
+    """``store.read_session`` as it read whole files: every byte and every
+    line held at once, split by ``bytes.splitlines``.  The streaming reader
+    must give the same session, or the same error at the same line.
+    """
+    lines = Path(path).read_bytes().splitlines()
+    if not any(line.strip() for line in lines):
+        raise EmptySessionError(f"session file {path} is empty")
+
+    header = _parse(lines[0], 1, None)
+    if not isinstance(header, dict) or header.get("record") != "header":
+        raise SessionFileError("line 1: expected a header record", line_number=1)
+    version = header.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"line 1: schema_version {version!r} not supported (this build reads {SCHEMA_VERSION})",
+            line_number=1,
+        )
+    try:
+        config = _build(SessionConfig, header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
+
+    session = TuningSession(config=config)
+
+    saw_status = False
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+
+        def _fail(message: str) -> SessionFileError:
+            return SessionFileError(
+                f"line {lineno}: {message}", line_number=lineno, partial=session
+            )
+
+        rec = _parse(line, lineno, session)
+        if not isinstance(rec, dict):
+            raise _fail("record is not an object")
+        if saw_status:
+            raise _fail("records after the status record")
+        kind = rec.get("record")
+        try:
+            if kind == "trial":
+                trial = _build(
+                    Trial, rec,
+                    results=[_build(EsRunResult, r) for r in rec["replicates"]],
+                    exchanges=session.pending_exchanges,
+                )
+                session.trials.append(trial)
+                session.pending_exchanges = []
+            elif kind == "exchange":
+                session.pending_exchanges.append(_build(LlmExchange, rec))
+            elif kind == "status":
+                status = rec.get("status")
+                if status not in _STATUSES:
+                    raise _fail(f"unknown status {status!r}")
+                session.status = status
+                if "best_tau" in rec:
+                    session.best_tau = json_value("best_tau", rec["best_tau"], float)
+                if "error" in rec:
+                    session.error = json_value("error", rec["error"], str)
+                saw_status = True
+            else:
+                raise _fail(f"unknown record type {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, SessionFileError):
+                raise
+            raise _fail(f"bad {kind} record: {exc}") from exc
+    return session

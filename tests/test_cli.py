@@ -389,6 +389,36 @@ class TestFilesTheCliNames:
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["tune", "grid"])
+    def test_out_below_an_existing_file_exits_2_before_any_run(
+        self, run_cli, tmp_path, monkeypatch, capsys, command
+    ):
+        import estune.es as es
+
+        def no_run(*args):
+            raise AssertionError("an ES run started before the outputs were named")
+
+        monkeypatch.setattr(es, "run_batch", no_run)
+        for name in ("_stepwise", "_speculate", "_lockstep"):
+            monkeypatch.setattr(es, name, no_run)
+        script = _script_file(tmp_path, ["tau = 0.7"])
+        before = Path(script).read_bytes()
+        args = (["tune", "--backend", "scripted", "--script", script, "--budget", "1"]
+                if command == "tune" else ["grid", "--steps", "2"])
+        assert run_cli(args + ["--out", script + "/x"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert Path(script).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [Path(script).name]
+
+    def test_file_name_with_a_line_break_stays_on_one_line(self, run_cli, capsys):
+        code = run_cli(["tune", "--endpoint", "http://127.0.0.1:9", "--config", "a\nb\r"] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read config file a\\nb\\r: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("content", [b"[\"tau = 0.7\xff\"]", b"[" * 100_000],
                              ids=["not_utf8", "nested_too_deep"])
     def test_undecodable_script_file_exits_2(self, run_cli, tmp_path, capsys, content):

@@ -1,12 +1,14 @@
 """Unit and property tests for the (1+1)-ES core."""
 
 import functools
+import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import estune.es as es_mod
@@ -23,6 +25,7 @@ from estune.es import (
     run_batch,
     run_es,
     score_of,
+    sphere_columns,
     sphere_eval,
     update_sigma,
 )
@@ -63,6 +66,53 @@ class TestSphere:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40))
     def test_matches_independent_oracle_exactly(self, values):
         assert sphere_eval(np.array(values)) == sum_of_squares_oracle(values)
+
+
+# Most values a sphere_columns case holds, so the Python fold stays quick.
+_SPHERE_CELLS = 20_000
+
+
+@st.composite
+def _column_arrays(draw):
+    """A ``(dimension, N)`` array in one of several layouts, with values whose
+    squares reach from subnormal to past the float range."""
+    dimension = draw(st.integers(1, MAX_DIMENSION))
+    columns = draw(st.integers(1, min(300, _SPHERE_CELLS // dimension)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-160, 1.0, 1e3, 1e150, 1e154]))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "sliced", "reversed"]))
+    if layout == "transposed":
+        return rng.standard_normal((columns, dimension)).T * scale
+    if layout == "sliced":
+        return (rng.standard_normal((2 * dimension, 3 * columns)) * scale)[::2, 1::3]
+    x = rng.standard_normal((dimension, columns)) * scale
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "reversed":
+        return x[::-1, ::-1]
+    return x
+
+
+def _fold_hex(column):
+    total = 0.0
+    for v in column.tolist():
+        total += v * v
+    return total.hex()
+
+
+class TestSphereColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(_column_arrays())
+    # numpy sums pairwise along the fast axis, which differs from the fold in
+    # these two: a single column of 8 or more coordinates, and the
+    # speculative path's F-ordered transpose.
+    @example(np.random.default_rng(1).standard_normal((9, 1)))
+    @example(np.random.default_rng(0).standard_normal((2, 64)).T)
+    def test_columns_match_a_left_to_right_fold(self, x):
+        with np.errstate(over="ignore"):
+            got = sphere_columns(x)
+            expected = [_fold_hex(x[:, j]) for j in range(x.shape[1])]
+        assert [v.hex() for v in got.tolist()] == expected
 
 
 class TestMutate:
@@ -357,6 +407,14 @@ def _hex_rows_or_error(template, taus, seeds):
     return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
 
 
+def _rows_or_message(template, taus, seeds):
+    try:
+        results = run_batch(template, ObjectiveSpec("sphere", template.dimension), taus, seeds)
+    except NumericalError as exc:
+        return str(exc)
+    return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
+
+
 def _spy_paths(monkeypatch):
     """The names of the row paths ``run_batch`` takes from here on."""
     taken = set()
@@ -535,6 +593,45 @@ class TestRunBatch:
             run_batch(_paper_template(200), SPHERE_5D, [TAU_MAX], [0])
         messages.append(str(caught.value))
         assert len(set(messages)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lockstep_batches(), st.integers(1, 3))
+    def test_rows_in_chunks_equal_one_chunk(self, batch, chunk_rows):
+        # A budget of chunk_rows rows splits the 4-8 rows into 2-8 chunks.
+        template, rows = batch
+        taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
+        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
+        row_bytes = 8 * (2 * block * template.dimension + 8)
+        whole = _rows_or_message(template, taus, seeds)
+        with mock.patch.object(es_mod, "_LOCKSTEP_BYTES", chunk_rows * row_bytes):
+            assert _rows_or_message(template, taus, seeds) == whole
+
+    def test_chunks_raise_as_one_batch(self, monkeypatch):
+        # Every offspring is worse than its parent, so each row's sigma falls
+        # towards 0; at sigma0 1e308 the first candidate of seed 3 overflows.
+        # One batch raises for the candidate, though the row of seed 0, in
+        # the first chunk, reaches sigma 0 before it: sigma is checked only
+        # after every chunk.
+        counter = itertools.count()
+        monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
+                            lambda x: np.full(x.shape[1], float(next(counter))))
+        template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
+        objective = ObjectiveSpec("worse", 5)
+        seeds = [0, 1, 2, 3]
+
+        def message(seeds):
+            with pytest.raises(NumericalError) as caught:
+                run_batch(template, objective, [TAU_MAX] * len(seeds), seeds)
+            return str(caught.value)
+
+        whole = message(seeds)
+        assert message(seeds[:1]) != whole
+        calls = []
+        lockstep = es_mod._lockstep
+        monkeypatch.setattr(es_mod, "_lockstep", lambda *a: calls.append(1) or lockstep(*a))
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 1)
+        assert message(seeds) == whole
+        assert len(calls) == len(seeds)
 
     def test_empty_batch(self):
         assert run_batch(_paper_template(), SPHERE_5D, [], []) == []

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import estune.llm as llm
@@ -16,6 +16,7 @@ from estune.cli import main
 from estune.store import EmptySessionError, SessionFileError, TuningSession, read_session
 
 from conftest import FIXTURES
+from oracle import whole_file_read_session
 
 # Files the fuzzed command lines may name, made fresh in each example's
 # working directory.
@@ -167,3 +168,36 @@ def test_damaged_session_file_reads_or_raises_a_session_error(golden, mutations)
         except (SessionFileError, EmptySessionError):  # SchemaVersionError is a SessionFileError
             return
     assert isinstance(session, TuningSession)
+
+
+def _outcome(reader, path):
+    """The session a reader rebuilt, or the error it raised with its line
+    and partial session; reprs, so that NaN fields compare equal."""
+    try:
+        return repr(reader(path))
+    except ValueError as exc:  # EmptySessionError and SessionFileError included
+        return (type(exc).__name__, str(exc), getattr(exc, "line_number", None),
+                repr(getattr(exc, "partial", None)))
+
+
+_COMPLETED = _GOLDEN_SESSIONS[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_GOLDEN_SESSIONS), st.lists(_MUTATION, max_size=8))
+# Line ends and blank lines the streaming split must treat as the whole-file
+# split does: an empty file, blank lines only, a blank first line, a lone CR
+# as a line end, CR LF, a torn last line, and a file with no final newline.
+@example(b"", [])
+@example(b" \n\r\n\t\r", [])
+@example(b"\n" + _COMPLETED, [])
+@example(_COMPLETED.replace(b"\n", b"\r"), [])
+@example(_COMPLETED.replace(b"\n", b"\r\n"), [])
+@example(_COMPLETED.replace(b"\n", b"\n\r\n\n"), [])
+@example(_COMPLETED[:-30], [])
+@example(_COMPLETED.rstrip(b"\n"), [])
+def test_streaming_reader_equals_whole_file_reader(golden, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.session.jsonl"
+        path.write_bytes(_mutate(golden, mutations))
+        assert _outcome(read_session, path) == _outcome(whole_file_read_session, path)

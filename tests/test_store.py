@@ -175,6 +175,28 @@ class TestSessionRoundTrip:
         assert trial.mean_score == mean
         assert trial.std_score == std
 
+    def test_reading_holds_about_the_file_once(self, fast_cfg, tmp_path):
+        # Prompts repeat the log, so a session file grows with the square of
+        # its budget; the reader holds the records it built, not the file's
+        # bytes and all its lines beside them (about twice the file).
+        import tracemalloc
+        from dataclasses import replace
+
+        cfg = replace(fast_cfg, budget=250, replicates=2)
+        backend = ScriptedBackend([f"tau = {0.5 + i / 1000}" for i in range(cfg.budget)])
+        run_session(cfg, backend, out_base=tmp_path / "long")
+        path = tmp_path / "long.session.jsonl"
+        size = path.stat().st_size
+        assert size >= 2 << 20
+        tracemalloc.start()
+        try:
+            session = read_session(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(session.trials) == cfg.budget
+        assert peak < 1.3 * size
+
 
 class TestSessionFileErrors:
     def _write_demo(self, cfg, tmp_path, taus=(0.7, 1.1)):
@@ -347,3 +369,15 @@ class TestOutputPaths:
         with pytest.raises(ConfigurationError):
             output_paths(out, ".log")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["script.json/x", "script.json/d/x", "d/script.json/x"])
+    def test_base_below_a_file_is_a_configuration_error(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        for name in ("script.json", "d/script.json"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(b"[]")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ConfigurationError, match="below a non-directory"):
+            output_paths(out, ".log")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "script.json").read_bytes() == b"[]"
