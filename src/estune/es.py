@@ -16,8 +16,9 @@ Reference: Rechenberg, I. (1973). Evolutionsstrategie: Optimierung
 technischer Systeme nach Prinzipien der biologischen Evolution.
 
 Reproducibility contract: every run owns a ``numpy.random.Generator`` backed
-by the PCG64 bit generator, seeded with a 64-bit integer.  Initialization
-draws one ``uniform(init_low, init_high, size=dimension)`` vector, then each
+by the PCG64 bit generator, seeded with a 64-bit integer through numpy's
+``SeedSequence``: ``make_rng`` is that generator.  Initialization draws one
+``uniform(init_low, init_high, size=dimension)`` vector, then each
 generation consumes one ``standard_normal(dimension)`` vector (numpy's
 ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
@@ -42,7 +43,11 @@ has three paths, chosen by row count, objective name and dimension:
 * a batch of 4 or more rows advances its rows in lockstep, one generation
   at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
   run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
-  independent, so the chunks change no result.
+  independent, so the chunks change no result.  Each chunk seeds its rows
+  in one vectorised pass (``_seed_states``) whose states equal
+  ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
+  start in ``make_rng``'s state; ``make_rng`` stays the reference, and
+  the other two paths use it.
 
 An objective takes a ``(dimension, N)`` array of any strides, one candidate
 per column, and returns N values.  Summing down a column's coordinates is
@@ -89,6 +94,7 @@ then, checked only after all rows, sigma at 0 before a generation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -287,6 +293,89 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _hash_chain(start: int, mult: int, n: int) -> np.ndarray:
+    """The column of ``start * mult**i`` mod 2**32 for i < n, as uint32."""
+    chain = [start]
+    while len(chain) < n:
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx): the
+# multiplier chains of its pool hash (4 + 4 * 3 uses) and of its output hash
+# (8 words), and the two multipliers of its mix.
+_POOL_HASH = _hash_chain(0x43B0D7E5, 0x931E8875, 17)
+_STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L = np.array([0xCA01F9DD], dtype=np.uint32)
+_MIX_R = np.array([0x4973F715], dtype=np.uint32)
+_OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+
+
+def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row i of ``words`` with constants
+    ``chain[i]`` and ``chain[i + 1]``."""
+    out = words ^ chain[:-1]
+    out *= chain[1:]
+    out ^= out >> 16
+    return out
+
+
+def _seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, one
+    row each, from one pass over all of them.
+
+    SeedSequence hashes a seed's 32-bit words, low first, into a pool of 4
+    words, padding with hashed zeros; a seed below 2**32 thus hashes as one
+    with a zero high word.  It then mixes the hash of every pool word into
+    every other word, and hashes the pool out, twice round, into 8 words,
+    read as 4 little-endian uint64.  Each step here runs on all seeds at once in
+    uint32 arrays, which wrap as the reference's arithmetic does.
+    ``make_rng`` stays the reference: the tests and the benchmark's gate
+    compare the two.
+    """
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(words)), dtype=np.uint32)
+    pool[0] = words
+    pool[1] = words >> 32
+    pool = _hash(pool, _POOL_HASH[:5])
+    for src, dst in enumerate(_OTHER_WORDS):
+        mixed = pool[dst] * _MIX_L
+        mixed -= _hash(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src]) * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    state = _hash(np.tile(pool, (2, 1)), _STATE_HASH)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """A seed sequence that hands ``PCG64`` one state computed beforehand:
+    ``PCG64(SeedState(state))`` asks it only for ``generate_state(4,
+    np.uint64)``.
+
+    Made on first use: subclassing ``ISeedSequence`` imports
+    ``numpy.random``, about 15 ms that ``import numpy`` leaves to the first
+    generator made.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
+
+
+def _seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``make_rng(seed)`` of every seed, from one pass of ``_seed_states``."""
+    seed_state = _seed_state_type()
+    return [np.random.Generator(np.random.PCG64(seed_state(state)))
+            for state in _seed_states(seeds)]
+
+
 def mutate(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Return ``x + sigma * g`` with g standard normal, leaving x untouched."""
     if not (sigma > 0):
@@ -348,25 +437,32 @@ def run_batch(
     if not taus:
         return []
     fn = get_objective(objective.name)
-    rngs = [make_rng(seed) for seed in seeds]
-    starts = [rng.uniform(template.init_low, template.init_high, size=dim) for rng in rngs]
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
     sigma0 = template.sigma0
+
+    def start(rng):
+        return rng.uniform(template.init_low, template.init_high, size=dim)
+
     # On the numpy paths a failing row runs on with inf/nan until the check
     # at the end of its block or round; squares that overflow to inf are
     # legal, as in sphere_eval.
-    if len(rngs) > _SPECULATIVE_ROWS:
+    if len(seeds) > _SPECULATIVE_ROWS:
         # A row's normals and candidates: 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(rngs), chunk):
+            # Each chunk seeds its generators and draws its start points
+            # itself, so a batch holds one chunk's rows at a time.
+            for i in range(0, len(seeds), chunk):
                 part = slice(i, i + chunk)
-                rows += _lockstep(fn, rngs[part], np.array(starts[part]), sigma0, up[part],
-                                  down[part], generations)
+                rngs = _seeded_generators(seeds[part])
+                rows += _lockstep(fn, rngs, np.array([start(rng) for rng in rngs]), sigma0,
+                                  up[part], down[part], generations)
     else:
+        rngs = [make_rng(seed) for seed in seeds]
+        starts = [start(rng) for rng in rngs]
         # By name, not by fn: a wrapped registry entry must not change the path.
         if objective.name == "sphere" and dim <= _STEPWISE_DIMENSION:
             rows = [
@@ -406,29 +502,37 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     rows, dim = x.shape
     x = np.ascontiguousarray(x.T)
     sigma = np.full(rows, float(sigma0))
+    before_last = np.empty(rows)
     up, down = np.array(up), np.array(down)
     block = min(BLOCK_GENERATIONS, generations)
     # Each row draws its block of normals into its own row of this buffer;
-    # generation g reads them through the (dimension, rows) view z[:, g].T.
-    # 8 doubles of padding keep the row stride off a power of two, where
-    # those strided reads would contend for the same cache sets.
+    # generation g reads them through the (dimension, rows) view
+    # z.transpose(1, 2, 0)[g].  8 doubles of padding keep the row stride off
+    # a power of two, where those strided reads would contend for the same
+    # cache sets.
     z = np.empty((rows, block * dim + 8))[:, : block * dim].reshape(rows, block, dim)
     candidates = np.empty((block, dim, rows))
+    # Every view a generation uses is made here, so that the loop allocates
+    # nothing but the objective's values.
+    steps = list(zip(z.transpose(1, 2, 0), candidates))
     success = np.empty(rows, dtype=bool)
+    factor = np.empty(rows)
     f = fn(x)
     for start in range(0, generations, block):
         n = min(block, generations - start)
         for row, rng in enumerate(rngs):
             rng.standard_normal(out=z[row, :n])
-        for g in range(n):
-            c = candidates[g]
-            np.multiply(sigma, z[:, g].T, out=c)
+        for normals, c in steps[:n]:
+            np.multiply(sigma, normals, out=c)
             np.add(x, c, out=c)
             f_new = fn(c)
             np.less_equal(f_new, f, out=success)
             np.copyto(x, c, where=success)
             np.copyto(f, f_new, where=success)
-            before_last, sigma = sigma, sigma * np.where(success, up, down)
+            np.copyto(factor, down)
+            np.copyto(factor, up, where=success)
+            before_last, sigma = sigma, before_last
+            np.multiply(before_last, factor, out=sigma)
         if not np.isfinite(candidates[:n]).all():
             raise NumericalError(_NON_FINITE)
     return list(zip(f.tolist(), sigma.tolist(), before_last.tolist()))

@@ -163,8 +163,11 @@ class HttpBackend:
     the reply from ``choices[0].message.content``.  Transport failures
     (connection errors, timeouts, non-2xx, malformed bodies, bodies longer
     than ``MAX_RESPONSE_BYTES``) are retried with exponential backoff (1s,
-    2s, 4s, ...) before giving up.  An optional bearer token is taken from
-    the ESTUNE_TOKEN environment variable.
+    2s, 4s, ...) before giving up.  ``timeout_seconds`` bounds each socket
+    operation and also each attempt as a whole: a body still arriving when
+    that much time has passed since the attempt began is a timeout.  An
+    optional bearer token is taken from the ESTUNE_TOKEN environment
+    variable.
     """
 
     def __init__(self, config: LlmBackendConfig):
@@ -193,13 +196,14 @@ class HttpBackend:
         detail = ""
         for i in range(cfg.transport_retries + 1):
             try:
+                deadline = time.monotonic() + cfg.timeout_seconds
                 request = urllib.request.Request(url, data=body, headers=headers, method="POST")
                 try:
                     resp = urllib.request.urlopen(request, timeout=cfg.timeout_seconds)
                 except urllib.error.HTTPError as exc:
                     resp = exc  # a non-2xx reply still carries its body
                 with resp:
-                    status, reply = resp.status, resp.read(MAX_RESPONSE_BYTES + 1)
+                    status, reply = resp.status, _read_body(resp, deadline)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 detail = f"{type(exc).__name__}: {exc}"
             else:
@@ -230,6 +234,26 @@ class HttpBackend:
             f"chat completion failed after {cfg.transport_retries + 1} attempts: {detail}",
             payload=detail,
         )
+
+
+def _read_body(resp, deadline: float) -> bytes:
+    """At most ``MAX_RESPONSE_BYTES + 1`` bytes of a reply body, taken as they
+    arrive; a body still arriving at ``deadline`` raises ``TimeoutError``.
+
+    Each ``read1`` makes at most one socket read, which waits at most one
+    socket timeout, so a server that sends a few bytes at a time holds the
+    attempt at most that long past the deadline.
+    """
+    chunks, size = [], 0
+    while size <= MAX_RESPONSE_BYTES:
+        if time.monotonic() > deadline:
+            raise TimeoutError("reply not complete within the request's timeout")
+        chunk = resp.read1(MAX_RESPONSE_BYTES + 1 - size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+    return b"".join(chunks)
 
 
 _NUMBER = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"

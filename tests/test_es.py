@@ -3,6 +3,10 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -196,6 +200,33 @@ class TestRandomStream:
             f"numpy {np.__version__} changed its PCG64 or ziggurat standard_normal "
             f"stream at seed {seed}: every golden session, grid and digest changes with it"
         )
+
+
+class TestSeedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8))
+    @example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_one_pass_equals_seed_sequence(self, seeds):
+        states = es_mod._seed_states(seeds)
+        assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+        for seed, state in zip(seeds, states):
+            assert state.tolist() == (
+                np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            )
+        for seed, rng in zip(seeds, es_mod._seeded_generators(seeds)):
+            assert rng.bit_generator.state == make_rng(seed).bit_generator.state
+
+    def test_importing_the_package_leaves_numpy_random_to_first_use(self):
+        # numpy 2 imports numpy.random, about 15 ms, only when first used;
+        # the one-pass seeding must not pull it into every start-up.
+        code = (
+            "import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import estune.cli\n"
+            "sys.exit(('numpy.random' in sys.modules) != before)\n"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=dict(
+            os.environ, PYTHONPATH=os.pathsep.join(sys.path))).returncode == 0
 
 
 class TestScore:
@@ -632,6 +663,59 @@ class TestRunBatch:
         monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 1)
         assert message(seeds) == whole
         assert len(calls) == len(seeds)
+
+    def test_lockstep_chunks_seed_in_one_pass(self, monkeypatch):
+        # Each lockstep chunk seeds its rows in one pass, into generators in
+        # make_rng's state; a batch of at most 3 rows calls make_rng.
+        template = EsTemplate(dimension=5, max_generations=20)
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 7]
+        passes, made, states = [], [], []
+        seed_states, lockstep = es_mod._seed_states, es_mod._lockstep
+
+        def spy_lockstep(fn, rngs, *rest):
+            states.extend(rng.bit_generator.state for rng in rngs)
+            return lockstep(fn, rngs, *rest)
+
+        monkeypatch.setattr(es_mod, "_seed_states",
+                            lambda part: passes.append(list(part)) or seed_states(part))
+        monkeypatch.setattr(es_mod, "make_rng", lambda seed: made.append(seed) or make_rng(seed))
+        monkeypatch.setattr(es_mod, "_lockstep", spy_lockstep)
+        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
+        row_bytes = 8 * (2 * block * template.dimension + 8)
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 4 * row_bytes)
+        results = run_batch(template, SPHERE_5D, [0.9] * len(seeds), seeds)
+        assert passes == [seeds[:4], seeds[4:]]
+        assert made == []
+        for seed, state in zip(seeds, states):
+            rng = make_rng(seed)
+            rng.uniform(template.init_low, template.init_high, size=template.dimension)
+            assert state == rng.bit_generator.state
+        for result, seed in zip(results, seeds):
+            f, sigma = stepwise_run(template, 0.9, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+        passes.clear()
+        for dimension in (5, es_mod._STEPWISE_DIMENSION + 1):
+            made.clear()
+            run_batch(EsTemplate(dimension=dimension, max_generations=20),
+                      ObjectiveSpec("sphere", dimension), [0.9] * 3, seeds[:3])
+            assert made == seeds[:3]
+        assert passes == []
+
+    def test_a_batch_holds_about_one_chunk(self):
+        # 1000 rows at 1000-D in chunks of 32 rows: the start points of all
+        # rows alone would take 8 MB, 15 times the chunk budget.
+        template = EsTemplate(dimension=1000, max_generations=1)
+        objective = ObjectiveSpec("sphere", 1000)
+        budget = 32 * 8 * (2 * template.dimension + 8)
+        with mock.patch.object(es_mod, "_LOCKSTEP_BYTES", budget):
+            run_batch(template, objective, [1.0] * 4, range(4))
+            tracemalloc.start()
+            try:
+                run_batch(template, objective, [1.0] * 1000, range(1000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * budget
 
     def test_empty_batch(self):
         assert run_batch(_paper_template(), SPHERE_5D, [], []) == []

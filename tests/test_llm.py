@@ -1,10 +1,12 @@
 """Prompt rendering, backends, and tau extraction."""
 
+import http.server
 import io
 import json
 import math
 import re
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -126,6 +128,31 @@ class _EndlessResponse:
             raise AssertionError("unbounded read of an endless body")
         return b" " * size
 
+    read1 = read
+
+
+class _DripHandler(http.server.BaseHTTPRequestHandler):
+    """Replies 200 with a valid body, sent 4 bytes every 0.3 s until the
+    server's ``stop`` event is set."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = _reply("tau = 1.0").getvalue()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        for i in range(0, len(body), 4):
+            if self.server.stop.wait(0.3):
+                return
+            try:
+                self.wfile.write(body[i : i + 4])
+            except OSError:  # the client has gone
+                return
+
+    def log_message(self, *args):
+        pass
+
 
 def _http_backend(retries=2):
     return HttpBackend(LlmBackendConfig(base_url="http://llm.test", transport_retries=retries))
@@ -231,6 +258,31 @@ class TestHttpBackend:
         with pytest.raises(TransportError, match="body longer than 1000 bytes"):
             _http_backend(retries=1).send("p")
         assert sleeps == [1.0]
+
+    def test_slow_drip_times_out_at_the_deadline(self, monkeypatch):
+        # The body takes 13 drips, about 3.9 s; each socket read waits only
+        # 0.3 s, well inside the 1 s socket timeout.
+        monkeypatch.setenv("no_proxy", "*")
+        server = http.server.HTTPServer(("127.0.0.1", 0), _DripHandler)
+        server.stop = threading.Event()
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            backend = HttpBackend(LlmBackendConfig(
+                base_url=f"http://127.0.0.1:{server.server_port}",
+                timeout_seconds=1, transport_retries=0,
+            ))
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="TimeoutError"):
+                backend.send("p")
+            elapsed = time.monotonic() - start
+        finally:
+            server.stop.set()
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+        assert not thread.is_alive()
+        assert elapsed < 2.0
 
 
 class TestExtractTau:
