@@ -328,8 +328,8 @@ def _seed_states(seeds: Sequence[int]) -> np.ndarray:
     words, padding with hashed zeros; a seed below 2**32 thus hashes as one
     with a zero high word.  It then mixes the hash of every pool word into
     every other word, and hashes the pool out, twice round, into 8 words,
-    read as 4 little-endian uint64.  Each step here runs on all seeds at once in
-    uint32 arrays, which wrap as the reference's arithmetic does.
+    read as 4 little-endian uint64.  Each step here runs on all seeds at
+    once in uint32 arrays, which wrap as the reference's arithmetic does.
     ``make_rng`` stays the reference: the tests and the benchmark's gate
     compare the two.
     """
