@@ -26,25 +26,29 @@ ziggurat transform).  Identical seeds yield bit-identical trajectories.
 dimension, generation count and init box) and differ in tau and seed.  It
 has three paths, chosen by row count, objective name and dimension:
 
-* a batch of at most 3 sphere rows of at most 12 dimensions runs one row
-  at a time, one generation at a time, in Python floats.  At these sizes
-  numpy's fixed cost per call, 1-3 us, outweighs its arithmetic, while
-  Python floats cost about 0.1 us per coordinate and generation; past
-  about 12 dimensions speculation wins again.  The sphere is chosen by its
-  registry name, not by the registered function, so a wrapped entry (the
-  benchmark's tracer installs one) keeps the path;
-* any other batch of at most 3 rows runs one row at a time by
-  speculation.  Under the 1/5th rule about four offspring in five are
-  rejected, so a round assumes the next k (at most 12) are all rejected,
-  makes all k candidates and evaluates them in one objective call, and
-  keeps the prefix up to the first acceptance.  With so few rows numpy's
-  fixed cost per call dominates; a round makes about as many calls as a
-  lockstep generation and advances about five generations;
-* a batch of 4 or more rows advances its rows in lockstep, one generation
-  at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
-  run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
-  independent, so the chunks change no result.  Each chunk seeds its rows
-  in one vectorised pass (``_seed_states``) whose states equal
+* stepwise: a batch of at most 3 sphere rows of at most 8 dimensions runs
+  one row at a time, one generation at a time, in Python floats.  At these
+  sizes numpy's fixed cost per call, 1-3 us, outweighs its arithmetic,
+  while Python floats cost about 0.1 us per coordinate and generation;
+* screened: a batch of at most 3 sphere rows of more dimensions runs one
+  row at a time and makes only the offspring that may be accepted.  From
+  ``|z|**2``, one call per block of normals, and ``z . x``, one
+  matrix-vector product per acceptance, it estimates each candidate's value
+  in Python floats.  It skips a candidate only when the estimate exceeds
+  the parent's value by more than a proven bound on its error,
+  ``(4 d + 64) eps (f + sigma**2 |z|**2) + 1e-300`` at d dimensions
+  (derived in ``_screened``'s docstring), and makes every other candidate
+  as the stepwise loop does.  Under the 1/5th rule about four offspring in
+  five are rejected, so it makes about one candidate in five.  Both few-row
+  paths are chosen by the objective's registry name, not by the registered
+  function, so a wrapped entry (the benchmark's tracer installs one) keeps
+  them;
+* lockstep: any other batch, and a batch of any size for every other
+  objective, advances its rows in lockstep, one generation at a time on
+  ``(dimension, rows)`` arrays, one row per column.  The rows run in
+  chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are independent, so
+  the chunks change no result.  Each chunk seeds its rows in one
+  vectorised pass (``_seed_states``) whose states equal
   ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
   start in ``make_rng``'s state; ``make_rng`` stays the reference, and
   the other two paths use it.
@@ -66,26 +70,25 @@ Every row on each path is bit-identical to the stepwise loop built from
   the array's fast axis in memory, where numpy sums pairwise.  A
   C-ordered array of at least 2 columns, the lockstep path's layout, has
   its columns along the fast axis, so ``np.add.reduce`` down axis 0 adds
-  whole rows in turn; any other layout (the speculative path's F-ordered
-  transpose, a single column) goes through ``np.add.accumulate`` down
-  each column, and the stepwise path folds with ``+=``.  Do not replace
-  these with ``np.sum`` along the fast axis, ``np.dot``, ``math.fsum`` or
-  the builtin ``sum()``: the first two sum pairwise or blocked, the last
-  two round differently (since Python 3.12 ``sum()`` of floats is
-  compensated), and any of them changes the last bits.  For the same
-  reason ``store.trial_stats`` folds its sums with ``+=``;
+  whole rows in turn; any other layout (F order, a single column) goes
+  through ``np.add.accumulate`` down each column, as does each candidate
+  the screened path makes, and the stepwise path folds with ``+=``.  Do
+  not replace these with ``np.sum`` along the fast axis, ``np.dot``,
+  ``math.fsum`` or the builtin ``sum()``: the first two sum pairwise or
+  blocked, the last two round differently (since Python 3.12 ``sum()`` of
+  floats is compensated), and any of them changes the last bits.  The
+  screened path's estimates use ``np.dot`` and ``np.einsum``, whose error
+  its bound covers in any order, but never for a value it keeps.  For the
+  same reason ``store.trial_stats`` folds its sums with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
   ``math.exp(tau * (0.0 - 0.2))``, computed once per row with the same
   expression ``update_sigma`` evaluates every generation.  ``TAU_MAX``
   keeps both factors finite;
-* a speculation round takes the sigmas of its k generations from
-  ``np.multiply.accumulate([sigma, down, ..., down])``, which makes the
-  same rounded products, in the same order, as k stepwise rejections.
-  Until the first acceptance the parent does not change, so each candidate
-  up to it is exactly the stepwise loop's.  Candidates after it were never
-  made by the stepwise loop: they are discarded, and may overflow without
-  raising.
+* the screened path skips only candidates whose value provably exceeds
+  the parent's, so its acceptances, and with them its sigmas, are the
+  stepwise loop's.  A skipped candidate is finite, so the stepwise loop
+  would not have raised on it.
 
 All three paths raise ``NumericalError`` with the same message in the
 same cases: a non-finite candidate among those the stepwise loop makes,
@@ -142,17 +145,25 @@ MAX_DIMENSION = 1000
 # batch of any size stays within it; the paper grid's 100 rows are one chunk.
 _LOCKSTEP_BYTES = 64 << 20
 
-# Batches of at most this many rows run one row at a time by speculation;
-# larger ones run in lockstep (see the module docstring).
-_SPECULATIVE_ROWS = 3
+# Sphere batches of at most this many rows run one row at a time, stepwise
+# or screened; larger ones, and every other objective, run in lockstep (see
+# the module docstring).
+_FEW_ROWS = 3
 
-# Sphere rows of at most this dimension, in batches of at most
-# _SPECULATIVE_ROWS rows, run stepwise in Python floats: below it numpy's
-# fixed cost per call outweighs the arithmetic (crossover table in CHANGES.md).
-_STEPWISE_DIMENSION = 12
+# Sphere rows of at most this dimension, in batches of at most _FEW_ROWS
+# rows, run stepwise in Python floats; above it the screened path wins from
+# about 100 generations on (crossover table in CHANGES.md).
+_STEPWISE_DIMENSION = 8
 
-# How many generations one speculation round makes and evaluates at once.
-_SPECULATION_DEPTH = 12
+# The screened path's margin (see _screened): machine epsilon, the absolute
+# term that covers subnormal roundings, and the range of |z|**2 in which
+# both hold.
+_EPS = 2.0**-52
+_SCREEN_TINY = 1e-300
+_SCREEN_NORMS = (1e-200, 1e20)
+
+# How many generations ahead the screened path computes z . x at a time.
+_SCREEN_AHEAD = 16
 
 _SEED_LIMIT = 1 << 64
 
@@ -193,13 +204,11 @@ def sphere_columns(x: np.ndarray) -> np.ndarray:
     only along the fast axis in memory.  When the squares are C-ordered
     with at least 2 columns, that axis runs across the columns and
     ``np.add.reduce`` down axis 0 adds one whole row at a time; otherwise
-    (F order, as in the speculative path's transpose, or a single column,
-    which is its own fast axis) ``np.add.accumulate`` folds down each
-    column.  Columns are not checked for finiteness here; ``run_batch``
-    checks its candidates.
+    (F order, or a single column, which is its own fast axis)
+    ``np.add.accumulate`` folds down each column.  Columns are not checked
+    for finiteness here; ``run_batch`` checks its candidates.
     """
     squares = x * x
-    # The flag first: the speculative path's F-ordered rounds stop there.
     if squares.flags.c_contiguous and squares.shape[1] > 1:
         return np.add.reduce(squares, axis=0)
     np.add.accumulate(squares, axis=0, out=squares)
@@ -444,14 +453,31 @@ def run_batch(
     def start(rng):
         return rng.uniform(template.init_low, template.init_high, size=dim)
 
-    # On the numpy paths a failing row runs on with inf/nan until the check
-    # at the end of its block or round; squares that overflow to inf are
-    # legal, as in sphere_eval.
-    if len(seeds) > _SPECULATIVE_ROWS:
+    # By name, not by fn: a wrapped registry entry must not change the path.
+    if objective.name == "sphere" and len(seeds) <= _FEW_ROWS:
+        rngs = [make_rng(seed) for seed in seeds]
+        starts = [start(rng) for rng in rngs]
+        if dim <= _STEPWISE_DIMENSION:
+            rows = [
+                _stepwise(rng, starts[i].tolist(), sigma0, up[i], down[i], generations)
+                for i, rng in enumerate(rngs)
+            ]
+        else:
+            # Squares and products that overflow to inf are legal, as in
+            # sphere_eval.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = [
+                    _screened(rng, starts[i], sigma0, up[i], down[i], generations)
+                    for i, rng in enumerate(rngs)
+                ]
+    else:
         # A row's normals and candidates: 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
+        # A failing row runs on with inf/nan until the check at the end of
+        # its block; squares that overflow to inf are legal, as in
+        # sphere_eval.
         with np.errstate(over="ignore", invalid="ignore"):
             # Each chunk seeds its generators and draws its start points
             # itself, so a batch holds one chunk's rows at a time.
@@ -460,21 +486,6 @@ def run_batch(
                 rngs = _seeded_generators(seeds[part])
                 rows += _lockstep(fn, rngs, np.array([start(rng) for rng in rngs]), sigma0,
                                   up[part], down[part], generations)
-    else:
-        rngs = [make_rng(seed) for seed in seeds]
-        starts = [start(rng) for rng in rngs]
-        # By name, not by fn: a wrapped registry entry must not change the path.
-        if objective.name == "sphere" and dim <= _STEPWISE_DIMENSION:
-            rows = [
-                _stepwise(rng, starts[i].tolist(), sigma0, up[i], down[i], generations)
-                for i, rng in enumerate(rngs)
-            ]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = [
-                    _speculate(fn, rng, starts[i][None], sigma0, up[i], down[i], generations)
-                    for i, rng in enumerate(rngs)
-                ]
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
@@ -572,49 +583,94 @@ def _stepwise(rng, x, sigma, up, down, generations):
     return f, sigma, before_last
 
 
-def _speculate(fn, rng, x, sigma, up, down, generations):
-    """One row by speculation: ``(f, sigma, sigma before the last generation)``.
+def _screened(rng, x, sigma, up, down, generations):
+    """One sphere row that makes only the offspring that may be accepted:
+    ``(f, sigma, sigma before the last generation)``.
 
-    Each round assumes the next k offspring are all rejected, makes and
-    evaluates them at once, and keeps the prefix up to the first acceptance.
-    ``x`` is the row's ``(1, dimension)`` start point; it is overwritten.
-    The candidates are rows of a ``(k, dimension)`` buffer; the objective
-    sees them as columns through its transpose.
+    ``x`` is the row's start point as a 1-D array.  Let ``f`` be the
+    parent's value, ``s`` the sigma of a generation and ``z`` its normals.
+    The screen estimates the value of the candidate ``x + s z`` as
+    ``approx = f + D`` with ``D = 2 s a + s s b``, from ``b = |z|**2``, one
+    call per block of normals, and ``a = z . x``, one matrix-vector product
+    per acceptance (made for ``_SCREEN_AHEAD`` generations at a time).  It
+    skips the candidate, a rejection, only when ``approx - m > f``, tested
+    as ``D > m``, with ``m = k (f + s s b) + 1e-300`` and
+    ``k = (4 d + 64) eps`` at ``d`` dimensions.  Sigma runs through the
+    stepwise loop's own products.  Every other candidate is made and summed
+    as the stepwise loop does, ``x + s z`` then its squares in coordinate
+    order, so every acceptance, tie, inf and nan is the stepwise loop's
+    own, and so is the non-finite check.
+
+    Why a skipped candidate is rejected.  Let u = eps / 2, eta the
+    smallest subnormal and ``gamma_d = d u / (1 - d u)`` (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sections 2.2 and 3.1).
+    Each rounding is ``fl(p op q) = (p op q)(1 + delta) + e`` with
+    ``|delta| <= u`` and ``|e| <= eta / 2``, and ``e`` is 0 but for a
+    product that underflows.  Take the exact ``X = |x|**2``,
+    ``Y = s**2 |z|**2``, ``P = X + Y`` and
+    ``T = |x + s z|**2 = X + 2 s (z . x) + Y``.  A sum of d terms in any
+    order, FMA or not, as any BLAS makes it, is off by at most ``gamma_d``
+    of the sum of their magnitudes plus ``d eta``, and
+    ``2 s sum |x_i z_i| <= P``.  So:
+
+    * the candidate's value ``F``: ``|F - T| <= (2 gamma_d + 8 u) P + d eta``,
+      where ``x + s z`` rounds twice a coordinate;
+    * the parent's value: ``|f - X| <= gamma_d X + d eta``;
+    * ``|D - (T - X)| <= (2 gamma_d + 5 u) P + 2 s d eta + s**2 d eta
+      + eta b / 2``, through ``a``, ``b`` and four roundings.  While ``b`` lies
+      in ``_SCREEN_NORMS``, ``[1e-200, 1e20]``, the last three terms are at
+      most ``2 u P + 3e-304``; a block with a ``b`` outside it skips
+      nothing.
+
+    Hence ``F - f >= D - (5 gamma_d + 15 u) P - 3.1e-304`` (terms of order
+    ``u**2 P`` left out), and ``P <= (1 + gamma_d + 5 u)(f + s s b)`` plus
+    as little, so ``F - f >= D - (2.5 d + 8.5) eps (f + s s b) - 3.2e-304``
+    at ``d <= MAX_DIMENSION``.  ``m`` exceeds that bound even after its own
+    roundings, so ``D > m`` gives ``F > f``.  A skip needs a finite ``m``,
+    so ``f`` and ``s s b`` are finite, and so is every coordinate of the
+    skipped candidate.  If ``D`` overflows, ``T - X`` is within the error
+    terms of the top of the float range, far above ``f``, so ``F > f``
+    still.  A nan ``D`` or ``m``, or an inf ``m``, fails the test and the
+    candidate is made.
     """
-    block = min(BLOCK_GENERATIONS, generations)
-    z = np.empty((block, x.shape[1]))
-    candidates = np.empty((_SPECULATION_DEPTH, x.shape[1]))
-    factors = np.full(_SPECULATION_DEPTH, down)
-    sigmas = np.empty(_SPECULATION_DEPTH)
-    f = fn(x.T).item(0)
-    for start in range(0, generations, block):
-        n = min(block, generations - start)
-        rng.standard_normal(out=z[:n])
+    dim = x.shape[0]
+    k = (4 * dim + 64) * _EPS
+    f = _fold_squares(x)
+    kf = k * f + _SCREEN_TINY
+    for start in range(0, generations, BLOCK_GENERATIONS):
+        n = min(BLOCK_GENERATIONS, generations - start)
+        z = rng.standard_normal((n, dim))
+        b = np.einsum("ij,ij->i", z, z).tolist()
+        if not (_SCREEN_NORMS[0] <= min(b) and max(b) <= _SCREEN_NORMS[1]):
+            b = [math.nan] * n
         g = 0
         while g < n:
-            k = min(_SPECULATION_DEPTH, n - g)
-            # sigma before each of the next k generations if all are rejected:
-            # the stepwise loop's own sequence of rounded products.
-            factors[0] = sigma
-            np.multiply.accumulate(factors[:k], out=sigmas[:k])
-            c = candidates[:k]
-            np.multiply(sigmas[:k, None], z[g : g + k], out=c)
-            np.add(x, c, out=c)
-            values = fn(c.T).tolist()
-            # j: the first acceptance, or the last candidate if there is none.
-            for j, value in enumerate(values):
-                if value <= f:
+            # The next acceptance is about 5 generations away under the
+            # 1/5th rule, so a is made for a few at a time.
+            a = z[g : g + _SCREEN_AHEAD].dot(x).tolist()
+            for ai, bi in zip(a, b[g : g + _SCREEN_AHEAD]):
+                s = sigma
+                g += 1
+                ssb = s * s * bi
+                if (s + s) * ai + ssb > kf + k * ssb:
+                    sigma = s * down
+                    continue
+                c = z[g - 1] * s
+                c += x
+                f_new = _fold_squares(c)
+                # A non-finite candidate has a non-finite value; so has a
+                # finite one whose squares overflow, which is legal.
+                if not f_new < math.inf and not np.isfinite(c).all():
+                    raise NumericalError(_NON_FINITE)
+                if f_new <= f:
+                    x, f, sigma = c, f_new, s * up
+                    kf = k * f + _SCREEN_TINY
                     break
-            # Candidates past j were never made by the stepwise loop.  A
-            # non-finite candidate has a non-finite value, so only a
-            # non-finite sum needs the exact check.
-            if not math.isfinite(sum(values[: j + 1])) and not np.isfinite(c[: j + 1]).all():
-                raise NumericalError(_NON_FINITE)
-            before_last = sigmas.item(j)
-            if values[j] <= f:
-                x[0] = c[j]
-                f, sigma = values[j], before_last * up
-            else:
-                sigma = before_last * down
-            g += j + 1
-    return f, sigma, before_last
+                sigma = s * down
+    return f, sigma, s
+
+
+def _fold_squares(c):
+    """``sphere_eval`` of the 1-D array ``c``: its squares summed in order."""
+    squares = c * c
+    return np.add.accumulate(squares, out=squares).item(-1)

@@ -9,6 +9,7 @@ loop is strictly sequential; every proposal depends on all prior results.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from .es import TAU_MAX, NumericalError, run_batch
@@ -93,8 +94,20 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
 
 def is_duplicate(tau: float, session: TuningSession) -> bool:
     """True iff some already-tried tau lies within the session's duplicate tolerance."""
-    tol = session.config.duplicate_tolerance
-    return any(abs(tau - trial.tau) <= tol for trial in session.trials)
+    tried = sorted(trial.tau for trial in session.trials)
+    return _near_any(tau, tried, session.config.duplicate_tolerance)
+
+
+def _near_any(tau: float, tried: list[float], tol: float) -> bool:
+    """True iff some tau of the sorted list ``tried`` lies within ``tol`` of
+    ``tau``.
+
+    Floating-point subtraction is monotone, so no tried tau is nearer to
+    ``tau`` than its two neighbours in the list, and comparing those two
+    gives the answer of a scan of the whole list.
+    """
+    i = bisect.bisect_left(tried, tau)
+    return any(abs(tau - t) <= tol for t in tried[max(i - 1, 0) : i + 1])
 
 
 def best_of(trials) -> Trial:
@@ -111,11 +124,13 @@ def best_of(trials) -> Trial:
     return best
 
 
-def propose_next_tau(session: TuningSession, backend, log_text: str | None = None) -> float:
+def propose_next_tau(session: TuningSession, backend, log_text: str | None = None,
+                     tried: list[float] | None = None) -> float:
     """Obtain the next untried tau from the backend.
 
     ``log_text`` is the session's results log; by default it is rendered
-    from ``session.trials``.
+    from ``session.trials``.  ``tried`` is the sorted list of the session's
+    taus; by default it is sorted from ``session.trials``.
 
     Duplicate proposals are re-prompted with a reminder up to
     ``max_propose_retries`` times; if the backend keeps repeating itself the
@@ -131,6 +146,9 @@ def propose_next_tau(session: TuningSession, backend, log_text: str | None = Non
 
     if log_text is None:
         log_text = render_log(session.trials, include_std=cfg.log_std)
+    if tried is None:
+        tried = sorted(trial.tau for trial in session.trials)
+    tol = cfg.duplicate_tolerance
     if log_text:
         base_prompt = render_analysis_prompt(log_text)
     else:
@@ -151,7 +169,7 @@ def propose_next_tau(session: TuningSession, backend, log_text: str | None = Non
             last_extraction_error = exc
             prompt = base_prompt
             continue
-        if not is_duplicate(tau, session):
+        if not _near_any(tau, tried, tol):
             return tau
         last_duplicate = tau
         prompt = f"{base_prompt}\n\n{DUPLICATE_REMINDER}"
@@ -160,7 +178,7 @@ def propose_next_tau(session: TuningSession, backend, log_text: str | None = Non
         assert last_extraction_error is not None
         raise last_extraction_error
     tau = last_duplicate * 1.05
-    while is_duplicate(tau, session):
+    while _near_any(tau, tried, tol):
         if tau * 1.05 == tau:  # the smallest subnormals round back to themselves
             raise ExtractionError(f"fallback tau {tau!r} does not grow by 1.05")
         tau *= 1.05
@@ -183,13 +201,15 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
     log_text = ""
+    tried: list[float] = []
     try:
         try:
             for trial_index in range(cfg.budget):
-                tau = propose_next_tau(session, backend, log_text)
+                tau = propose_next_tau(session, backend, log_text, tried)
                 trial = run_trial(tau, cfg, trial_index)
                 trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
                 session.trials.append(trial)
+                bisect.insort(tried, tau)
                 line = log_line(trial, include_std=cfg.log_std)
                 log_text += line
                 if writer is not None:

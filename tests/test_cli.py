@@ -399,7 +399,7 @@ class TestFilesTheCliNames:
             raise AssertionError("an ES run started before the outputs were named")
 
         monkeypatch.setattr(es, "run_batch", no_run)
-        for name in ("_stepwise", "_speculate", "_lockstep"):
+        for name in ("_stepwise", "_screened", "_lockstep"):
             monkeypatch.setattr(es, name, no_run)
         script = _script_file(tmp_path, ["tau = 0.7"])
         before = Path(script).read_bytes()

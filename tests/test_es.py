@@ -108,8 +108,8 @@ class TestSphereColumns:
     @settings(max_examples=150, deadline=None)
     @given(_column_arrays())
     # numpy sums pairwise along the fast axis, which differs from the fold in
-    # these two: a single column of 8 or more coordinates, and the
-    # speculative path's F-ordered transpose.
+    # these two: a single column of 8 or more coordinates, and an F-ordered
+    # transpose.
     @example(np.random.default_rng(1).standard_normal((9, 1)))
     @example(np.random.default_rng(0).standard_normal((2, 64)).T)
     def test_columns_match_a_left_to_right_fold(self, x):
@@ -416,7 +416,7 @@ def _batches(draw):
 
 @st.composite
 def _lockstep_batches(draw):
-    """Like ``_batches``, but 4-8 rows: more than the stepwise and speculative
+    """Like ``_batches``, but 4-8 rows: more than the stepwise and screened
     paths take."""
     template = EsTemplate(
         sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
@@ -449,7 +449,7 @@ def _rows_or_message(template, taus, seeds):
 def _spy_paths(monkeypatch):
     """The names of the row paths ``run_batch`` takes from here on."""
     taken = set()
-    for name in ("_stepwise", "_speculate", "_lockstep"):
+    for name in ("_stepwise", "_screened", "_lockstep"):
         def spy(*args, _name=name, _real=getattr(es_mod, name)):
             taken.add(_name)
             return _real(*args)
@@ -466,37 +466,40 @@ def _oracle_or_error(template, tau, seed):
         return None
 
 
+def _assert_rows_match_oracle(template, rows):
+    taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
+    expected = [_oracle_or_error(template, tau, seed) for tau, seed in rows]
+    objective = ObjectiveSpec("sphere", template.dimension)
+    if None in expected:
+        with pytest.raises(ValueError):
+            run_batch(template, objective, taus, seeds)
+        return
+    results = run_batch(template, objective, taus, seeds)
+    got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
+    assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
+
+
 class TestRunBatch:
     @settings(max_examples=200, deadline=None)
     @given(_batches())
     def test_rows_match_stepwise_oracle_bit_for_bit(self, batch):
-        template, rows = batch
-        taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
-        expected = [_oracle_or_error(template, tau, seed) for tau, seed in rows]
-        objective = ObjectiveSpec("sphere", template.dimension)
-        if None in expected:
-            with pytest.raises(ValueError):
-                run_batch(template, objective, taus, seeds)
-            return
-        results = run_batch(template, objective, taus, seeds)
-        got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
-        assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
+        _assert_rows_match_oracle(*batch)
 
     @settings(max_examples=100, deadline=None)
     @given(_lockstep_batches())
     def test_lockstep_rows_equal_speculative_chunks(self, batch):
-        # 4+ rows run in lockstep, chunks of at most 3 stepwise or by
-        # speculation, as their dimension decides.
+        # 4+ rows run in lockstep, chunks of at most 3 stepwise or screened,
+        # as their dimension decides.
         template, rows = batch
         taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
         chunks = [
             _hex_rows_or_error(template, taus[i : i + 3], seeds[i : i + 3])
             for i in range(0, len(rows), 3)
         ]
-        speculative = (
+        few_rows = (
             "NumericalError" if "NumericalError" in chunks else [r for c in chunks for r in c]
         )
-        assert _hex_rows_or_error(template, taus, seeds) == speculative
+        assert _hex_rows_or_error(template, taus, seeds) == few_rows
 
     def test_one_row_at_the_paper_setting_matches_stepwise(self):
         # run-es traffic: one row, 5-D, 1000 generations.
@@ -523,8 +526,8 @@ class TestRunBatch:
         [
             (1, 1, "_stepwise"),
             (3, es_mod._STEPWISE_DIMENSION, "_stepwise"),
-            (1, es_mod._STEPWISE_DIMENSION + 1, "_speculate"),
-            (3, 64, "_speculate"),
+            (1, es_mod._STEPWISE_DIMENSION + 1, "_screened"),
+            (3, 64, "_screened"),
             (4, 3, "_lockstep"),
             (4, 64, "_lockstep"),
         ],
@@ -532,11 +535,21 @@ class TestRunBatch:
     def test_path_is_chosen_by_rows_and_dimension(self, monkeypatch, rows, dimension, path):
         # A wrapped registry entry, as the benchmark's tracer installs, must
         # not change the path: it is chosen by the objective's name.
+        self._check_path(monkeypatch, "sphere", rows, dimension, path)
+
+    @pytest.mark.parametrize("rows, dimension", [(1, 5), (3, 64)])
+    def test_other_objectives_run_in_lockstep(self, monkeypatch, rows, dimension):
+        self._check_path(monkeypatch, "other", rows, dimension, "_lockstep")
+
+    @staticmethod
+    def _check_path(monkeypatch, name, rows, dimension, path):
+        # The registry entry computes the sphere, so every row must still
+        # equal the stepwise oracle.
         sphere = es_mod.get_objective("sphere")
-        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", lambda x: sphere(x))
+        monkeypatch.setitem(es_mod._OBJECTIVES, name, lambda x: sphere(x))
         taken = _spy_paths(monkeypatch)
         template = EsTemplate(dimension=dimension, max_generations=20)
-        results = run_batch(template, ObjectiveSpec("sphere", dimension),
+        results = run_batch(template, ObjectiveSpec(name, dimension),
                             [0.9] * rows, list(range(rows)))
         assert taken == {path}
         for result, seed in zip(results, range(rows)):
@@ -545,11 +558,11 @@ class TestRunBatch:
 
     def test_non_finite_message_is_the_same_on_both_paths(self, monkeypatch):
         # Three paths: 2 rows at 5-D run stepwise, 2 rows past the stepwise
-        # limit by speculation, 4 rows in lockstep.
+        # limit screened, 4 rows in lockstep.
         seed = 16789950873655392269
         cases = [
             (5, [2, seed], "_stepwise"),
-            (es_mod._STEPWISE_DIMENSION + 1, [2, seed], "_speculate"),
+            (es_mod._STEPWISE_DIMENSION + 1, [2, seed], "_screened"),
             (5, [2, seed, 3, 4], "_lockstep"),
         ]
         messages = []
@@ -599,12 +612,12 @@ class TestRunBatch:
 
     def test_zero_sigma_message_is_the_same_on_both_paths(self, monkeypatch):
         # Every offspring is worse than the start point, so sigma reaches 0:
-        # by speculation in 1 row, in lockstep in 4.  Only the sphere runs
-        # stepwise, and on the sphere a tiny sigma leaves the candidate
-        # equal to its parent, a tie that is accepted; so the stepwise row
-        # is started at sigma 0, which stays 0.
+        # in lockstep in 1 row and in 4.  Only the sphere runs stepwise or
+        # screened, and on the sphere a tiny sigma leaves the candidate
+        # equal to its parent, a tie that is accepted; so the stepwise and
+        # screened rows are started at sigma 0, which stays 0.
         messages = []
-        for rows, path in ((1, "_speculate"), (4, "_lockstep")):
+        for rows in (1, 4):
             first = iter([0.0])
             monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
                                 lambda x: np.full(x.shape[1], next(first, 1.0)))
@@ -613,16 +626,21 @@ class TestRunBatch:
                 with pytest.raises(NumericalError) as caught:
                     run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
                               [TAU_MAX] * rows, list(range(rows)))
-            assert taken == {path}
+            assert taken == {"_lockstep"}
             messages.append(str(caught.value))
-        stepwise = es_mod._stepwise
+        stepwise, screened = es_mod._stepwise, es_mod._screened
         start = [1.0, -2.0, 3.0, 0.5, 0.0]
         assert stepwise(make_rng(0), start, 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
+        assert screened(make_rng(0), np.array(start * 3), 0.0, 2.0, 0.5, 200) == (42.75, 0.0, 0.0)
         monkeypatch.setattr(es_mod, "_stepwise",
                             lambda rng, x, sigma, *rest: stepwise(rng, x, 0.0, *rest))
-        with pytest.raises(NumericalError) as caught:
-            run_batch(_paper_template(200), SPHERE_5D, [TAU_MAX], [0])
-        messages.append(str(caught.value))
+        monkeypatch.setattr(es_mod, "_screened",
+                            lambda rng, x, sigma, *rest: screened(rng, x, 0.0, *rest))
+        for dimension in (5, 15):
+            with pytest.raises(NumericalError) as caught:
+                run_batch(EsTemplate(dimension=dimension, max_generations=200),
+                          ObjectiveSpec("sphere", dimension), [TAU_MAX], [0])
+            messages.append(str(caught.value))
         assert len(set(messages)) == 1
 
     @settings(max_examples=60, deadline=None)
@@ -731,3 +749,146 @@ class TestRunBatch:
         trials = run_grid(spec, cfg)
         for i, tau in enumerate(grid_values(spec)):
             assert trials[i] == run_trial(tau, cfg, i)
+
+
+# Most coordinates times generations a screened case runs, so that the
+# stepwise oracle stays quick.
+_SCREENED_CELLS = 40_000
+
+
+@st.composite
+def _screened_batches(draw):
+    """1-3 rows past the stepwise limit, on a template whose sigma0 reaches
+    from 1e-300 to 1e308 and whose init box gives squares from subnormal to
+    past the float range."""
+    dimension = draw(st.integers(es_mod._STEPWISE_DIMENSION + 1, MAX_DIMENSION))
+    box = draw(st.sampled_from([1e-160, 1e-3, 5.0, 1e150, 1e300]))
+    template = EsTemplate(
+        sigma0=10.0 ** draw(st.floats(min_value=-300, max_value=308)),
+        dimension=dimension,
+        max_generations=draw(st.integers(1, min(300, _SCREENED_CELLS // dimension))),
+        init_low=-box,
+        init_high=box,
+    )
+    rows = draw(st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
+        st.integers(0, (1 << 64) - 1),
+    ), min_size=1, max_size=3))
+    return template, rows
+
+
+def _screened_row(template, tau, seed):
+    """``run_batch``'s one row, checked to run on the screened path."""
+    with pytest.MonkeyPatch.context() as patch:
+        taken = _spy_paths(patch)
+        result = run_batch(template, ObjectiveSpec("sphere", template.dimension),
+                           [tau], [seed])[0]
+    assert taken == {"_screened"}
+    return result
+
+
+class _ScaledNormals:
+    """A stand-in generator whose normals are ``make_rng(seed)``'s times
+    ``scale``, so that ``|z|**2`` reaches from 0 to past 1e20."""
+
+    def __init__(self, seed, scale):
+        self._rng, self._scale = make_rng(seed), scale
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size) * self._scale
+
+
+def _path_row(path, seed, scale, x, sigma0, tau, generations):
+    up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = path(_ScaledNormals(seed, scale), x, sigma0, up, down, generations)
+    except NumericalError as exc:
+        return str(exc)
+    return [v.hex() for v in row]
+
+
+class TestScreened:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(es_mod._STEPWISE_DIMENSION + 1, 200),
+        st.integers(1, 300),
+        st.integers(0, (1 << 64) - 1),
+        st.floats(-250, 20),
+        st.floats(-300, 308),
+        st.floats(-300, 300),
+        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
+    )
+    # Squares of normals near 1e-161 are subnormal and |z|**2 is off by
+    # tens of percent: a screen without its range of |z|**2 skips accepted
+    # candidates here.
+    @example(13, 300, 2, -161.5, 154.0, -7.5, 0.9)
+    def test_equals_stepwise_on_normals_of_any_size(self, dimension, generations, seed,
+                                                    scale_exp, sigma_exp, box_exp, tau):
+        # Normals scaled from 1e-250 to 1e20 put |z|**2 on both sides of the
+        # range the screen works in, and make products underflow.
+        x = make_rng(seed ^ 1).uniform(-(10.0**box_exp), 10.0**box_exp, size=dimension)
+        args = (seed, 10.0**scale_exp)
+        rest = (10.0**sigma_exp, tau, generations)
+        screened = _path_row(es_mod._screened, *args, x, *rest)
+        assert screened == _path_row(es_mod._stepwise, *args, x.tolist(), *rest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_screened_batches())
+    def test_rows_match_stepwise_oracle_bit_for_bit(self, batch):
+        _assert_rows_match_oracle(*batch)
+
+    @pytest.mark.parametrize("dimension", [13, 200])
+    def test_a_tie_is_accepted(self, dimension):
+        # At sigma 1e-300 the first candidate equals its parent: a tie,
+        # accepted, so sigma grows by the up factor.
+        template = EsTemplate(sigma0=1e-300, dimension=dimension, max_generations=1)
+        result = _screened_row(template, 1.0, 3)
+        rng = make_rng(3)
+        start = rng.uniform(template.init_low, template.init_high, size=dimension)
+        assert result.best_f == sphere_eval(start)
+        assert result.final_sigma == update_sigma(1e-300, 1.0, True)
+        f, sigma = stepwise_run(template, 1.0, 3)
+        assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_sigma0_1e308_raises_the_shared_message(self):
+        template = EsTemplate(sigma0=1e308, dimension=13, max_generations=200)
+        seed = 16789950873655392269
+        assert _oracle_or_error(template, 1.0, seed) is None
+        with pytest.raises(NumericalError) as caught:
+            _screened_row(template, 1.0, seed)
+        assert str(caught.value) == es_mod._NON_FINITE
+
+    def test_subnormal_parent(self):
+        # Coordinates below 1e-160 square to subnormals, where a rounding
+        # error is absolute, not relative.
+        template = EsTemplate(sigma0=1e-160, dimension=13, max_generations=300,
+                              init_low=-1e-160, init_high=1e-160)
+        f0 = sphere_eval(make_rng(5).uniform(-1e-160, 1e-160, size=13))
+        assert 0 < f0 < np.finfo(float).tiny
+        result = _screened_row(template, 0.9, 5)
+        f, sigma = stepwise_run(template, 0.9, 5)
+        assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_parent_whose_squares_overflow(self):
+        # f is inf, so nothing is skipped, and every finite candidate ties.
+        template = EsTemplate(dimension=13, max_generations=50, init_low=-1e300, init_high=1e300)
+        result = _screened_row(template, 0.9, 5)
+        with np.errstate(over="ignore"):
+            f, sigma = stepwise_run(template, 0.9, 5)
+        assert result.best_f == f == math.inf
+        assert result.final_sigma.hex() == sigma.hex()
+
+    def test_makes_about_the_accepted_candidates_only(self, monkeypatch):
+        # At 64-D about one offspring in five is accepted; the screen makes
+        # those and the start point, and skips the rest.
+        template = EsTemplate(dimension=64, max_generations=1000)
+        history = []
+        stepwise_run(template, 0.9, 11, history)
+        accepted = sum(b < a for a, b in zip(history, history[1:])) + (history[0] < math.inf)
+        made = []
+        fold = es_mod._fold_squares
+        monkeypatch.setattr(es_mod, "_fold_squares", lambda c: made.append(1) or fold(c))
+        _screened_row(template, 0.9, 11)
+        assert 100 < accepted < 300
+        assert accepted + 1 <= len(made) <= accepted + 6

@@ -7,7 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from estune.es import (
@@ -157,6 +157,9 @@ class TestSessionConfig:
         assert replace(fast_cfg, duplicate_tolerance=tol).duplicate_tolerance == tol
 
 
+_TRIED_TAUS = st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True)
+
+
 class TestIsDuplicate:
     def _session(self, fast_cfg, taus):
         session = TuningSession(config=fast_cfg)
@@ -178,6 +181,27 @@ class TestIsDuplicate:
 
     def test_empty_session(self, fast_cfg):
         assert not is_duplicate(0.95, self._session(fast_cfg, []))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_at_exactly_the_tolerance(self, fast_cfg, sign):
+        session = self._session(replace(fast_cfg, duplicate_tolerance=0.25), [2.0, 0.25, 1.0])
+        edge = 1.0 + sign * 0.25
+        assert is_duplicate(edge, session)
+        assert not is_duplicate(math.nextafter(edge, sign * math.inf), session)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TRIED_TAUS, min_size=1, max_size=40), _TRIED_TAUS, st.data())
+    def test_bisect_equals_a_linear_scan(self, taus, tau, data):
+        # The tolerance is drawn, or is the distance from tau to a tried tau,
+        # so that tau lies exactly at the tolerance; t + tol and t - tol are
+        # probed too.
+        t = data.draw(st.sampled_from(taus))
+        tol = data.draw(st.one_of(st.just(abs(tau - t)), _TRIED_TAUS))
+        assume(0 < tol < TAU_MAX)
+        session = TuningSession(config=replace(HOSTILE_CFG, duplicate_tolerance=tol))
+        session.trials = [_synthetic_trial(tried, 1.0) for tried in taus]
+        for probe in (tau, t + tol, t - tol):
+            assert is_duplicate(probe, session) == any(abs(probe - u) <= tol for u in taus)
 
 
 class TestBestTrial:
