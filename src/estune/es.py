@@ -455,37 +455,23 @@ def run_batch(
 
     # By name, not by fn: a wrapped registry entry must not change the path.
     if objective.name == "sphere" and len(seeds) <= _FEW_ROWS:
-        rngs = [make_rng(seed) for seed in seeds]
-        starts = [start(rng) for rng in rngs]
-        if dim <= _STEPWISE_DIMENSION:
-            rows = [
-                _stepwise(rng, starts[i].tolist(), sigma0, up[i], down[i], generations)
-                for i, rng in enumerate(rngs)
-            ]
-        else:
-            # Squares and products that overflow to inf are legal, as in
-            # sphere_eval.
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = [
-                    _screened(rng, starts[i], sigma0, up[i], down[i], generations)
-                    for i, rng in enumerate(rngs)
-                ]
+        row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
+        rows = [
+            row(rng, start(rng), sigma0, up[i], down[i], generations)
+            for i, rng in enumerate(map(make_rng, seeds))
+        ]
     else:
         # A row's normals and candidates: 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
-        # A failing row runs on with inf/nan until the check at the end of
-        # its block; squares that overflow to inf are legal, as in
-        # sphere_eval.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Each chunk seeds its generators and draws its start points
-            # itself, so a batch holds one chunk's rows at a time.
-            for i in range(0, len(seeds), chunk):
-                part = slice(i, i + chunk)
-                rngs = _seeded_generators(seeds[part])
-                rows += _lockstep(fn, rngs, np.array([start(rng) for rng in rngs]), sigma0,
-                                  up[part], down[part], generations)
+        # Each chunk seeds its generators and draws its start points itself,
+        # so a batch holds one chunk's rows at a time.
+        for i in range(0, len(seeds), chunk):
+            part = slice(i, i + chunk)
+            rngs = _seeded_generators(seeds[part])
+            rows += _lockstep(fn, rngs, np.array([start(rng) for rng in rngs]), sigma0,
+                              up[part], down[part], generations)
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
@@ -503,6 +489,9 @@ def run_batch(
     ]
 
 
+# A failing row runs on with inf/nan until the check at the end of its
+# block; squares that overflow to inf are legal, as in sphere_eval.
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     """All rows one generation at a time: ``(f, sigma, sigma before the last
     generation)`` of each row.
@@ -553,11 +542,13 @@ def _stepwise(rng, x, sigma, up, down, generations):
     """One sphere row, one generation at a time in Python floats: ``(f,
     sigma, sigma before the last generation)``.
 
-    ``x`` is the row's start point as a list.  Each candidate coordinate is
-    ``xi + sigma * zi`` and the squares are summed with ``+=`` in coordinate
-    order: the stepwise loop's own operations, in its order.  Only an
-    accepted candidate is kept, made again from the same operands.
+    ``x`` is the row's start point as a 1-D array, taken as a list.  Each
+    candidate coordinate is ``xi + sigma * zi`` and the squares are summed
+    with ``+=`` in coordinate order: the stepwise loop's own operations, in
+    its order.  Only an accepted candidate is kept, made again from the same
+    operands.
     """
+    x = x.tolist()
     f = 0.0
     for xi in x:
         f += xi * xi
@@ -583,6 +574,8 @@ def _stepwise(rng, x, sigma, up, down, generations):
     return f, sigma, before_last
 
 
+# Squares and products that overflow to inf are legal, as in sphere_eval.
+@np.errstate(over="ignore", invalid="ignore")
 def _screened(rng, x, sigma, up, down, generations):
     """One sphere row that makes only the offspring that may be accepted:
     ``(f, sigma, sigma before the last generation)``.

@@ -26,13 +26,12 @@ from .store import (
     STATUS_ABORTED, STATUS_COMPLETED, STATUS_RUNNING, EmptySessionError, SessionConfig,
     SessionWriter, Trial, TuningSession, log_line, trial_stats,
 )
-from .store import render_log  # also wrapped by name in bench/tracer.py
+from .store import render_log  # noqa: F401  (bench/tracer.py wraps loop.render_log by name)
 from .store import write_session  # noqa: F401  (bench/tracer.py wraps loop.write_session by name)
 
 __all__ = [
     "best_of",
     "derive_seed",
-    "is_duplicate",
     "propose_next_tau",
     "run_session",
     "run_trial",
@@ -92,12 +91,6 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
     return trials
 
 
-def is_duplicate(tau: float, session: TuningSession) -> bool:
-    """True iff some already-tried tau lies within the session's duplicate tolerance."""
-    tried = sorted(trial.tau for trial in session.trials)
-    return _near_any(tau, tried, session.config.duplicate_tolerance)
-
-
 def _near_any(tau: float, tried: list[float], tol: float) -> bool:
     """True iff some tau of the sorted list ``tried`` lies within ``tol`` of
     ``tau``.
@@ -124,13 +117,12 @@ def best_of(trials) -> Trial:
     return best
 
 
-def propose_next_tau(session: TuningSession, backend, log_text: str | None = None,
-                     tried: list[float] | None = None) -> float:
+def propose_next_tau(session: TuningSession, backend, log_text: str,
+                     tried: list[float]) -> float:
     """Obtain the next untried tau from the backend.
 
-    ``log_text`` is the session's results log; by default it is rendered
-    from ``session.trials``.  ``tried`` is the sorted list of the session's
-    taus; by default it is sorted from ``session.trials``.
+    ``log_text`` is the session's results log and ``tried`` the sorted list
+    of its taus, both kept by ``run_session``.
 
     Duplicate proposals are re-prompted with a reminder up to
     ``max_propose_retries`` times; if the backend keeps repeating itself the
@@ -144,10 +136,6 @@ def propose_next_tau(session: TuningSession, backend, log_text: str | None = Non
         raise ValueError(f"cannot propose on a {session.status} session")
     cfg = session.config
 
-    if log_text is None:
-        log_text = render_log(session.trials, include_std=cfg.log_std)
-    if tried is None:
-        tried = sorted(trial.tau for trial in session.trials)
     tol = cfg.duplicate_tolerance
     if log_text:
         base_prompt = render_analysis_prompt(log_text)

@@ -51,7 +51,8 @@ def grid_values(spec: GridSpec) -> list[float]:
 def run_grid(spec: GridSpec, cfg: SessionConfig) -> list[Trial]:
     """One replicated trial per grid value; no LLM involved.
 
-    Every (grid value, replicate) row runs in one lockstep ES batch; trial i
+    Every (grid value, replicate) row runs in one ES batch, in lockstep
+    unless the grid has at most 3 rows (see ``es.run_batch``); trial i
     equals ``run_trial(grid_values(spec)[i], cfg, i)``.
     """
     taus = grid_values(spec)

@@ -32,12 +32,12 @@ the next proposal.  Every record therefore reaches the disk once.  A crash
 can leave at most a torn last line, which ``read_session`` reports as a
 ``SessionFileError`` whose ``partial`` holds everything before it.
 
-Analysis prompts repeat the whole log, so the writer keeps the analysis
-prompt over the log it has written, and its JSON escape, and extends both
-by one line per trial.  An exchange whose prompt starts with that prompt is
-written from the cached escape plus the escape of its own tail; any other
-prompt goes through ``json.dumps``.  Either way the bytes are those of
-``write_session``, the uncached reference.
+Each analysis prompt repeats the whole log, and a proposal's re-prompts
+repeat its first prompt, so the writer keeps the last first-attempt prompt
+it wrote (``attempt == 0``) and that prompt's JSON escape.  An exchange
+whose prompt starts with the kept prompt is written from the kept escape
+plus the escape of its own tail; any other prompt is escaped whole.  Either
+way the bytes are those of ``write_session``, the uncached reference.
 
 ``write_session`` writes the same header, trial blocks and tail in one go.
 A trial's exchanges precede its record; any exchanges after the last trial
@@ -68,7 +68,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
 from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
-from .llm import LlmExchange, render_analysis_prompt
+from .llm import LlmExchange
 
 __all__ = [
     "EmptySessionError", "MAX_REPLICATES", "SCHEMA_VERSION", "STATUS_ABORTED",
@@ -284,12 +284,15 @@ def output_paths(out_base, *suffixes: str) -> list[Path]:
     """The path ``<out_base><suffix>`` of each suffix, with its directory made.
 
     Raises ConfigurationError when ``out_base`` ends in no file name
-    (``""``, ``"."``, ``".."``, ``"/"``), or when a component of its
-    directory is an existing non-directory, before anything is made.
+    (``""``, ``"."``, ``".."``, ``"/"``), holds a NUL byte, or when a
+    component of its directory is an existing non-directory, before
+    anything is made.
     """
     base = Path(out_base)
     if base.name in ("", ".."):
         raise ConfigurationError(f"output base {str(out_base)!r} names no file")
+    if "\0" in str(base):  # no file name can hold one
+        raise ConfigurationError(f"output base {str(out_base)!r} holds a NUL byte")
     # Every component above the non-directory exists, so mkdir has made
     # nothing when it fails on it.
     try:
@@ -314,15 +317,14 @@ class SessionWriter:
     file, so every trial reaches the OS before the next proposal.  The
     finished files equal ``write_session`` of the session and
     ``render_log`` of its trials; in between they hold every trial so far.
-    Prompts that start with the analysis prompt over the log so far are
+    A prompt that starts with the last first-attempt prompt written is
     escaped from a cache, so persisting a trial costs its new bytes, not
     the whole log again.
     """
 
     def __init__(self, session: TuningSession, out_base):
         self.session_path, self.log_path = output_paths(out_base, ".session.jsonl", ".log")
-        self._log = ""
-        self._prompt = self._prompt_json = ""  # render_analysis_prompt(self._log), escaped
+        self._prompt = self._prompt_json = ""  # the last attempt-0 prompt, escaped
         with contextlib.ExitStack() as stack:
             self._session_file = stack.enter_context(open(self.session_path, "w", encoding="utf-8"))
             self._log_file = stack.enter_context(open(self.log_path, "w", encoding="utf-8"))
@@ -332,22 +334,19 @@ class SessionWriter:
     def _fast_exchange_line(self, exchange: LlmExchange) -> str:
         """``_exchange_line(exchange)``, with the prompt escaped from the cache."""
         prompt = exchange.prompt
-        if not (self._prompt and prompt.startswith(self._prompt)):
-            return _exchange_line(exchange)
+        if prompt.startswith(self._prompt):
+            prompt_json = self._prompt_json + _escape(prompt[len(self._prompt):])[1:-1]
+        else:
+            prompt_json = _escape(prompt)[1:-1]
+        if exchange.attempt == 0:
+            self._prompt, self._prompt_json = prompt, prompt_json
         rest = {key: getattr(exchange, key) for key in _EXCHANGE_KEYS[1:]}
-        return (_PROMPT_AT + self._prompt_json + _escape(prompt[len(self._prompt):])[1:]
-                + "," + _encode(rest)[1:] + "\n")
+        return _PROMPT_AT + prompt_json + '",' + _encode(rest)[1:] + "\n"
 
     def append_trial(self, trial: Trial, line: str) -> None:
         """Append ``trial`` after the exchanges that proposed it, and its log ``line``."""
         _emit(self._session_file, _trial_block(trial, self._fast_exchange_line))
         _emit(self._log_file, line)
-        self._log += line
-        prompt = render_analysis_prompt(self._log)
-        if not prompt.startswith(self._prompt):
-            self._prompt = self._prompt_json = ""
-        self._prompt_json += _escape(prompt[len(self._prompt):])[1:-1]
-        self._prompt = prompt
 
     def finish(self, session: TuningSession) -> None:
         """Append the pending exchanges, then the status record, and close both files."""
@@ -404,19 +403,28 @@ def _build(cls: type, raw: Any, **given: Any) -> Any:
     return cls(**given)
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# json.loads with a keyword argument builds a new decoder per call.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def decode_json(raw: bytes) -> Any:
     """The JSON value of UTF-8 bytes.
 
     Raises ValueError, its text starting ``not UTF-8: `` or ``invalid
     JSON: ``, for bytes that are not UTF-8 or text that is not JSON (too
-    deep a nesting and too long an integer included).
+    deep a nesting, too long an integer, and Python's ``NaN``, ``Infinity``
+    and ``-Infinity`` included).
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
+        return _decode(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
 

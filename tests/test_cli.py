@@ -361,10 +361,10 @@ class TestPrecedence:
 
 
 class TestFilesTheCliNames:
-    """An output base with no file name, and a script or config file that
-    cannot be decoded, are usage errors, not tracebacks."""
+    """An output base with no file name or with a NUL byte, and a script or
+    config file that cannot be decoded, are usage errors, not tracebacks."""
 
-    @pytest.mark.parametrize("out", ["", ".", "/"])
+    @pytest.mark.parametrize("out", ["", ".", "/", "o\x00", "d\x00/o"])
     def test_tune_out_without_file_name_exits_2(self, run_cli, tmp_path, capsys, out):
         script = _script_file(tmp_path, ["tau = 0.7"])
         code = run_cli(["tune", "--backend", "scripted", "--script", script, "--budget", "1",
@@ -374,7 +374,7 @@ class TestFilesTheCliNames:
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("out", ["", ".", "/"])
+    @pytest.mark.parametrize("out", ["", ".", "/", "g\x00", "d\x00/g"])
     def test_grid_out_without_file_name_exits_2_before_any_run(
         self, run_cli, monkeypatch, capsys, out
     ):
@@ -419,8 +419,8 @@ class TestFilesTheCliNames:
         assert err.startswith("usage error: cannot read config file a\\nb\\r: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("content", [b"[\"tau = 0.7\xff\"]", b"[" * 100_000],
-                             ids=["not_utf8", "nested_too_deep"])
+    @pytest.mark.parametrize("content", [b"[\"tau = 0.7\xff\"]", b"[" * 100_000, b"[NaN]"],
+                             ids=["not_utf8", "nested_too_deep", "nan"])
     def test_undecodable_script_file_exits_2(self, run_cli, tmp_path, capsys, content):
         script = tmp_path / "script.json"
         script.write_bytes(content)
@@ -430,8 +430,9 @@ class TestFilesTheCliNames:
         assert capsys.readouterr().err.startswith(f"usage error: cannot read script file {script}")
         assert not (tmp_path / "x.session.jsonl").exists()
 
-    @pytest.mark.parametrize("content", [b"{\"model\": \"\xff\"}", b"[" * 100_000],
-                             ids=["not_utf8", "nested_too_deep"])
+    @pytest.mark.parametrize("content", [b"{\"model\": \"\xff\"}", b"[" * 100_000,
+                                         b"{\"temperature\": Infinity}"],
+                             ids=["not_utf8", "nested_too_deep", "infinity"])
     def test_undecodable_config_file_exits_2(self, run_cli, tmp_path, capsys, content):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)

@@ -630,7 +630,7 @@ class TestRunBatch:
             messages.append(str(caught.value))
         stepwise, screened = es_mod._stepwise, es_mod._screened
         start = [1.0, -2.0, 3.0, 0.5, 0.0]
-        assert stepwise(make_rng(0), start, 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
+        assert stepwise(make_rng(0), np.array(start), 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
         assert screened(make_rng(0), np.array(start * 3), 0.0, 2.0, 0.5, 200) == (42.75, 0.0, 0.0)
         monkeypatch.setattr(es_mod, "_stepwise",
                             lambda rng, x, sigma, *rest: stepwise(rng, x, 0.0, *rest))
@@ -801,8 +801,7 @@ class _ScaledNormals:
 def _path_row(path, seed, scale, x, sigma0, tau, generations):
     up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = path(_ScaledNormals(seed, scale), x, sigma0, up, down, generations)
+        row = path(_ScaledNormals(seed, scale), x, sigma0, up, down, generations)
     except NumericalError as exc:
         return str(exc)
     return [v.hex() for v in row]
@@ -831,7 +830,7 @@ class TestScreened:
         args = (seed, 10.0**scale_exp)
         rest = (10.0**sigma_exp, tau, generations)
         screened = _path_row(es_mod._screened, *args, x, *rest)
-        assert screened == _path_row(es_mod._stepwise, *args, x.tolist(), *rest)
+        assert screened == _path_row(es_mod._stepwise, *args, x, *rest)
 
     @settings(max_examples=100, deadline=None)
     @given(_screened_batches())

@@ -59,14 +59,14 @@ _FLAGS = {
         "--duplicate-tolerance": _FLOATS,
         "--max-propose-retries": ["-1", "0", "1", "x"],
         "--config": _FILE_VALUES,
-        "--out": ["", ".", "..", "/", "o", "d/o", "o/"],
+        "--out": ["", ".", "..", "/", "o", "d/o", "o/", "o\x00"],
     },
     "grid": {
         **_ES_FLAGS,
         "--tau-min": _FLOATS,
         "--tau-max": _FLOATS,
         "--steps": _SIZES + ["101"],
-        "--out": ["", ".", "..", "/", "g", "d/g", "g/"],
+        "--out": ["", ".", "..", "/", "g", "d/g", "g/", "g\x00"],
     },
     "run-es": {**_ES_FLAGS, "--tau": _FLOATS},
 }
@@ -116,6 +116,10 @@ def _example_directory():
 
 @settings(max_examples=150, deadline=None)
 @given(_argv())
+# A NUL byte in an output base, which no file name can hold.
+@example(["grid"] + _BASE["grid"] + ["--out", "g\x00"])
+@example(["tune"] + _BASE["tune"] + ["--backend", "scripted", "--script", "script.json",
+                                     "--out", "o\x00"])
 def test_every_command_line_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with _example_directory(), mock.patch.object(llm, "_sleep", lambda s: None), \

@@ -1,9 +1,10 @@
 """Seed derivation, trials, proposal dedupe, and full sessions."""
 
 import gc
+import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -27,15 +28,18 @@ from estune.llm import (
     render_tune_prompt,
 )
 from estune.loop import (
+    _near_any,
     best_of,
     derive_seed,
-    is_duplicate,
     propose_next_tau,
     run_session,
     run_trial,
     run_trials,
 )
-from estune.store import MAX_REPLICATES, EmptySessionError, SessionConfig, Trial, TuningSession
+import estune.store as store_mod
+from estune.store import (
+    MAX_REPLICATES, EmptySessionError, SessionConfig, SessionWriter, Trial, TuningSession,
+)
 from estune.store import read_session, render_log, write_session
 
 from conftest import FIXTURES
@@ -160,34 +164,39 @@ class TestSessionConfig:
 _TRIED_TAUS = st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True)
 
 
+def _propose(session, backend):
+    """``propose_next_tau`` with the log and sorted taus ``run_session`` keeps."""
+    log_text = render_log(session.trials, include_std=session.config.log_std)
+    return propose_next_tau(session, backend, log_text, sorted(t.tau for t in session.trials))
+
+
 class TestIsDuplicate:
-    def _session(self, fast_cfg, taus):
-        session = TuningSession(config=fast_cfg)
-        session.trials = [_synthetic_trial(tau, 1.0) for tau in taus]
-        return session
+    """The loop's duplicate check, ``_near_any`` over the sorted tried taus."""
 
-    def test_exact_match(self, fast_cfg):
-        assert is_duplicate(0.95, self._session(fast_cfg, [0.95]))
+    def test_exact_match(self):
+        assert _near_any(0.95, [0.95], 1e-9)
 
-    def test_within_tolerance(self, fast_cfg):
-        assert is_duplicate(0.95 + 1e-12, self._session(fast_cfg, [0.95]))
+    def test_within_tolerance(self):
+        assert _near_any(0.95 + 1e-12, [0.95], 1e-9)
 
-    def test_outside_tolerance(self, fast_cfg):
-        assert not is_duplicate(1.0, self._session(fast_cfg, [0.95]))
+    def test_outside_tolerance(self):
+        assert not _near_any(1.0, [0.95], 1e-9)
 
     def test_tolerance_is_the_sessions(self, fast_cfg):
-        cfg = replace(fast_cfg, duplicate_tolerance=0.1)
-        assert is_duplicate(1.0, self._session(cfg, [0.95]))
+        session = TuningSession(config=replace(fast_cfg, duplicate_tolerance=0.1))
+        session.trials = [_synthetic_trial(0.95, 1.0)]
+        assert _propose(session, ScriptedBackend(["tau = 1.0", "tau = 1.1"])) == 1.1
+        assert session.exchanges[1].prompt.endswith(DUPLICATE_REMINDER)
 
-    def test_empty_session(self, fast_cfg):
-        assert not is_duplicate(0.95, self._session(fast_cfg, []))
+    def test_empty_session(self):
+        assert not _near_any(0.95, [], 1e-9)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_at_exactly_the_tolerance(self, fast_cfg, sign):
-        session = self._session(replace(fast_cfg, duplicate_tolerance=0.25), [2.0, 0.25, 1.0])
+    def test_at_exactly_the_tolerance(self, sign):
+        tried = [0.25, 1.0, 2.0]
         edge = 1.0 + sign * 0.25
-        assert is_duplicate(edge, session)
-        assert not is_duplicate(math.nextafter(edge, sign * math.inf), session)
+        assert _near_any(edge, tried, 0.25)
+        assert not _near_any(math.nextafter(edge, sign * math.inf), tried, 0.25)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_TRIED_TAUS, min_size=1, max_size=40), _TRIED_TAUS, st.data())
@@ -198,10 +207,8 @@ class TestIsDuplicate:
         t = data.draw(st.sampled_from(taus))
         tol = data.draw(st.one_of(st.just(abs(tau - t)), _TRIED_TAUS))
         assume(0 < tol < TAU_MAX)
-        session = TuningSession(config=replace(HOSTILE_CFG, duplicate_tolerance=tol))
-        session.trials = [_synthetic_trial(tried, 1.0) for tried in taus]
         for probe in (tau, t + tol, t - tol):
-            assert is_duplicate(probe, session) == any(abs(probe - u) <= tol for u in taus)
+            assert _near_any(probe, sorted(taus), tol) == any(abs(probe - u) <= tol for u in taus)
 
 
 class TestBestTrial:
@@ -236,7 +243,7 @@ class TestProposeNextTau:
     def test_empty_session_uses_tune_prompt(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend(["tau = 0.7"])
-        assert propose_next_tau(session, backend) == 0.7
+        assert _propose(session, backend) == 0.7
         assert len(session.exchanges) == 1
         assert session.exchanges[0].prompt == render_tune_prompt()
 
@@ -244,7 +251,7 @@ class TestProposeNextTau:
         session = TuningSession(config=fast_cfg)
         session.trials = [_synthetic_trial(0.7, 1.5)]
         backend = ScriptedBackend(["tau = 0.9"])
-        propose_next_tau(session, backend)
+        _propose(session, backend)
         prompt = session.exchanges[0].prompt
         assert prompt.startswith("Analyze the following results")
         assert "tau = 0.7, Fitness: 1.5" in prompt
@@ -253,7 +260,7 @@ class TestProposeNextTau:
         session = TuningSession(config=fast_cfg)
         session.trials = [_synthetic_trial(0.95, 1.0)]
         backend = ScriptedBackend(["tau = 0.95", "tau = 0.95", "tau = 1.05"])
-        assert propose_next_tau(session, backend) == 1.05
+        assert _propose(session, backend) == 1.05
         assert len(session.exchanges) == 3
         assert [e.attempt for e in session.exchanges] == [0, 1, 2]
         assert not session.exchanges[0].prompt.endswith(DUPLICATE_REMINDER)
@@ -264,7 +271,7 @@ class TestProposeNextTau:
         session = TuningSession(config=fast_cfg)
         session.trials = [_synthetic_trial(0.95, 1.0)]
         backend = ScriptedBackend(["tau = 0.95"] * 3)
-        proposed = propose_next_tau(session, backend)
+        proposed = _propose(session, backend)
         assert proposed == 0.95 * 1.05
         assert proposed == pytest.approx(0.9975)
         assert len(session.exchanges) == 3
@@ -276,43 +283,43 @@ class TestProposeNextTau:
             _synthetic_trial(0.95 * 1.05, 1.0),
         ]
         backend = ScriptedBackend(["tau = 0.95"] * 3)
-        assert propose_next_tau(session, backend) == pytest.approx(0.95 * 1.05 * 1.05)
+        assert _propose(session, backend) == pytest.approx(0.95 * 1.05 * 1.05)
 
     def test_extraction_failure_after_retries_raises(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend(["no numbers here"] * 3)
         with pytest.raises(ExtractionError):
-            propose_next_tau(session, backend)
+            _propose(session, backend)
         assert len(session.exchanges) == 3
 
     def test_extraction_recovers_on_retry(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend(["no numbers here", "tau = 0.8"])
-        assert propose_next_tau(session, backend) == 0.8
+        assert _propose(session, backend) == 0.8
 
     def test_tau_above_cap_reprompts(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend(["tau = 1000", "tau = 1e308", "tau = 0.8"])
-        assert propose_next_tau(session, backend) == 0.8
+        assert _propose(session, backend) == 0.8
         assert [e.attempt for e in session.exchanges] == [0, 1, 2]
 
     def test_tau_above_cap_after_retries_raises(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend([f"tau = {TAU_MAX * 2}"] * 3)
         with pytest.raises(ExtractionError):
-            propose_next_tau(session, backend)
+            _propose(session, backend)
         assert len(session.exchanges) == 3
 
     def test_tau_at_cap_accepted(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
-        assert propose_next_tau(session, ScriptedBackend([f"tau = {TAU_MAX}"])) == TAU_MAX
+        assert _propose(session, ScriptedBackend([f"tau = {TAU_MAX}"])) == TAU_MAX
 
     def test_fallback_above_cap_raises(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         session.trials = [_synthetic_trial(TAU_MAX, 1.0)]
         backend = ScriptedBackend([f"tau = {TAU_MAX}"] * 3)
         with pytest.raises(ExtractionError):
-            propose_next_tau(session, backend)
+            _propose(session, backend)
 
     def test_fallback_stuck_at_a_subnormal_raises(self, fast_cfg):
         # 5e-324 * 1.05 rounds back to 5e-324, so the fallback cannot move.
@@ -320,18 +327,18 @@ class TestProposeNextTau:
         session.trials = [_synthetic_trial(5e-324, 1.0)]
         backend = ScriptedBackend(["tau = 5e-324"] * 3)
         with pytest.raises(ExtractionError):
-            propose_next_tau(session, backend)
+            _propose(session, backend)
 
     def test_transport_failure_propagates(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend([])  # immediately exhausted
         with pytest.raises(TransportError):
-            propose_next_tau(session, backend)
+            _propose(session, backend)
 
     def test_non_running_session_rejected(self, fast_cfg):
         session = TuningSession(config=fast_cfg, status="completed")
         with pytest.raises(ValueError):
-            propose_next_tau(session, ScriptedBackend(["tau = 1"]))
+            _propose(session, ScriptedBackend(["tau = 1"]))
 
 
 ANALYSIS_REPLY_095 = (
@@ -531,6 +538,48 @@ class TestSessionFiles:
             assert log == (FIXTURES / "golden_completed.log").read_bytes()
         assert log == render_log(session.trials).encode("utf-8")
 
+
+    def test_each_trial_escapes_only_its_new_bytes(self, tmp_path, monkeypatch):
+        # From the third trial on, every prompt extends the last attempt-0
+        # prompt the writer kept: an escape covers at most the new log line
+        # and the duplicate reminder, and an encode one record's other
+        # fields.  Re-escaping the whole log breaks this bound.
+        appended, returned = [], []  # (trial, line); (trials appended, length)
+
+        def spy(fn):
+            def wrapper(value):
+                text = fn(value)
+                returned.append((len(appended), len(text)))
+                return text
+            return wrapper
+
+        monkeypatch.setattr(store_mod, "_escape", spy(store_mod._escape))
+        monkeypatch.setattr(store_mod, "_encode", spy(store_mod._encode))
+        append_trial = SessionWriter.append_trial
+
+        def spy_append_trial(writer, trial, line):
+            appended.append((trial, line))
+            append_trial(writer, trial, line)
+
+        monkeypatch.setattr(SessionWriter, "append_trial", spy_append_trial)
+        replies = ["tau = 0.7", "tau = 0.8", "tau = 0.8", "tau = 0.9", "nothing", "tau = 1.0",
+                   "tau = 1.0", "tau = 1.0", "tau = 1.0", "tau = 1.2", "tau = 1.3", "tau = 0.6"]
+        cfg = replace(GOLDEN_CFG, replicates=1, budget=8)
+        session = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "s")
+        assert session.status == "completed"
+        records = (tmp_path / "s.session.jsonl").read_text(encoding="utf-8").splitlines()
+        trial_records = [r for r in records if r.startswith('{"record":"trial"')]
+        for k, (trial, line) in enumerate(appended[2:], start=2):
+            fields = [len(trial_records[k])] + [
+                len(json.dumps({key: value for key, value in asdict(e).items() if key != "prompt"},
+                               separators=(",", ":")))
+                for e in trial.exchanges
+            ]
+            bound = max(len(json.dumps(line + "\n\n" + DUPLICATE_REMINDER)), *fields)
+            sizes = [n for appended_so_far, n in returned if appended_so_far == k + 1]
+            assert sizes and max(sizes) <= bound, (k, sizes, bound)
+        assert sum(e.attempt > 0 for t in session.trials[2:] for e in t.exchanges) == 4
+        _assert_files_match_the_reference(session, tmp_path / "s", tmp_path)
 
     @pytest.mark.parametrize("status", ["completed", "aborted"])
     @pytest.mark.parametrize("edit", [

@@ -289,6 +289,19 @@ class TestSessionFileErrors:
         assert str(err).startswith("line 4: not UTF-8: ")
         assert [t.tau for t in err.partial.trials] == [0.7]
 
+    def test_nan_tau_names_its_line(self, tmp_path):
+        lines = (FIXTURES / "golden_completed.session.jsonl").read_bytes().splitlines(True)
+        assert lines[2].startswith(b'{"record":"trial","tau":0.7,')
+        lines[2] = lines[2].replace(b'"tau":0.7,', b'"tau":NaN,', 1)
+        path = tmp_path / "nan.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        err = exc_info.value
+        assert err.line_number == 3
+        assert str(err).startswith("line 3: invalid JSON: NaN")
+        assert err.partial.trials == [] and len(err.partial.pending_exchanges) == 1
+
     def test_deeply_nested_header_names_line_1(self, tmp_path):
         lines = (FIXTURES / "golden_completed.session.jsonl").read_bytes().splitlines(True)
         path = tmp_path / "nested.jsonl"
@@ -338,7 +351,11 @@ class TestDecodeJson:
         (b"{not json", "invalid JSON: "),
         (b"[" * 100_000, "invalid JSON: "),
         (b"1" * 5000, "invalid JSON: "),
-    ], ids=["not_utf8", "syntax", "nested_too_deep", "integer_too_long"])
+        (b"NaN", "invalid JSON: "),
+        (b"[Infinity]", "invalid JSON: "),
+        (b'{"tau": -Infinity}', "invalid JSON: "),
+    ], ids=["not_utf8", "syntax", "nested_too_deep", "integer_too_long", "nan", "infinity",
+            "minus_infinity"])
     def test_failures_are_value_errors_named_by_prefix(self, raw, prefix):
         with pytest.raises(ValueError) as exc_info:
             decode_json(raw)
@@ -363,7 +380,7 @@ class TestOutputPaths:
         ]
         assert (tmp_path / "runs").is_dir()
 
-    @pytest.mark.parametrize("out", ["", ".", "..", "/", "runs/.."])
+    @pytest.mark.parametrize("out", ["", ".", "..", "/", "runs/..", "o\x00", "d\x00/o"])
     def test_base_without_file_name_is_a_configuration_error(self, tmp_path, monkeypatch, out):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigurationError):
