@@ -51,7 +51,12 @@ has three paths, chosen by row count, objective name and dimension:
   vectorised pass (``_seed_states``) whose states equal
   ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
   start in ``make_rng``'s state; ``make_rng`` stays the reference, and
-  the other two paths use it.
+  the other two paths use it.  The sphere, again chosen by name, runs in
+  preallocated buffers and sums its squares itself, never through the
+  registry; each block of generations is checked by its values and
+  replayed, keeping its candidates, only when a value is not finite.
+  Every other objective keeps each block's candidates and checks them
+  (see ``_lockstep``).
 
 An objective takes a ``(dimension, N)`` array of any strides, one candidate
 per column, and returns N values.  Summing down a column's coordinates is
@@ -98,6 +103,7 @@ then, checked only after all rows, sigma at 0 before a generation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -224,8 +230,10 @@ def register_objective(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> Non
 
     ``fn`` takes a ``(dimension, N)`` array of any strides, one candidate per
     column, and returns N values.  It must give each column's value from
-    that column alone, and a non-finite value for a column with a
-    non-finite entry: ``run_batch`` screens its candidates by their values.
+    that column alone.  ``run_batch`` checks every candidate it passes for
+    finiteness itself, so a value need not show a non-finite entry.
+    Registering ``"sphere"`` changes no result: sphere batches are run by
+    name.
     """
     _OBJECTIVES[name] = fn
 
@@ -445,7 +453,6 @@ def run_batch(
         raise ConfigurationError(f"objective dimension {objective.dimension} != template's {dim}")
     if not taus:
         return []
-    fn = get_objective(objective.name)
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
     sigma0 = template.sigma0
@@ -453,15 +460,19 @@ def run_batch(
     def start(rng):
         return rng.uniform(template.init_low, template.init_high, size=dim)
 
-    # By name, not by fn: a wrapped registry entry must not change the path.
-    if objective.name == "sphere" and len(seeds) <= _FEW_ROWS:
+    # By name, not by the registered function: a wrapped registry entry must
+    # not change the path.
+    sphere = objective.name == "sphere"
+    if sphere and len(seeds) <= _FEW_ROWS:
         row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
         rows = [
             row(rng, start(rng), sigma0, up[i], down[i], generations)
             for i, rng in enumerate(map(make_rng, seeds))
         ]
     else:
-        # A row's normals and candidates: 2 * block * dim + 8 doubles.
+        fn = None if sphere else get_objective(objective.name)
+        # A row's normals and candidates (kept only by the sphere's replay):
+        # 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
@@ -496,13 +507,32 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     """All rows one generation at a time: ``(f, sigma, sigma before the last
     generation)`` of each row.
 
-    ``x`` holds the start points as ``(rows, dimension)``; the loop keeps
-    the parents and candidates as ``(dimension, rows)``, one row per column.
+    ``fn`` is a registered objective, or None for the sphere.  ``x`` holds
+    the start points as ``(rows, dimension)``; the loop keeps the parents
+    and candidates as ``(dimension, rows)``, one row per column.  Row g of
+    ``sigmas`` holds the sigmas of generation g of a block, so row 0 keeps
+    the block's start.
+
+    A registered objective's candidates are kept for the whole block in
+    one ``(block, dimension, rows)`` buffer, which is checked for
+    finiteness at the block's end.
+
+    The sphere reuses one candidate buffer and one buffer of squares, and
+    ``np.add.reduce`` writes each generation's sums, in coordinate order,
+    into a ``(block, rows)`` buffer of values (``_fold_column`` does so for
+    a one-row chunk).  The parent's value is ``np.minimum(f_new, f)``,
+    which equals the accepted value wherever ``f_new <= f``: sums of
+    squares are never -0, and a nan value comes only from a non-finite
+    candidate.  The block is checked by its values, since a non-finite
+    candidate has a non-finite value.  When one is not finite, the parents
+    and their values are restored to the block's start and the block runs
+    again, keeping each candidate to check it as an objective's.  This
+    tells a non-finite candidate, which raises, from finite squares that
+    overflow, which are legal.  Both runs make the same candidates up to
+    the first non-finite one, so they raise alike.
     """
     rows, dim = x.shape
     x = np.ascontiguousarray(x.T)
-    sigma = np.full(rows, float(sigma0))
-    before_last = np.empty(rows)
     up, down = np.array(up), np.array(down)
     block = min(BLOCK_GENERATIONS, generations)
     # Each row draws its block of normals into its own row of this buffer;
@@ -511,31 +541,79 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     # a power of two, where those strided reads would contend for the same
     # cache sets.
     z = np.empty((rows, block * dim + 8))[:, : block * dim].reshape(rows, block, dim)
-    candidates = np.empty((block, dim, rows))
-    # Every view a generation uses is made here, so that the loop allocates
-    # nothing but the objective's values.
-    steps = list(zip(z.transpose(1, 2, 0), candidates))
+    draws = [(rng.standard_normal, row) for rng, row in zip(rngs, z)]
+    normals = z.transpose(1, 2, 0)
+    sigmas = np.empty((block + 1, rows))
+    sigmas[0] = sigma0
     success = np.empty(rows, dtype=bool)
     factor = np.empty(rows)
-    f = fn(x)
-    for start in range(0, generations, block):
-        n = min(block, generations - start)
-        for row, rng in enumerate(rngs):
-            rng.standard_normal(out=z[row, :n])
-        for normals, c in steps[:n]:
-            np.multiply(sigma, normals, out=c)
+    if fn is None:
+        squares = np.empty((dim, rows))
+        fold = np.add.reduce if rows > 1 else _fold_column
+        f = np.empty(rows)
+        fold(np.multiply(x, x, out=squares), axis=0, out=f)
+        values = np.empty((block, rows))
+        candidates = itertools.repeat(np.empty((dim, rows)))
+        start_x, start_f = np.empty_like(x), np.empty_like(f)
+    else:
+        f = fn(x)
+        values = itertools.repeat(None)
+        candidates = np.empty((block, dim, rows))
+
+    def advance(views):
+        # Every view a generation uses is made before the loop, so that it
+        # allocates nothing but a registered objective's values.
+        for normal, c, f_new, sigma, next_sigma in views:
+            np.multiply(sigma, normal, out=c)
             np.add(x, c, out=c)
-            f_new = fn(c)
+            if fn is None:
+                fold(np.multiply(c, c, out=squares), axis=0, out=f_new)
+            else:
+                f_new = fn(c)
             np.less_equal(f_new, f, out=success)
             np.copyto(x, c, where=success)
-            np.copyto(f, f_new, where=success)
+            if fn is None:
+                np.minimum(f_new, f, out=f)
+            else:
+                np.copyto(f, f_new, where=success)
             np.copyto(factor, down)
             np.copyto(factor, up, where=success)
-            before_last, sigma = sigma, before_last
-            np.multiply(before_last, factor, out=sigma)
-        if not np.isfinite(candidates[:n]).all():
+            np.multiply(sigma, factor, out=next_sigma)
+
+    def views(candidates):
+        return list(zip(normals, candidates, values, sigmas[:-1], sigmas[1:]))
+
+    block_views = views(candidates)
+    for start in range(0, generations, block):
+        n = min(block, generations - start)
+        if start:
+            np.copyto(sigmas[0], sigmas[block])
+        for draw, out in draws:
+            draw(out=out if n == block else out[:n])
+        if fn is None:
+            np.copyto(start_x, x)
+            np.copyto(start_f, f)
+        advance(block_views[:n])
+        if fn is None:
+            if np.isfinite(values[:n]).all():
+                continue
+            np.copyto(x, start_x)
+            np.copyto(f, start_f)
+            kept = np.empty((n, dim, rows))
+            advance(views(kept))
+        else:
+            kept = candidates[:n]
+        if not np.isfinite(kept).all():
             raise NumericalError(_NON_FINITE)
-    return list(zip(f.tolist(), sigma.tolist(), before_last.tolist()))
+    return list(zip(f.tolist(), sigmas[n].tolist(), sigmas[n - 1].tolist()))
+
+
+def _fold_column(squares, axis, out):
+    """``np.add.reduce(squares, axis, out=out)`` for a ``(dimension, 1)``
+    array, summed in coordinate order: a single column is its own fast
+    axis, where ``reduce`` sums pairwise."""
+    np.add.accumulate(squares, axis=axis, out=squares)
+    np.copyto(out, squares[-1])
 
 
 def _stepwise(rng, x, sigma, up, down, generations):

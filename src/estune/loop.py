@@ -79,7 +79,15 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
         raise ValueError("trial_index must be >= 0")
     reps = cfg.replicates
     row_taus = [tau for tau in taus for _ in range(reps)]
-    seeds = [derive_seed(cfg.master_seed, k, i) for k in trial_indices for i in range(reps)]
+    # derive_seed's rounds, each made once: the master seed's, each trial's
+    # two and each replicate index's.  That leaves one round a row.
+    root = _splitmix64(cfg.master_seed & _MASK64)
+    replicate_words = [_splitmix64(i) for i in range(reps)]
+    seeds = [
+        _splitmix64(trial_word ^ replicate_word)
+        for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
+        for replicate_word in replicate_words
+    ]
     results = run_batch(cfg.es_template, cfg.objective, row_taus, seeds)
     trials = []
     for k, tau in enumerate(taus):

@@ -62,6 +62,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -284,15 +285,25 @@ def output_paths(out_base, *suffixes: str) -> list[Path]:
     """The path ``<out_base><suffix>`` of each suffix, with its directory made.
 
     Raises ConfigurationError when ``out_base`` ends in no file name
-    (``""``, ``"."``, ``".."``, ``"/"``), holds a NUL byte, or when a
-    component of its directory is an existing non-directory, before
-    anything is made.
+    (``""``, ``"."``, ``".."``, ``"/"``), holds a NUL byte, gives a file
+    name longer than its filesystem's ``PC_NAME_MAX``, or when a component
+    of its directory is an existing non-directory, before anything is made.
     """
     base = Path(out_base)
     if base.name in ("", ".."):
         raise ConfigurationError(f"output base {str(out_base)!r} names no file")
     if "\0" in str(base):  # no file name can hold one
         raise ConfigurationError(f"output base {str(out_base)!r} holds a NUL byte")
+    # A directory not made yet lies on the filesystem of its nearest
+    # existing ancestor, which sets the longest file name.
+    existing = next(p for p in (base.parent, *base.parent.parents) if p.exists())
+    longest = max(len(os.fsencode(base.name + suffix)) for suffix in suffixes)
+    limit = os.pathconf(existing, "PC_NAME_MAX")
+    if 0 <= limit < longest:
+        raise ConfigurationError(
+            f"output base {str(out_base)!r} gives a file name of {longest} bytes;"
+            f" its filesystem allows {limit}"
+        )
     # Every component above the non-directory exists, so mkdir has made
     # nothing when it fails on it.
     try:

@@ -412,6 +412,25 @@ class TestFilesTheCliNames:
         assert Path(script).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [Path(script).name]
 
+    @pytest.mark.parametrize("command", ["tune", "grid"])
+    def test_too_long_file_name_exits_2_before_any_run(
+        self, run_cli, tmp_path, monkeypatch, capsys, command
+    ):
+        import estune.loop as loop
+
+        ran, run_batch = [], loop.run_batch
+        monkeypatch.setattr(loop, "run_batch", lambda *args: ran.append(args) or run_batch(*args))
+        monkeypatch.chdir(tmp_path)
+        script = _script_file(tmp_path, ["tau = 0.7"])
+        args = (["tune", "--backend", "scripted", "--script", script, "--budget", "1"]
+                if command == "tune" else ["grid", "--steps", "2"])
+        assert run_cli(args + ["--out", "x" * 300] + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [Path(script).name]
+
     def test_file_name_with_a_line_break_stays_on_one_line(self, run_cli, capsys):
         code = run_cli(["tune", "--endpoint", "http://127.0.0.1:9", "--config", "a\nb\r"] + FAST)
         assert code == 2

@@ -577,6 +577,42 @@ class TestRunBatch:
             messages.append(str(caught.value))
         assert len(set(messages)) == 1
 
+    @pytest.mark.parametrize("dimension", [5, 64])
+    @pytest.mark.parametrize("sigma0, box, taus", [(1e160, 5.0, [30, 50, 75, TAU_MAX]),
+                                                   (1.0, 1e300, [0.5, 0.75, 1.0, 1.25])])
+    def test_squares_that_overflow_do_not_raise_in_lockstep(self, monkeypatch, dimension,
+                                                            sigma0, box, taus):
+        # Each row's first candidate is finite but its squares overflow: the
+        # lockstep sphere's values are inf, so the block is replayed from its
+        # start, finds no non-finite candidate, and goes on.  At sigma0 1e160
+        # such candidates are rejected until these taus bring sigma down to
+        # where offspring are accepted, within the same block; in a box of
+        # 1e300 the parent's value is inf too, so each one ties its parent.
+        template = EsTemplate(sigma0=sigma0, dimension=dimension, max_generations=200,
+                              init_low=-box, init_high=box)
+        rows = list(zip(taus, [2, 3, 5, 8]))
+        for _, seed in rows:
+            rng = make_rng(seed)
+            x = rng.uniform(template.init_low, template.init_high, size=dimension)
+            assert sphere_eval(mutate(x, template.sigma0, rng)) == math.inf
+        taken = _spy_paths(monkeypatch)
+        _assert_rows_match_oracle(template, rows)
+        assert taken == {"_lockstep"}
+
+    @pytest.mark.parametrize("sigma0", [1.0, 1e160])
+    def test_a_one_row_chunk_matches_stepwise(self, monkeypatch, sigma0):
+        # 5 rows in chunks of 4: the last chunk holds one row, a single
+        # column, which np.add.reduce would sum pairwise at 64-D.
+        template = EsTemplate(sigma0=sigma0, dimension=64, max_generations=200)
+        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 4 * 8 * (2 * block * 64 + 8))
+        chunks, lockstep = [], es_mod._lockstep
+        monkeypatch.setattr(es_mod, "_lockstep",
+                            lambda fn, rngs, *rest: chunks.append(len(rngs))
+                            or lockstep(fn, rngs, *rest))
+        _assert_rows_match_oracle(template, [(0.9, seed) for seed in range(5)])
+        assert chunks == [4, 1]
+
     def test_raises_on_a_non_finite_candidate(self):
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
         seed = 16789950873655392269

@@ -36,6 +36,7 @@ from estune.loop import (
     run_trial,
     run_trials,
 )
+import estune.loop as loop_mod
 import estune.store as store_mod
 from estune.store import (
     MAX_REPLICATES, EmptySessionError, SessionConfig, SessionWriter, Trial, TuningSession,
@@ -101,6 +102,20 @@ class TestRunTrial:
         trial = run_trial(0.9, fast_cfg, 3)
         expected = [derive_seed(fast_cfg.master_seed, 3, i) for i in range(fast_cfg.replicates)]
         assert [r.seed for r in trial.results] == expected
+
+    def test_batch_seeds_are_derive_seed_with_one_round_a_row(self, fast_cfg, monkeypatch):
+        # 3 trials of 3 replicates: 1 round for the master seed, 2 for each
+        # trial, 1 for each replicate index and 1 for each of the 9 rows.
+        indices = [0, 7, 2**64 + 5]
+        rounds, splitmix64 = [], loop_mod._splitmix64
+        monkeypatch.setattr(loop_mod, "_splitmix64", lambda z: rounds.append(z) or splitmix64(z))
+        trials = run_trials([0.9, 1.1, 1.3], fast_cfg, indices)
+        assert fast_cfg.replicates == 3
+        assert len(rounds) == 1 + 2 * 3 + 3 + 9
+        assert [[r.seed for r in trial.results] for trial in trials] == [
+            [reference_derive(fast_cfg.master_seed, k & (2**64 - 1), i) for i in range(3)]
+            for k in indices
+        ]
 
     def test_all_replicates_share_tau(self, fast_cfg):
         trial = run_trial(1.2, fast_cfg, 0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import statistics
 
@@ -386,6 +387,18 @@ class TestOutputPaths:
         with pytest.raises(ConfigurationError):
             output_paths(out, ".log")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["x", "new/x"])
+    def test_file_name_longer_than_the_filesystem_allows(self, tmp_path, monkeypatch, out):
+        # The limit is checked on the longest name the suffixes give, on the
+        # filesystem of the directory, made or not.
+        monkeypatch.chdir(tmp_path)
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        fits = out + "x" * (limit - len("x.session.jsonl"))
+        with pytest.raises(ConfigurationError, match=f"file name of {limit + 1} bytes"):
+            output_paths(fits + "x", ".log", ".session.jsonl")
+        assert list(tmp_path.iterdir()) == []
+        assert len(output_paths(fits, ".log", ".session.jsonl")[1].name) == limit
 
     @pytest.mark.parametrize("out", ["script.json/x", "script.json/d/x", "d/script.json/x"])
     def test_base_below_a_file_is_a_configuration_error(self, tmp_path, monkeypatch, out):
