@@ -471,8 +471,8 @@ def run_batch(
         ]
     else:
         fn = None if sphere else get_objective(objective.name)
-        # A row's normals and candidates (kept only by the sphere's replay):
-        # 2 * block * dim + 8 doubles.
+        # A row's normals and kept candidates (every block of an objective,
+        # a replayed block of the sphere): 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
@@ -580,10 +580,10 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
             np.copyto(factor, up, where=success)
             np.multiply(sigma, factor, out=next_sigma)
 
-    def views(candidates):
+    def make_views(candidates):
         return list(zip(normals, candidates, values, sigmas[:-1], sigmas[1:]))
 
-    block_views = views(candidates)
+    block_views = make_views(candidates)
     for start in range(0, generations, block):
         n = min(block, generations - start)
         if start:
@@ -600,7 +600,7 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
             np.copyto(x, start_x)
             np.copyto(f, start_f)
             kept = np.empty((n, dim, rows))
-            advance(views(kept))
+            advance(make_views(kept))
         else:
             kept = candidates[:n]
         if not np.isfinite(kept).all():

@@ -285,23 +285,26 @@ def output_paths(out_base, *suffixes: str) -> list[Path]:
     """The path ``<out_base><suffix>`` of each suffix, with its directory made.
 
     Raises ConfigurationError when ``out_base`` ends in no file name
-    (``""``, ``"."``, ``".."``, ``"/"``), holds a NUL byte, gives a file
-    name longer than its filesystem's ``PC_NAME_MAX``, or when a component
-    of its directory is an existing non-directory, before anything is made.
+    (``""``, ``"."``, ``".."``, ``"/"``), holds a NUL byte, gives a file or
+    directory name longer than its filesystem's ``PC_NAME_MAX``, or when a
+    component of its directory is an existing non-directory, before
+    anything is made.
     """
     base = Path(out_base)
     if base.name in ("", ".."):
         raise ConfigurationError(f"output base {str(out_base)!r} names no file")
     if "\0" in str(base):  # no file name can hold one
         raise ConfigurationError(f"output base {str(out_base)!r} holds a NUL byte")
-    # A directory not made yet lies on the filesystem of its nearest
-    # existing ancestor, which sets the longest file name.
-    existing = next(p for p in (base.parent, *base.parent.parents) if p.exists())
-    longest = max(len(os.fsencode(base.name + suffix)) for suffix in suffixes)
+    # The directories still to be made lie on the filesystem of the nearest
+    # existing ancestor, which sets the longest name they and the files may
+    # have.  os.path.exists is False for a name too long to look up.
+    existing = next(p for p in base.parents if os.path.exists(p))
+    names = [*base.relative_to(existing).parts[:-1], *(base.name + s for s in suffixes)]
+    longest = max(len(os.fsencode(name)) for name in names)
     limit = os.pathconf(existing, "PC_NAME_MAX")
     if 0 <= limit < longest:
         raise ConfigurationError(
-            f"output base {str(out_base)!r} gives a file name of {longest} bytes;"
+            f"output base {str(out_base)!r} gives a name of {longest} bytes;"
             f" its filesystem allows {limit}"
         )
     # Every component above the non-directory exists, so mkdir has made

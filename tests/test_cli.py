@@ -412,9 +412,10 @@ class TestFilesTheCliNames:
         assert Path(script).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [Path(script).name]
 
+    @pytest.mark.parametrize("out", ["x" * 300, "x" * 300 + "/x"], ids=["file", "directory"])
     @pytest.mark.parametrize("command", ["tune", "grid"])
     def test_too_long_file_name_exits_2_before_any_run(
-        self, run_cli, tmp_path, monkeypatch, capsys, command
+        self, run_cli, tmp_path, monkeypatch, capsys, command, out
     ):
         import estune.loop as loop
 
@@ -424,7 +425,7 @@ class TestFilesTheCliNames:
         script = _script_file(tmp_path, ["tau = 0.7"])
         args = (["tune", "--backend", "scripted", "--script", script, "--budget", "1"]
                 if command == "tune" else ["grid", "--steps", "2"])
-        assert run_cli(args + ["--out", "x" * 300] + FAST) == 2
+        assert run_cli(args + ["--out", out] + FAST) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1

@@ -388,15 +388,18 @@ class TestOutputPaths:
             output_paths(out, ".log")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["x", "new/x"])
+    @pytest.mark.parametrize("out", ["x", "new/x", "new/d/x"])
     def test_file_name_longer_than_the_filesystem_allows(self, tmp_path, monkeypatch, out):
-        # The limit is checked on the longest name the suffixes give, on the
-        # filesystem of the directory, made or not.
+        # The limit is checked on the longest name the suffixes give, and on
+        # each directory still to be made, on the filesystem of the nearest
+        # existing directory.
         monkeypatch.chdir(tmp_path)
         limit = os.pathconf(tmp_path, "PC_NAME_MAX")
         fits = out + "x" * (limit - len("x.session.jsonl"))
-        with pytest.raises(ConfigurationError, match=f"file name of {limit + 1} bytes"):
+        with pytest.raises(ConfigurationError, match=f"a name of {limit + 1} bytes"):
             output_paths(fits + "x", ".log", ".session.jsonl")
+        with pytest.raises(ConfigurationError, match=f"a name of {limit + 1} bytes"):
+            output_paths("d" * (limit + 1) + "/" + out, ".log")
         assert list(tmp_path.iterdir()) == []
         assert len(output_paths(fits, ".log", ".session.jsonl")[1].name) == limit
 
