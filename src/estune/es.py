@@ -22,16 +22,17 @@ by the PCG64 bit generator, seeded with a 64-bit integer through numpy's
 generation consumes one ``standard_normal(dimension)`` vector (numpy's
 ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
-``run_batch`` is the one kernel.  Its rows share one ``EsTemplate`` (sigma0,
-dimension, generation count and init box) and differ in tau and seed.  It
-has three paths, chosen by row count, objective name and dimension:
+``run_batch`` is the one kernel, and it computes the sphere only.  Its rows
+share one ``EsTemplate`` (sigma0, dimension, generation count and init box)
+and differ in tau and seed.  It has three paths, chosen by row count and
+dimension only:
 
-* stepwise: a batch of at most 3 sphere rows of at most 8 dimensions runs
-  one row at a time, one generation at a time, in Python floats.  At these
-  sizes numpy's fixed cost per call, 1-3 us, outweighs its arithmetic,
-  while Python floats cost about 0.1 us per coordinate and generation;
-* screened: a batch of at most 3 sphere rows of more dimensions runs one
-  row at a time and makes only the offspring that may be accepted.  From
+* stepwise: a batch of at most 3 rows of at most 8 dimensions runs one row
+  at a time, one generation at a time, in Python floats.  At these sizes
+  numpy's fixed cost per call, 1-3 us, outweighs its arithmetic, while
+  Python floats cost about 0.1 us per coordinate and generation;
+* screened: a batch of at most 3 rows of more dimensions runs one row at a
+  time and makes only the offspring that may be accepted.  From
   ``|z|**2``, one call per block of normals, and ``z . x``, one
   matrix-vector product per acceptance, it estimates each candidate's value
   in Python floats.  It skips a candidate only when the estimate exceeds
@@ -39,28 +40,17 @@ has three paths, chosen by row count, objective name and dimension:
   ``(4 d + 64) eps (f + sigma**2 |z|**2) + 1e-300`` at d dimensions
   (derived in ``_screened``'s docstring), and makes every other candidate
   as the stepwise loop does.  Under the 1/5th rule about four offspring in
-  five are rejected, so it makes about one candidate in five.  Both few-row
-  paths are chosen by the objective's registry name, not by the registered
-  function, so a wrapped entry (the benchmark's tracer installs one) keeps
-  them;
-* lockstep: any other batch, and a batch of any size for every other
-  objective, advances its rows in lockstep, one generation at a time on
-  ``(dimension, rows)`` arrays, one row per column.  The rows run in
-  chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are independent, so
-  the chunks change no result.  Each chunk seeds its rows in one
-  vectorised pass (``_seed_states``) whose states equal
+  five are rejected, so it makes about one candidate in five;
+* lockstep: any other batch advances its rows in lockstep, one generation
+  at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
+  run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
+  independent, so the chunks change no result.  Each chunk seeds its rows
+  in one vectorised pass (``_seed_states``) whose states equal
   ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
   start in ``make_rng``'s state; ``make_rng`` stays the reference, and
-  the other two paths use it.  The sphere, again chosen by name, runs in
-  preallocated buffers and sums its squares itself, never through the
-  registry; each block of generations is checked by its values and
-  replayed, keeping its candidates, only when a value is not finite.
-  Every other objective keeps each block's candidates and checks them
-  (see ``_lockstep``).
-
-An objective takes a ``(dimension, N)`` array of any strides, one candidate
-per column, and returns N values.  Summing down a column's coordinates is
-then one vectorised step per coordinate across all N candidates.
+  the other two paths use it.  It runs in preallocated buffers; each block
+  of generations is checked by its values and replayed, keeping its
+  candidates, only when a value is not finite (see ``_lockstep``).
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -103,7 +93,6 @@ then, checked only after all rows, sigma at 0 before a generation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -151,14 +140,13 @@ MAX_DIMENSION = 1000
 # batch of any size stays within it; the paper grid's 100 rows are one chunk.
 _LOCKSTEP_BYTES = 64 << 20
 
-# Sphere batches of at most this many rows run one row at a time, stepwise
-# or screened; larger ones, and every other objective, run in lockstep (see
-# the module docstring).
+# Batches of at most this many rows run one row at a time, stepwise or
+# screened; larger ones run in lockstep (see the module docstring).
 _FEW_ROWS = 3
 
-# Sphere rows of at most this dimension, in batches of at most _FEW_ROWS
-# rows, run stepwise in Python floats; above it the screened path wins from
-# about 100 generations on (crossover table in CHANGES.md).
+# Rows of at most this dimension, in batches of at most _FEW_ROWS rows, run
+# stepwise in Python floats; above it the screened path wins from about 100
+# generations on (crossover table in CHANGES.md).
 _STEPWISE_DIMENSION = 8
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
@@ -212,7 +200,9 @@ def sphere_columns(x: np.ndarray) -> np.ndarray:
     ``np.add.reduce`` down axis 0 adds one whole row at a time; otherwise
     (F order, or a single column, which is its own fast axis)
     ``np.add.accumulate`` folds down each column.  Columns are not checked
-    for finiteness here; ``run_batch`` checks its candidates.
+    for finiteness.  This is the registry's ``"sphere"`` entry, which the
+    benchmark's tracer wraps; no kernel path calls it, as ``run_batch``
+    sums the sphere's squares itself.
     """
     squares = x * x
     if squares.flags.c_contiguous and squares.shape[1] > 1:
@@ -226,15 +216,14 @@ _OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {"sphere": sphere_c
 
 
 def register_objective(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Add a column-wise objective to the registry used by ObjectiveSpec lookups.
+    """Replace a registered objective's entry; ``"sphere"`` is the only one.
 
     ``fn`` takes a ``(dimension, N)`` array of any strides, one candidate per
-    column, and returns N values.  It must give each column's value from
-    that column alone.  ``run_batch`` checks every candidate it passes for
-    finiteness itself, so a value need not show a non-finite entry.
-    Registering ``"sphere"`` changes no result: sphere batches are run by
-    name.
+    column, and returns N values.  No kernel path calls an entry, so
+    replacing one changes no result.  Any other name raises
+    ``ConfigurationError``: the kernel would run it as the sphere.
     """
+    get_objective(name)
     _OBJECTIVES[name] = fn
 
 
@@ -460,19 +449,14 @@ def run_batch(
     def start(rng):
         return rng.uniform(template.init_low, template.init_high, size=dim)
 
-    # By name, not by the registered function: a wrapped registry entry must
-    # not change the path.
-    sphere = objective.name == "sphere"
-    if sphere and len(seeds) <= _FEW_ROWS:
+    if len(seeds) <= _FEW_ROWS:
         row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
         rows = [
             row(rng, start(rng), sigma0, up[i], down[i], generations)
             for i, rng in enumerate(map(make_rng, seeds))
         ]
     else:
-        fn = None if sphere else get_objective(objective.name)
-        # A row's normals and kept candidates (every block of an objective,
-        # a replayed block of the sphere): 2 * block * dim + 8 doubles.
+        # A row's normals and a replayed block's candidates: 2 * block * dim + 8 doubles.
         block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
         chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
         rows = []
@@ -481,7 +465,7 @@ def run_batch(
         for i in range(0, len(seeds), chunk):
             part = slice(i, i + chunk)
             rngs = _seeded_generators(seeds[part])
-            rows += _lockstep(fn, rngs, np.array([start(rng) for rng in rngs]), sigma0,
+            rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
                               up[part], down[part], generations)
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
@@ -503,21 +487,16 @@ def run_batch(
 # A failing row runs on with inf/nan until the check at the end of its
 # block; squares that overflow to inf are legal, as in sphere_eval.
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(fn, rngs, x, sigma0, up, down, generations):
+def _lockstep(rngs, x, sigma0, up, down, generations):
     """All rows one generation at a time: ``(f, sigma, sigma before the last
     generation)`` of each row.
 
-    ``fn`` is a registered objective, or None for the sphere.  ``x`` holds
-    the start points as ``(rows, dimension)``; the loop keeps the parents
-    and candidates as ``(dimension, rows)``, one row per column.  Row g of
-    ``sigmas`` holds the sigmas of generation g of a block, so row 0 keeps
-    the block's start.
+    ``x`` holds the start points as ``(rows, dimension)``; the loop keeps
+    the parents and candidates as ``(dimension, rows)``, one row per column.
+    Row g of ``sigmas`` holds the sigmas of generation g of a block, so row
+    0 keeps the block's start.
 
-    A registered objective's candidates are kept for the whole block in
-    one ``(block, dimension, rows)`` buffer, which is checked for
-    finiteness at the block's end.
-
-    The sphere reuses one candidate buffer and one buffer of squares, and
+    One candidate buffer and one buffer of squares are reused, and
     ``np.add.reduce`` writes each generation's sums, in coordinate order,
     into a ``(block, rows)`` buffer of values (``_fold_column`` does so for
     a one-row chunk).  The parent's value is ``np.minimum(f_new, f)``,
@@ -526,10 +505,10 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     candidate.  The block is checked by its values, since a non-finite
     candidate has a non-finite value.  When one is not finite, the parents
     and their values are restored to the block's start and the block runs
-    again, keeping each candidate to check it as an objective's.  This
-    tells a non-finite candidate, which raises, from finite squares that
-    overflow, which are legal.  Both runs make the same candidates up to
-    the first non-finite one, so they raise alike.
+    again, keeping each candidate in a ``(block, dimension, rows)`` buffer
+    to check it.  This tells a non-finite candidate, which raises, from
+    finite squares that overflow, which are legal.  Both runs make the same
+    candidates up to the first non-finite one, so they raise alike.
     """
     rows, dim = x.shape
     x = np.ascontiguousarray(x.T)
@@ -547,35 +526,23 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     sigmas[0] = sigma0
     success = np.empty(rows, dtype=bool)
     factor = np.empty(rows)
-    if fn is None:
-        squares = np.empty((dim, rows))
-        fold = np.add.reduce if rows > 1 else _fold_column
-        f = np.empty(rows)
-        fold(np.multiply(x, x, out=squares), axis=0, out=f)
-        values = np.empty((block, rows))
-        candidates = itertools.repeat(np.empty((dim, rows)))
-        start_x, start_f = np.empty_like(x), np.empty_like(f)
-    else:
-        f = fn(x)
-        values = itertools.repeat(None)
-        candidates = np.empty((block, dim, rows))
+    squares = np.empty((dim, rows))
+    fold = np.add.reduce if rows > 1 else _fold_column
+    f = np.empty(rows)
+    fold(np.multiply(x, x, out=squares), axis=0, out=f)
+    values = np.empty((block, rows))
+    start_x, start_f = np.empty_like(x), np.empty_like(f)
 
     def advance(views):
         # Every view a generation uses is made before the loop, so that it
-        # allocates nothing but a registered objective's values.
+        # allocates nothing.
         for normal, c, f_new, sigma, next_sigma in views:
             np.multiply(sigma, normal, out=c)
             np.add(x, c, out=c)
-            if fn is None:
-                fold(np.multiply(c, c, out=squares), axis=0, out=f_new)
-            else:
-                f_new = fn(c)
+            fold(np.multiply(c, c, out=squares), axis=0, out=f_new)
             np.less_equal(f_new, f, out=success)
             np.copyto(x, c, where=success)
-            if fn is None:
-                np.minimum(f_new, f, out=f)
-            else:
-                np.copyto(f, f_new, where=success)
+            np.minimum(f_new, f, out=f)
             np.copyto(factor, down)
             np.copyto(factor, up, where=success)
             np.multiply(sigma, factor, out=next_sigma)
@@ -583,26 +550,22 @@ def _lockstep(fn, rngs, x, sigma0, up, down, generations):
     def make_views(candidates):
         return list(zip(normals, candidates, values, sigmas[:-1], sigmas[1:]))
 
-    block_views = make_views(candidates)
+    block_views = make_views([np.empty((dim, rows))] * block)
     for start in range(0, generations, block):
         n = min(block, generations - start)
         if start:
             np.copyto(sigmas[0], sigmas[block])
         for draw, out in draws:
             draw(out=out if n == block else out[:n])
-        if fn is None:
-            np.copyto(start_x, x)
-            np.copyto(start_f, f)
+        np.copyto(start_x, x)
+        np.copyto(start_f, f)
         advance(block_views[:n])
-        if fn is None:
-            if np.isfinite(values[:n]).all():
-                continue
-            np.copyto(x, start_x)
-            np.copyto(f, start_f)
-            kept = np.empty((n, dim, rows))
-            advance(make_views(kept))
-        else:
-            kept = candidates[:n]
+        if np.isfinite(values[:n]).all():
+            continue
+        np.copyto(x, start_x)
+        np.copyto(f, start_f)
+        kept = np.empty((n, dim, rows))
+        advance(make_views(kept))
         if not np.isfinite(kept).all():
             raise NumericalError(_NON_FINITE)
     return list(zip(f.tolist(), sigmas[n].tolist(), sigmas[n - 1].tolist()))

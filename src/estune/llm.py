@@ -14,6 +14,7 @@ import math
 import os
 import re
 import time
+import urllib.parse
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -110,8 +111,14 @@ class LlmBackendConfig:
     transport_retries: int = 2
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ConfigurationError("http backend requires base_url")
+        # Checked before any connection: urlopen would fail on each attempt.
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            url.port  # raises ValueError unless the port is a number in range
+        except ValueError:
+            url = None
+        if not (url and url.scheme in ("http", "https") and url.hostname):
+            raise ConfigurationError(f"endpoint {self.base_url!r} is not an http(s) URL with a host")
         if not (0.0 <= self.temperature <= 2.0):
             raise ConfigurationError("temperature must be in [0, 2]")
         if not (0 < self.timeout_seconds <= MAX_TIMEOUT_SECONDS):

@@ -144,21 +144,37 @@ class TestTuneCommand:
     def test_scripted_without_script_exits_2(self, run_cli, tmp_path):
         assert run_cli(["tune", "--backend", "scripted", "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("script,config,flags", [
-        ([], None, []),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}, []),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}, []),
-        (None, {"endpoint": "http://127.0.0.1:9", "temperature": True}, []),
-        (None, {"endpoint": "http://127.0.0.1:9", "model": ["x"]}, []),
-        (None, {"endpoint": 9}, []),
+    @pytest.mark.parametrize("script,config,flags,env", [
+        ([], None, [], None),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": "warm"}, [], None),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": None}, [], None),
+        (None, {"endpoint": "http://127.0.0.1:9", "temperature": True}, [], None),
+        (None, {"endpoint": "http://127.0.0.1:9", "model": ["x"]}, [], None),
+        (None, {"endpoint": 9}, [], None),
         # The config is checked before any connection is made.
-        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "inf"]),
-        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e300"]),
-        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e10"]),
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "inf"], None),
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e300"], None),
+        (None, None, ["--endpoint", "http://127.0.0.1:9", "--timeout", "1e10"], None),
+        (None, None, ["--endpoint", "notaurl"], None),
+        (None, None, ["--endpoint", "http://[::1"], None),
+        (None, None, ["--endpoint", "http://127.0.0.1:99999"], None),
+        (None, None, [], "notaurl"),
+        (None, {"endpoint": "http://[::1"}, [], None),
     ], ids=["scripted_requires_responses", "temperature_warm", "temperature_null",
             "temperature_true", "model_list", "endpoint_number", "timeout_inf",
-            "timeout_1e300", "timeout_1e10"])
-    def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, capsys, script, config, flags):
+            "timeout_1e300", "timeout_1e10", "endpoint_flag_no_scheme",
+            "endpoint_flag_open_bracket", "endpoint_flag_port_range", "endpoint_env_no_scheme",
+            "endpoint_config_open_bracket"])
+    def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, monkeypatch, capsys, script,
+                                         config, flags, env):
+        import urllib.request
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("a connection was attempted")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_connection)
+        if env is not None:
+            monkeypatch.setenv("ESTUNE_ENDPOINT", env)
         argv = ["tune", "--out", str(tmp_path / "x")] + FAST + flags
         if script is not None:
             argv += ["--backend", "scripted", "--script", _script_file(tmp_path, script)]

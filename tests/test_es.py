@@ -357,6 +357,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="sphere"):
             ObjectiveSpec("rastrigin_misspelled", 5)
 
+    def test_only_a_registered_entry_can_be_replaced(self, monkeypatch):
+        # No kernel path calls the registry, so the kernel would run a new
+        # name as the sphere.
+        before = dict(es_mod._OBJECTIVES)
+        with pytest.raises(ConfigurationError):
+            es_mod.register_objective("other", sphere_columns)
+        with pytest.raises(ConfigurationError):
+            ObjectiveSpec("other", 5)
+        assert es_mod._OBJECTIVES == before
+        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", sphere_columns)
+        wrapped = functools.partial(sphere_columns)
+        es_mod.register_objective("sphere", wrapped)
+        assert es_mod.get_objective("sphere") is wrapped
+        assert es_mod.objective_names() == ["sphere"]
+
     def test_template_stamps_configs(self):
         # The template supplies all but tau and seed: a run is its stepwise
         # loop at that tau and seed.
@@ -487,7 +502,7 @@ class TestRunBatch:
 
     @settings(max_examples=100, deadline=None)
     @given(_lockstep_batches())
-    def test_lockstep_rows_equal_speculative_chunks(self, batch):
+    def test_lockstep_rows_equal_few_row_chunks(self, batch):
         # 4+ rows run in lockstep, chunks of at most 3 stepwise or screened,
         # as their dimension decides.
         template, rows = batch
@@ -534,27 +549,37 @@ class TestRunBatch:
     )
     def test_path_is_chosen_by_rows_and_dimension(self, monkeypatch, rows, dimension, path):
         # A wrapped registry entry, as the benchmark's tracer installs, must
-        # not change the path: it is chosen by the objective's name.
-        self._check_path(monkeypatch, "sphere", rows, dimension, path)
-
-    @pytest.mark.parametrize("rows, dimension", [(1, 5), (3, 64)])
-    def test_other_objectives_run_in_lockstep(self, monkeypatch, rows, dimension):
-        self._check_path(monkeypatch, "other", rows, dimension, "_lockstep")
-
-    @staticmethod
-    def _check_path(monkeypatch, name, rows, dimension, path):
-        # The registry entry computes the sphere, so every row must still
-        # equal the stepwise oracle.
+        # not change the path: no path calls the registry.
         sphere = es_mod.get_objective("sphere")
-        monkeypatch.setitem(es_mod._OBJECTIVES, name, lambda x: sphere(x))
+        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", lambda x: sphere(x))
         taken = _spy_paths(monkeypatch)
         template = EsTemplate(dimension=dimension, max_generations=20)
-        results = run_batch(template, ObjectiveSpec(name, dimension),
+        results = run_batch(template, ObjectiveSpec("sphere", dimension),
                             [0.9] * rows, list(range(rows)))
         assert taken == {path}
         for result, seed in zip(results, range(rows)):
             f, sigma = stepwise_run(template, 0.9, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    @pytest.mark.parametrize("generations", [1, es_mod.BLOCK_GENERATIONS,
+                                             es_mod.BLOCK_GENERATIONS + 1, 300])
+    @pytest.mark.parametrize("dimension, path", [(5, "_stepwise"), (16, "_screened")])
+    def test_lockstep_rows_equal_the_row_paths(self, generations, dimension, path):
+        # Whole rows, the sigma before the last generation included: it is
+        # what the zero-sigma check reads.
+        taus, seeds = [0.3, 0.9, 1.7, 4.0], [0, 5, 2**32, 2**64 - 1]
+        up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
+        down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
+
+        def seeded():
+            rngs = [make_rng(seed) for seed in seeds]
+            return rngs, np.array([rng.uniform(-5.0, 5.0, size=dimension) for rng in rngs])
+
+        rngs, starts = seeded()
+        expected = [getattr(es_mod, path)(rng, x, 1.0, u, d, generations)
+                    for rng, x, u, d in zip(rngs, starts, up, down)]
+        rngs, starts = seeded()
+        assert es_mod._lockstep(rngs, starts, 1.0, up, down, generations) == expected
 
     def test_non_finite_message_is_the_same_on_both_paths(self, monkeypatch):
         # Three paths: 2 rows at 5-D run stepwise, 2 rows past the stepwise
@@ -608,8 +633,7 @@ class TestRunBatch:
         monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 4 * 8 * (2 * block * 64 + 8))
         chunks, lockstep = [], es_mod._lockstep
         monkeypatch.setattr(es_mod, "_lockstep",
-                            lambda fn, rngs, *rest: chunks.append(len(rngs))
-                            or lockstep(fn, rngs, *rest))
+                            lambda rngs, *rest: chunks.append(len(rngs)) or lockstep(rngs, *rest))
         _assert_rows_match_oracle(template, [(0.9, seed) for seed in range(5)])
         assert chunks == [4, 1]
 
@@ -623,61 +647,43 @@ class TestRunBatch:
         assert issubclass(NumericalError, ValueError)
 
     def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
-        # An objective under which every offspring is worse drives sigma to
-        # 0; the stepwise loop raises in the first generation that starts
-        # there, not when sigma reaches 0 in the last one.
-        def every_offspring_worse():
-            calls = []
-
-            def fn(x):
-                calls.append(None)
-                return np.full(x.shape[1], 0.0 if len(calls) == 1 else 1.0)
-
-            return fn
-
-        sigma, reach_zero = 1.0, 0
-        while sigma > 0:
-            sigma, reach_zero = update_sigma(sigma, TAU_MAX, False), reach_zero + 1
-        template = _paper_template(reach_zero)
-        monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
-        objective = ObjectiveSpec("worse", 5)
-        assert run_batch(template, objective, [TAU_MAX], [0])[0].final_sigma == 0.0
-        monkeypatch.setitem(es_mod._OBJECTIVES, "worse", every_offspring_worse())
-        with pytest.raises(NumericalError):
-            run_batch(_paper_template(reach_zero + 1), objective, [TAU_MAX], [0])
+        # The stepwise loop raises in the first generation that starts at
+        # sigma 0, not when sigma reaches 0 in the last one.  A row path
+        # returns (f, sigma, sigma before the last generation).
+        monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 5e-324))
+        assert run_batch(_paper_template(), SPHERE_5D, [1.0], [0])[0].final_sigma == 0.0
+        monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 0.0))
+        with pytest.raises(NumericalError, match="sigma reached 0"):
+            run_batch(_paper_template(), SPHERE_5D, [1.0], [0])
 
     def test_zero_sigma_message_is_the_same_on_both_paths(self, monkeypatch):
-        # Every offspring is worse than the start point, so sigma reaches 0:
-        # in lockstep in 1 row and in 4.  Only the sphere runs stepwise or
-        # screened, and on the sphere a tiny sigma leaves the candidate
-        # equal to its parent, a tie that is accepted; so the stepwise and
-        # screened rows are started at sigma 0, which stays 0.
-        messages = []
-        for rows in (1, 4):
-            first = iter([0.0])
-            monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
-                                lambda x: np.full(x.shape[1], next(first, 1.0)))
-            with monkeypatch.context() as patch:
-                taken = _spy_paths(patch)
-                with pytest.raises(NumericalError) as caught:
-                    run_batch(_paper_template(200), ObjectiveSpec("worse", 5),
-                              [TAU_MAX] * rows, list(range(rows)))
-            assert taken == {"_lockstep"}
-            messages.append(str(caught.value))
-        stepwise, screened = es_mod._stepwise, es_mod._screened
+        # On the sphere a tiny sigma leaves the candidate equal to its parent,
+        # a tie that is accepted, so sigma cannot fall to 0: each path's rows
+        # are started at sigma 0, which stays 0.  Lockstep runs 4 rows in one
+        # chunk and in one-row chunks.
+        stepwise, screened, lockstep = es_mod._stepwise, es_mod._screened, es_mod._lockstep
         start = [1.0, -2.0, 3.0, 0.5, 0.0]
         assert stepwise(make_rng(0), np.array(start), 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
         assert screened(make_rng(0), np.array(start * 3), 0.0, 2.0, 0.5, 200) == (42.75, 0.0, 0.0)
+        assert lockstep([make_rng(0), make_rng(1)], np.array([start] * 2), 0.0, [2.0] * 2,
+                        [0.5] * 2, 200) == [(14.25, 0.0, 0.0)] * 2
         monkeypatch.setattr(es_mod, "_stepwise",
                             lambda rng, x, sigma, *rest: stepwise(rng, x, 0.0, *rest))
         monkeypatch.setattr(es_mod, "_screened",
                             lambda rng, x, sigma, *rest: screened(rng, x, 0.0, *rest))
-        for dimension in (5, 15):
-            with pytest.raises(NumericalError) as caught:
-                run_batch(EsTemplate(dimension=dimension, max_generations=200),
-                          ObjectiveSpec("sphere", dimension), [TAU_MAX], [0])
+        monkeypatch.setattr(es_mod, "_lockstep",
+                            lambda rngs, x, sigma, *rest: lockstep(rngs, x, 0.0, *rest))
+        messages = []
+        for dimension, rows, budget in [(5, 1, None), (15, 1, None), (5, 4, None), (5, 4, 1)]:
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(es_mod, "_LOCKSTEP_BYTES", budget)
+                with pytest.raises(NumericalError) as caught:
+                    run_batch(EsTemplate(dimension=dimension, max_generations=200),
+                              ObjectiveSpec("sphere", dimension), [TAU_MAX] * rows,
+                              list(range(rows)))
             messages.append(str(caught.value))
-        assert len(set(messages)) == 1
+        assert set(messages) == {"sigma reached 0 before the last generation"}
 
     @settings(max_examples=60, deadline=None)
     @given(_lockstep_batches(), st.integers(1, 3))
@@ -692,31 +698,28 @@ class TestRunBatch:
             assert _rows_or_message(template, taus, seeds) == whole
 
     def test_chunks_raise_as_one_batch(self, monkeypatch):
-        # Every offspring is worse than its parent, so each row's sigma falls
-        # towards 0; at sigma0 1e308 the first candidate of seed 3 overflows.
-        # One batch raises for the candidate, though the row of seed 0, in
-        # the first chunk, reaches sigma 0 before it: sigma is checked only
-        # after every chunk.
-        counter = itertools.count()
-        monkeypatch.setitem(es_mod._OBJECTIVES, "worse",
-                            lambda x: np.full(x.shape[1], float(next(counter))))
+        # One row per chunk.  The first chunk's row is started at sigma 0,
+        # where it stays; at sigma0 1e308 the first candidate of the third
+        # row overflows.  The batch raises for the candidate, though the
+        # first row reached sigma 0 before it: sigma is checked only after
+        # every chunk.
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
-        objective = ObjectiveSpec("worse", 5)
-        seeds = [0, 1, 2, 3]
-
-        def message(seeds):
-            with pytest.raises(NumericalError) as caught:
-                run_batch(template, objective, [TAU_MAX] * len(seeds), seeds)
-            return str(caught.value)
-
-        whole = message(seeds)
-        assert message(seeds[:1]) != whole
-        calls = []
+        seeds = [0, 2, 16789950873655392269, 3]
+        chunks, finished = [], []
         lockstep = es_mod._lockstep
-        monkeypatch.setattr(es_mod, "_lockstep", lambda *a: calls.append(1) or lockstep(*a))
+
+        def spy(rngs, x, sigma0, *rest):
+            chunks.append(len(rngs))
+            finished.append(lockstep(rngs, x, 0.0 if len(chunks) == 1 else sigma0, *rest))
+            return finished[-1]
+
+        monkeypatch.setattr(es_mod, "_lockstep", spy)
         monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 1)
-        assert message(seeds) == whole
-        assert len(calls) == len(seeds)
+        with pytest.raises(NumericalError) as caught:
+            run_batch(template, SPHERE_5D, [1.0] * len(seeds), seeds)
+        assert str(caught.value) == es_mod._NON_FINITE
+        assert chunks == [1, 1, 1]
+        assert finished[0][0][2] == 0.0
 
     def test_lockstep_chunks_seed_in_one_pass(self, monkeypatch):
         # Each lockstep chunk seeds its rows in one pass, into generators in
@@ -726,9 +729,9 @@ class TestRunBatch:
         passes, made, states = [], [], []
         seed_states, lockstep = es_mod._seed_states, es_mod._lockstep
 
-        def spy_lockstep(fn, rngs, *rest):
+        def spy_lockstep(rngs, *rest):
             states.extend(rng.bit_generator.state for rng in rngs)
-            return lockstep(fn, rngs, *rest)
+            return lockstep(rngs, *rest)
 
         monkeypatch.setattr(es_mod, "_seed_states",
                             lambda part: passes.append(list(part)) or seed_states(part))

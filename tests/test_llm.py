@@ -97,6 +97,20 @@ class TestBackendConfig:
         with pytest.raises(ConfigurationError):
             LlmBackendConfig(base_url="http://x", **kwargs)
 
+    # No scheme, a scheme urlopen cannot use, no host, an unclosed IPv6
+    # bracket, and ports that are not numbers in range.
+    @pytest.mark.parametrize("base_url", ["notaurl", "localhost:8080", "ftp://x", "http://",
+                                          "http://:80", "http://[::1", "http://x:99999",
+                                          "http://x:port"])
+    def test_malformed_base_url(self, base_url):
+        with pytest.raises(ConfigurationError):
+            LlmBackendConfig(base_url=base_url)
+
+    @pytest.mark.parametrize("base_url", ["http://127.0.0.1:9", "https://llm.test/v1/",
+                                          "http://[::1]:8080"])
+    def test_base_url_accepted(self, base_url):
+        assert LlmBackendConfig(base_url=base_url).base_url == base_url
+
 
 class _FakeResponse(io.BytesIO):
     """What urlopen returns for a 2xx reply."""
