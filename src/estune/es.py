@@ -618,34 +618,43 @@ def _stepwise(rng, x, sigma, up, down, generations):
 # Squares and products that overflow to inf are legal, as in sphere_eval.
 @np.errstate(over="ignore", invalid="ignore")
 def _screened(rng, x, sigma, up, down, generations):
-    """One sphere row that makes only the offspring that may be accepted:
-    ``(f, sigma, sigma before the last generation)``.
+    """One sphere row that makes only the offspring that may be accepted and
+    sums only the squares it must: ``(f, sigma, sigma before the last
+    generation)``.
 
     ``x`` is the row's start point as a 1-D array.  Let ``f`` be the
     parent's value, ``s`` the sigma of a generation and ``z`` its normals.
     The screen estimates the value of the candidate ``x + s z`` as
     ``approx = f + D`` with ``D = 2 s a + s s b``, from ``b = |z|**2``, one
     call per block of normals, and ``a = z . x``, one matrix-vector product
-    per acceptance (made for ``_SCREEN_AHEAD`` generations at a time).  It
-    skips the candidate, a rejection, only when ``approx - m > f``, tested
-    as ``D > m``, with ``m = k (f + s s b) + 1e-300`` and
-    ``k = (4 d + 64) eps`` at ``d`` dimensions.  Sigma runs through the
-    stepwise loop's own products.  Every other candidate is made and summed
-    as the stepwise loop does, ``x + s z`` then its squares in coordinate
-    order, so every acceptance, tie, inf and nan is the stepwise loop's
-    own, and so is the non-finite check.
+    per acceptance (made for ``_SCREEN_AHEAD`` generations at a time).  With
+    ``m = k (h + s s b) + 1e-300``, ``k = (4 d + 64) eps`` at ``d``
+    dimensions and ``h`` an upper bound on ``f``, it decides two ways:
 
-    Why a skipped candidate is rejected.  Let u = eps / 2, eta the
-    smallest subnormal and ``gamma_d = d u / (1 - d u)`` (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., sections 2.2 and 3.1).
-    Each rounding is ``fl(p op q) = (p op q)(1 + delta) + e`` with
-    ``|delta| <= u`` and ``|e| <= eta / 2``, and ``e`` is 0 but for a
-    product that underflows.  Take the exact ``X = |x|**2``,
-    ``Y = s**2 |z|**2``, ``P = X + Y`` and
+    * ``D > m``: a rejection.  The candidate is not made;
+    * ``D < -m``, ``D`` finite: an acceptance.  The candidate is made, as
+      the stepwise loop makes it, since later dots and candidates use it,
+      but its squares are not summed: ``h`` becomes ``fl(fl(h + D) + m)``.
+
+    Only when the screen cannot decide (a tie, ``|D| <= m``, or a block
+    whose ``b`` is outside ``_SCREEN_NORMS``) does it sum the parent's
+    squares, if ``h`` is not already their sum, and set ``h`` to it; the
+    candidate is then made and summed as the stepwise loop does, ``x + s
+    z`` then its squares in coordinate order, so that acceptance, tie, inf
+    and nan are the stepwise loop's own, and so is the non-finite check.
+    The parent's squares are summed once more at the end of the row.  Sigma
+    runs through the stepwise loop's own products.
+
+    Why a decision is right.  Let u = eps / 2, eta the smallest subnormal
+    and ``gamma_d = d u / (1 - d u)`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 2.2 and 3.1).  Each rounding is
+    ``fl(p op q) = (p op q)(1 + delta) + e`` with ``|delta| <= u`` and
+    ``|e| <= eta / 2``, and ``e`` is 0 but for a product that underflows.
+    Take the exact ``X = |x|**2``, ``Y = s**2 |z|**2``, ``P = X + Y`` and
     ``T = |x + s z|**2 = X + 2 s (z . x) + Y``.  A sum of d terms in any
     order, FMA or not, as any BLAS makes it, is off by at most ``gamma_d``
     of the sum of their magnitudes plus ``d eta``, and
-    ``2 s sum |x_i z_i| <= P``.  So:
+    ``2 s sum |x_i z_i| <= P``.  So, each bound two-sided:
 
     * the candidate's value ``F``: ``|F - T| <= (2 gamma_d + 8 u) P + d eta``,
       where ``x + s z`` rounds twice a coordinate;
@@ -653,24 +662,43 @@ def _screened(rng, x, sigma, up, down, generations):
     * ``|D - (T - X)| <= (2 gamma_d + 5 u) P + 2 s d eta + s**2 d eta
       + eta b / 2``, through ``a``, ``b`` and four roundings.  While ``b`` lies
       in ``_SCREEN_NORMS``, ``[1e-200, 1e20]``, the last three terms are at
-      most ``2 u P + 3e-304``; a block with a ``b`` outside it skips
+      most ``2 u P + 3e-304``; a block with a ``b`` outside it decides
       nothing.
 
-    Hence ``F - f >= D - (5 gamma_d + 15 u) P - 3.1e-304`` (terms of order
-    ``u**2 P`` left out), and ``P <= (1 + gamma_d + 5 u)(f + s s b)`` plus
-    as little, so ``F - f >= D - (2.5 d + 8.5) eps (f + s s b) - 3.2e-304``
-    at ``d <= MAX_DIMENSION``.  ``m`` exceeds that bound even after its own
-    roundings, so ``D > m`` gives ``F > f``.  A skip needs a finite ``m``,
-    so ``f`` and ``s s b`` are finite, and so is every coordinate of the
-    skipped candidate.  If ``D`` overflows, ``T - X`` is within the error
-    terms of the top of the float range, far above ``f``, so ``F > f``
-    still.  A nan ``D`` or ``m``, or an inf ``m``, fails the test and the
-    candidate is made.
+    Hence ``|F - f - D| <= (5 gamma_d + 15 u) P + 3.1e-304`` (terms of
+    order ``u**2 P`` left out), and ``P <= (1 + gamma_d + 5 u)(h + s s b)``
+    plus as little, so ``|F - f - D| <= E = (2.5 d + 8.5) eps (h + s s b)
+    + 3.2e-304`` at ``d <= MAX_DIMENSION``.  After its own three roundings
+    ``m`` still exceeds ``E`` by at least ``(1.5 d + 55) eps (h + s s b)
+    + 0.99e-300``.  So ``D > m`` gives ``F > f`` and ``D < -m`` gives
+    ``F < f``, whatever ``f`` is below ``h``.  A decision needs a finite
+    ``m``, so ``h`` and ``s s b`` are finite.  A skipped candidate then has
+    finite coordinates, and so has an accepted one, whose value is below
+    ``f``: the stepwise loop would not have raised on either.  If ``D``
+    overflows to inf, ``T - X`` is within the error terms of the top of
+    the float range, far above ``f``, so ``F > f`` still.  A ``D`` of -inf
+    decides nothing: ``T - X`` is then within the error terms of minus the
+    top of the float range, but ``Y``, up to the top of it, may cancel
+    that.  A nan ``D`` or ``m``, or an inf ``m``, decides nothing.
+
+    Why ``h`` stays above ``f``.  At a proven acceptance ``F <= f + D + E
+    <= h + D + E``, the new parent's exact bound.  ``F >= 0`` gives
+    ``D >= -h - E``, and ``D < 0``, so ``|h + D| <= h + E`` and the two
+    roundings of ``fl(fl(h + D) + m)`` are at most ``2 u (1 + u)
+    (h + E + m)``, about ``eps (h + s s b)``: less than the margin by which
+    ``m`` exceeds ``E``.  So the new ``h`` is at least ``h + D + E >= F``.
+    Only this upper end is kept: both decisions read ``h`` only, through
+    ``m``, so a lower end would never be read.  ``h`` widens by about
+    ``2 m`` per proven acceptance; an undecided screen, which the wider
+    ``m`` makes likelier, sums the squares and makes ``h`` exact again.
     """
     dim = x.shape[0]
     k = (4 * dim + 64) * _EPS
-    f = _fold_squares(x)
-    kf = k * f + _SCREEN_TINY
+    # h is the parent's value, summed, while exact is true, and otherwise
+    # an upper bound on it.
+    h = _fold_squares(x)
+    exact = True
+    kh = k * h + _SCREEN_TINY
     for start in range(0, generations, BLOCK_GENERATIONS):
         n = min(BLOCK_GENERATIONS, generations - start)
         z = rng.standard_normal((n, dim))
@@ -686,22 +714,31 @@ def _screened(rng, x, sigma, up, down, generations):
                 s = sigma
                 g += 1
                 ssb = s * s * bi
-                if (s + s) * ai + ssb > kf + k * ssb:
+                d = (s + s) * ai + ssb
+                m = kh + k * ssb
+                if d > m:
                     sigma = s * down
                     continue
                 c = z[g - 1] * s
                 c += x
+                if -m > d > -math.inf:
+                    x, h, sigma, exact = c, h + d + m, s * up, False
+                    kh = k * h + _SCREEN_TINY
+                    break
+                if not exact:
+                    h, exact = _fold_squares(x), True
+                    kh = k * h + _SCREEN_TINY
                 f_new = _fold_squares(c)
                 # A non-finite candidate has a non-finite value; so has a
                 # finite one whose squares overflow, which is legal.
                 if not f_new < math.inf and not np.isfinite(c).all():
                     raise NumericalError(_NON_FINITE)
-                if f_new <= f:
-                    x, f, sigma = c, f_new, s * up
-                    kf = k * f + _SCREEN_TINY
+                if f_new <= h:
+                    x, h, sigma = c, f_new, s * up
+                    kh = k * h + _SCREEN_TINY
                     break
                 sigma = s * down
-    return f, sigma, s
+    return (h if exact else _fold_squares(x)), sigma, s
 
 
 def _fold_squares(c):

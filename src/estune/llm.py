@@ -9,6 +9,7 @@ extracted from the text instead.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -170,11 +171,11 @@ class HttpBackend:
     the reply from ``choices[0].message.content``.  Transport failures
     (connection errors, timeouts, non-2xx, malformed bodies, bodies longer
     than ``MAX_RESPONSE_BYTES``) are retried with exponential backoff (1s,
-    2s, 4s, ...) before giving up.  ``timeout_seconds`` bounds each socket
-    operation and also each attempt as a whole: a body still arriving when
-    that much time has passed since the attempt began is a timeout.  An
-    optional bearer token is taken from the ESTUNE_TOKEN environment
-    variable.
+    2s, 4s, ...) before giving up.  ``timeout_seconds`` bounds connecting
+    and sending, each, and the reply as a whole: a status line, header or
+    body still arriving when that much time has passed since the attempt
+    began is a timeout.  An optional bearer token is taken from the
+    ESTUNE_TOKEN environment variable.
     """
 
     def __init__(self, config: LlmBackendConfig):
@@ -203,14 +204,13 @@ class HttpBackend:
         detail = ""
         for i in range(cfg.transport_retries + 1):
             try:
-                deadline = time.monotonic() + cfg.timeout_seconds
                 request = urllib.request.Request(url, data=body, headers=headers, method="POST")
                 try:
-                    resp = urllib.request.urlopen(request, timeout=cfg.timeout_seconds)
+                    resp = _urlopen(request, timeout=cfg.timeout_seconds)
                 except urllib.error.HTTPError as exc:
                     resp = exc  # a non-2xx reply still carries its body
                 with resp:
-                    status, reply = resp.status, _read_body(resp, deadline)
+                    status, reply = resp.status, _read_body(resp)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 detail = f"{type(exc).__name__}: {exc}"
             else:
@@ -243,24 +243,91 @@ class HttpBackend:
         )
 
 
-def _read_body(resp, deadline: float) -> bytes:
+def _read_body(resp) -> bytes:
     """At most ``MAX_RESPONSE_BYTES + 1`` bytes of a reply body, taken as they
-    arrive; a body still arriving at ``deadline`` raises ``TimeoutError``.
-
-    Each ``read1`` makes at most one socket read, which waits at most one
-    socket timeout, so a server that sends a few bytes at a time holds the
-    attempt at most that long past the deadline.
-    """
+    arrive, so that an endless body is cut off."""
     chunks, size = [], 0
     while size <= MAX_RESPONSE_BYTES:
-        if time.monotonic() > deadline:
-            raise TimeoutError("reply not complete within the request's timeout")
         chunk = resp.read1(MAX_RESPONSE_BYTES + 1 - size)
         if not chunk:
             break
         chunks.append(chunk)
         size += len(chunk)
     return b"".join(chunks)
+
+
+def _urlopen(request, timeout: float):
+    """``urllib.request.urlopen(request, timeout=timeout)``, except that the
+    whole reply, status line, headers and body, must arrive within
+    ``timeout`` of the call, not just each socket read.
+
+    ``urlopen`` reads the status line and headers before it returns, and its
+    timeout limits each read only: a server that sends a few bytes at a
+    time could hold an attempt without end.
+    """
+    return _deadline_opener().open(request, timeout=timeout)
+
+
+@functools.cache
+def _deadline_opener():
+    """``urlopen``'s default opener, but its HTTP and HTTPS connections read
+    their replies through ``Reader``.
+
+    Made on first use: urllib.request adds about 15% to the package's import
+    time.
+    """
+    import http.client
+    import io
+    import urllib.request
+
+    class Reader(io.RawIOBase):
+        """A socket's reads, each waiting only for the time left before
+        ``deadline``.  ``HTTPResponse`` reads through ``makefile``."""
+
+        def __init__(self, sock, deadline):
+            # The socket's own file keeps it open until this one is closed.
+            self._sock, self._deadline = sock, deadline
+            self._file = sock.makefile("rb", buffering=0)
+
+        def makefile(self, mode):
+            return io.BufferedReader(self)
+
+        def readable(self):
+            return True
+
+        def readinto(self, buffer):
+            left = self._deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("reply not complete within the request's timeout")
+            self._sock.settimeout(left)
+            return self._file.readinto(buffer)
+
+        def close(self):
+            self._file.close()
+            super().close()
+
+    class Response(http.client.HTTPResponse):
+        def __init__(self, sock, *args, deadline, **kwargs):
+            super().__init__(Reader(sock, deadline), *args, **kwargs)
+
+    class Deadline:
+        def do_open(self, http_class, req, **kwargs):
+            deadline = time.monotonic() + req.timeout
+
+            def connection(*args, **kw):
+                conn = http_class(*args, **kw)
+                conn.response_class = functools.partial(Response, deadline=deadline)
+                return conn
+
+            return super().do_open(connection, req, **kwargs)
+
+    class HttpHandler(Deadline, urllib.request.HTTPHandler):
+        pass
+
+    class HttpsHandler(Deadline, urllib.request.HTTPSHandler):
+        pass
+
+    return urllib.request.build_opener(HttpHandler, HttpsHandler)
 
 
 _NUMBER = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"

@@ -167,12 +167,12 @@ class TestTuneCommand:
             "endpoint_config_open_bracket"])
     def test_bad_backend_setting_exits_2(self, run_cli, tmp_path, monkeypatch, capsys, script,
                                          config, flags, env):
-        import urllib.request
+        import estune.llm as llm
 
         def no_connection(*args, **kwargs):
             raise AssertionError("a connection was attempted")
 
-        monkeypatch.setattr(urllib.request, "urlopen", no_connection)
+        monkeypatch.setattr(llm, "_urlopen", no_connection)
         if env is not None:
             monkeypatch.setenv("ESTUNE_ENDPOINT", env)
         argv = ["tune", "--out", str(tmp_path / "x")] + FAST + flags
@@ -218,7 +218,6 @@ class TestTuneCommand:
 
     def test_oversized_reply_aborts_with_exit_1(self, run_cli, tmp_path, monkeypatch, capsys):
         import io
-        import urllib.request
 
         import estune.llm as llm
 
@@ -228,7 +227,7 @@ class TestTuneCommand:
         class Oversized(io.BytesIO):
             status = 200
 
-        monkeypatch.setattr(urllib.request, "urlopen",
+        monkeypatch.setattr(llm, "_urlopen",
                             lambda request, timeout=None: Oversized(b" " * 1001))
         out = tmp_path / "big"
         code = run_cli(["tune", "--backend", "http", "--endpoint", "http://llm.test",
@@ -480,7 +479,6 @@ class TestFilesTheCliNames:
 
     def test_too_deep_http_reply_aborts_with_exit_1(self, run_cli, tmp_path, monkeypatch, capsys):
         import io
-        import urllib.request
 
         import estune.llm as llm
 
@@ -489,7 +487,7 @@ class TestFilesTheCliNames:
         class Nested(io.BytesIO):
             status = 200
 
-        monkeypatch.setattr(urllib.request, "urlopen",
+        monkeypatch.setattr(llm, "_urlopen",
                             lambda request, timeout=None: Nested(b"[" * 200_000))
         code = run_cli(["tune", "--backend", "http", "--endpoint", "http://llm.test",
                         "--out", str(tmp_path / "deep")] + FAST)

@@ -828,13 +828,16 @@ def _screened_row(template, tau, seed):
 
 class _ScaledNormals:
     """A stand-in generator whose normals are ``make_rng(seed)``'s times
-    ``scale``, so that ``|z|**2`` reaches from 0 to past 1e20."""
+    ``scale``, so that ``|z|**2`` reaches from 0 to past 1e20.  With more
+    scales, block k of normals takes the k-th, and every later block the
+    last."""
 
-    def __init__(self, seed, scale):
-        self._rng, self._scale = make_rng(seed), scale
+    def __init__(self, seed, scale, *later):
+        self._rng, self._scales = make_rng(seed), [scale, *later]
 
     def standard_normal(self, size):
-        return self._rng.standard_normal(size) * self._scale
+        scale = self._scales[0] if len(self._scales) == 1 else self._scales.pop(0)
+        return self._rng.standard_normal(size) * scale
 
 
 def _path_row(path, seed, scale, x, sigma0, tau, generations):
@@ -844,6 +847,60 @@ def _path_row(path, seed, scale, x, sigma0, tau, generations):
     except NumericalError as exc:
         return str(exc)
     return [v.hex() for v in row]
+
+
+def _traced_screened(normals, x, sigma0, tau, generations):
+    """``_screened``'s row in hex, or its error message, and the
+    ``(exact, h, x)`` states it went through, in order.
+
+    A trace reads the row's locals before each of its lines and checks the
+    invariant its proof rests on: ``h`` is at least the parent's value, its
+    squares summed in coordinate order, and equals it while ``exact``
+    holds.
+    """
+    up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
+    states = []
+    code = es_mod._screened.__wrapped__.__code__  # inside np.errstate's wrapper
+
+    def line(frame, event, arg):
+        local = frame.f_locals
+        if event == "line" and "exact" in local:
+            exact, h, parent = local["exact"], local["h"], local["x"]
+            with np.errstate(over="ignore"):
+                value = sphere_columns(parent[:, None])[0]
+            assert value == h if exact else not value > h
+            if not states or states[-1][:2] != (exact, h) or states[-1][2] is not parent:
+                states.append((exact, h, parent))
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        row = es_mod._screened(normals, x, sigma0, up, down, generations)
+    except NumericalError as exc:
+        return str(exc), states
+    finally:
+        sys.settrace(previous)
+    return [v.hex() for v in row], states
+
+
+def _interval_cases(states):
+    """What a row's ``_traced_screened`` states show after its first proven
+    acceptance (``exact`` turning false): a screen it could not decide
+    (``exact`` turning true), a tie (a new parent with the same summed
+    value) and a subnormal parent value."""
+    cases, proven = set(), False
+    for (exact0, h0, x0), (exact1, h1, x1) in zip(states, states[1:]):
+        if exact0 and not exact1:
+            proven = True
+        elif proven and exact1:
+            if not exact0:
+                cases.add("undecided_after_proven")
+            elif h1 == h0 and x1 is not x0:
+                cases.add("tie_after_proven")
+            if 0 < h1 < np.finfo(float).tiny:
+                cases.add("subnormal_after_proven")
+    return cases
 
 
 class TestScreened:
@@ -918,16 +975,77 @@ class TestScreened:
         assert result.final_sigma.hex() == sigma.hex()
 
     def test_makes_about_the_accepted_candidates_only(self, monkeypatch):
-        # At 64-D about one offspring in five is accepted; the screen makes
-        # those and the start point, and skips the rest.
+        # At 64-D about one offspring in five is accepted.  The screen makes
+        # about those candidates and skips the rest, and it proves the
+        # acceptances too: it sums squares only for the start point, the end
+        # of the row and the few screens it cannot decide.
         template = EsTemplate(dimension=64, max_generations=1000)
         start = make_rng(11).uniform(template.init_low, template.init_high, size=64)
         history = [sphere_eval(start)]
         stepwise_run(template, 0.9, 11, history)
         accepted = sum(b < a for a, b in zip(history, history[1:]))
-        made = []
+        made, folds = [], []
+
+        class Counted(np.ndarray):
+            # A candidate is a row of normals times sigma, a float.
+            def __mul__(self, other):
+                if isinstance(other, float):
+                    made.append(1)
+                return super().__mul__(other)
+
+        class CountedNormals:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def standard_normal(self, size):
+                return self._rng.standard_normal(size).view(Counted)
+
+        real = es_mod._screened
+        monkeypatch.setattr(es_mod, "_screened",
+                            lambda rng, *rest: real(CountedNormals(rng), *rest))
         fold = es_mod._fold_squares
-        monkeypatch.setattr(es_mod, "_fold_squares", lambda c: made.append(1) or fold(c))
-        _screened_row(template, 0.9, 11)
+        monkeypatch.setattr(es_mod, "_fold_squares", lambda c: folds.append(1) or fold(c))
+        result = _screened_row(template, 0.9, 11)
+        f, sigma = stepwise_run(template, 0.9, 11)
+        assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
         assert 100 < accepted < 300
-        assert accepted + 1 <= len(made) <= accepted + 6
+        assert accepted <= len(made) <= accepted + 6
+        assert 2 <= len(folds) <= 6
+
+    @pytest.mark.parametrize("dimension, box, sigma0, tau, generations, seed, scales, case", [
+        (13, 5.0, 1.0, 30.0, 300, 0, [1.0], "undecided_after_proven"),
+        # Sigma starts in ties, grows out of them, and at tau 30 falls back.
+        (13, 5.0, 1e-300, 30.0, 300, 1, [1.0], "tie_after_proven"),
+        (13, 1e-150, 1.0, 5.0, 2000, 1, [1.0], "subnormal_after_proven"),
+        # The second block's |z|**2 is below, then above, _SCREEN_NORMS.
+        (64, 5.0, 1.0, 0.9, 300, 0, [1.0, 1e-110], "undecided_after_proven"),
+        (64, 5.0, 1.0, 0.9, 300, 0, [1.0, 1e11], "undecided_after_proven"),
+    ], ids=["undecided", "tie", "subnormal", "small_normals", "large_normals"])
+    def test_proven_acceptances_keep_every_bit(self, dimension, box, sigma0, tau, generations,
+                                               seed, scales, case):
+        x = make_rng(seed ^ 1).uniform(-box, box, size=dimension)
+        rest = (sigma0, tau, generations)
+        row, states = _traced_screened(_ScaledNormals(seed, *scales), x, *rest)
+        assert case in _interval_cases(states)
+        up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
+        stepwise = es_mod._stepwise(_ScaledNormals(seed, *scales), x, sigma0, up, down,
+                                    generations)
+        assert row == [v.hex() for v in stepwise]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(es_mod._STEPWISE_DIMENSION + 1, 64),
+        st.integers(1, 300),
+        st.integers(0, (1 << 64) - 1),
+        st.floats(-120, 12),
+        st.floats(-300, 308),
+        st.floats(-160, 150),
+        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
+    )
+    def test_bound_stays_above_the_parent(self, dimension, generations, seed, scale_exp,
+                                          sigma_exp, box_exp, tau):
+        x = make_rng(seed ^ 1).uniform(-(10.0**box_exp), 10.0**box_exp, size=dimension)
+        args = (seed, 10.0**scale_exp)
+        rest = (10.0**sigma_exp, tau, generations)
+        row, _ = _traced_screened(_ScaledNormals(*args), x, *rest)
+        assert row == _path_row(es_mod._stepwise, *args, x, *rest)

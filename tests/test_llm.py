@@ -1,5 +1,6 @@
 """Prompt rendering, backends, and tau extraction."""
 
+import contextlib
 import http.server
 import io
 import json
@@ -9,7 +10,6 @@ import sys
 import threading
 import time
 import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,16 +156,62 @@ class _DripHandler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        for i in range(0, len(body), 4):
+        self.drip(body)
+
+    def drip(self, data):
+        for i in range(0, len(data), 4):
             if self.server.stop.wait(0.3):
                 return
             try:
-                self.wfile.write(body[i : i + 4])
+                self.wfile.write(data[i : i + 4])
             except OSError:  # the client has gone
                 return
 
     def log_message(self, *args):
         pass
+
+
+class _PromptHandler(_DripHandler):
+    """Replies at once: 200 with a valid body, or, for the prompt "busy",
+    503 with the body "overloaded"."""
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        busy = prompt["messages"][0]["content"] == "busy"
+        body = b"overloaded" if busy else _reply("tau = 1.0").getvalue()
+        self.send_response(503 if busy else 200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class _HeaderDripHandler(_DripHandler):
+    """Like ``_DripHandler``, but the status line and headers drip too."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = _reply("tau = 1.0").getvalue()
+        head = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        self.drip(head + body)
+
+
+@contextlib.contextmanager
+def _loopback(handler):
+    """The port of a loopback HTTP server run by ``handler`` in a thread,
+    which is stopped and joined on exit."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    server.stop = threading.Event()
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server.server_port
+    finally:
+        server.stop.set()
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+        assert not thread.is_alive()
 
 
 def _http_backend(retries=2):
@@ -186,7 +232,7 @@ class TestHttpBackend:
                         payload=json.loads(request.data), timeout=timeout)
             return _reply("tau = 1.0")
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(llm, "_urlopen", fake_urlopen)
         exchange = _http_backend().send("pick a tau", attempt=1)
         assert exchange.response == "tau = 1.0"
         assert exchange.attempt == 1
@@ -209,7 +255,7 @@ class TestHttpBackend:
             captured.update(authorization=request.get_header("Authorization"))
             return _reply("tau = 1")
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(llm, "_urlopen", fake_urlopen)
         _http_backend().send("p")
         assert captured["authorization"] == "Bearer sekret"
 
@@ -224,7 +270,7 @@ class TestHttpBackend:
                 raise urllib.error.URLError(ConnectionRefusedError("refused"))
             return _reply("tau = 0.8")
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(llm, "_urlopen", fake_urlopen)
         exchange = _http_backend().send("p")
         assert exchange.response == "tau = 0.8"
         assert sleeps == [1.0, 2.0]
@@ -235,7 +281,7 @@ class TestHttpBackend:
         def fake_urlopen(request, timeout=None):
             raise urllib.error.URLError(ConnectionRefusedError("refused"))
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(llm, "_urlopen", fake_urlopen)
         with pytest.raises(TransportError, match="3 attempts"):
             _http_backend(retries=2).send("p")
 
@@ -245,7 +291,7 @@ class TestHttpBackend:
         def fake_urlopen(request, timeout=None):
             raise _http_error(503, b"overloaded")
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(llm, "_urlopen", fake_urlopen)
         with pytest.raises(TransportError) as exc_info:
             _http_backend(retries=0).send("p")
         assert "overloaded" in exc_info.value.payload
@@ -253,7 +299,7 @@ class TestHttpBackend:
     def test_malformed_body_is_transport_error(self, monkeypatch):
         monkeypatch.setattr(llm, "_sleep", lambda s: None)
         malformed = _FakeResponse(b'{"unexpected": true}')
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: malformed)
+        monkeypatch.setattr(llm, "_urlopen", lambda request, timeout=None: malformed)
         with pytest.raises(TransportError):
             _http_backend(retries=0).send("p")
 
@@ -261,14 +307,14 @@ class TestHttpBackend:
     def test_body_at_the_cap_is_read(self, monkeypatch):
         reply = _reply("tau = 1.0")
         monkeypatch.setattr(llm, "MAX_RESPONSE_BYTES", len(reply.getvalue()))
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: reply)
+        monkeypatch.setattr(llm, "_urlopen", lambda request, timeout=None: reply)
         assert _http_backend(retries=0).send("p").response == "tau = 1.0"
 
     def test_body_past_the_cap_is_transport_error(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(llm, "_sleep", sleeps.append)
         monkeypatch.setattr(llm, "MAX_RESPONSE_BYTES", 1000)
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: _EndlessResponse())
+        monkeypatch.setattr(llm, "_urlopen", lambda request, timeout=None: _EndlessResponse())
         with pytest.raises(TransportError, match="body longer than 1000 bytes"):
             _http_backend(retries=1).send("p")
         assert sleeps == [1.0]
@@ -297,6 +343,32 @@ class TestHttpBackend:
             server.server_close()
         assert not thread.is_alive()
         assert elapsed < 2.0
+
+    def test_loopback_replies_are_read(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        with _loopback(_PromptHandler) as port:
+            backend = HttpBackend(LlmBackendConfig(
+                base_url=f"http://127.0.0.1:{port}", timeout_seconds=5, transport_retries=0,
+            ))
+            assert backend.send("p").response == "tau = 1.0"
+            with pytest.raises(TransportError) as caught:
+                backend.send("busy")
+        assert caught.value.payload == "HTTP 503: 'overloaded'"
+
+    def test_header_drip_times_out_at_the_deadline(self, monkeypatch):
+        # The status line and headers take about 20 drips, 6 s; each socket
+        # read waits only 0.3 s.  The whole reply must arrive within the
+        # timeout, not just each read.
+        monkeypatch.setenv("no_proxy", "*")
+        with _loopback(_HeaderDripHandler) as port:
+            backend = HttpBackend(LlmBackendConfig(
+                base_url=f"http://127.0.0.1:{port}", timeout_seconds=1, transport_retries=0,
+            ))
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="TimeoutError"):
+                backend.send("p")
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.5
 
 
 class TestExtractTau:
