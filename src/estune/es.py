@@ -32,15 +32,21 @@ dimension only:
   numpy's fixed cost per call, 1-3 us, outweighs its arithmetic, while
   Python floats cost about 0.1 us per coordinate and generation;
 * screened: a batch of at most 3 rows of more dimensions runs one row at a
-  time and makes only the offspring that may be accepted.  From
-  ``|z|**2``, one call per block of normals, and ``z . x``, one
-  matrix-vector product per acceptance, it estimates each candidate's value
-  in Python floats.  It skips a candidate only when the estimate exceeds
-  the parent's value by more than a proven bound on its error,
-  ``(4 d + 64) eps (f + sigma**2 |z|**2) + 1e-300`` at d dimensions
-  (derived in ``_screened``'s docstring), and makes every other candidate
-  as the stepwise loop does.  Under the 1/5th rule about four offspring in
-  five are rejected, so it makes about one candidate in five;
+  time, makes only the offspring that may be accepted and sums squares
+  only where it must.  From ``|z|**2``, one call per block of normals, and
+  ``z . x``, one matrix-vector product per acceptance, it estimates in
+  Python floats the change of each candidate's value from the parent's.
+  The estimate's error is at most ``(4 d + 64) eps (h + sigma**2 |z|**2)
+  + 1e-300`` either way, at d dimensions, with h an upper bound on the
+  parent's value (derived in ``_screened``'s docstring).  A change above
+  the bound proves a rejection, and the candidate is not made; one below
+  minus the bound proves an acceptance, and the candidate is made but not
+  summed, h growing by the change plus the bound.  Only an undecided
+  screen sums the parent's squares, and then makes and sums the candidate
+  as the stepwise loop does; the row sums them once more at its end.
+  Under the 1/5th rule about four offspring in five are rejected, so it
+  makes about one candidate in five, and at 64-D it sums squares a few
+  times a row;
 * lockstep: any other batch advances its rows in lockstep, one generation
   at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
   run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
@@ -66,14 +72,15 @@ Every row on each path is bit-identical to the stepwise loop built from
   C-ordered array of at least 2 columns, the lockstep path's layout, has
   its columns along the fast axis, so ``np.add.reduce`` down axis 0 adds
   whole rows in turn; any other layout (F order, a single column) goes
-  through ``np.add.accumulate`` down each column, as does each candidate
-  the screened path makes, and the stepwise path folds with ``+=``.  Do
+  through ``np.add.accumulate`` down each column, as does each sum the
+  screened path makes, and the stepwise path folds with ``+=``.  Do
   not replace these with ``np.sum`` along the fast axis, ``np.dot``,
   ``math.fsum`` or the builtin ``sum()``: the first two sum pairwise or
   blocked, the last two round differently (since Python 3.12 ``sum()`` of
   floats is compensated), and any of them changes the last bits.  The
-  screened path's estimates use ``np.dot`` and ``np.einsum``, whose error
-  its bound covers in any order, but never for a value it keeps.  For the
+  screened path's estimates and its bound on the parent's value use
+  ``np.dot`` and ``np.einsum``, whose error its bound covers in any order,
+  but never for a value it compares exactly or returns.  For the
   same reason ``store.trial_stats`` folds its sums with ``+=``;
 * the offspring is accepted iff ``f_new <= f``, ties included;
 * sigma is multiplied by ``math.exp(tau * (1.0 - 0.2))`` or
@@ -81,9 +88,10 @@ Every row on each path is bit-identical to the stepwise loop built from
   expression ``update_sigma`` evaluates every generation.  ``TAU_MAX``
   keeps both factors finite;
 * the screened path skips only candidates whose value provably exceeds
-  the parent's, so its acceptances, and with them its sigmas, are the
-  stepwise loop's.  A skipped candidate is finite, so the stepwise loop
-  would not have raised on it.
+  the parent's, and accepts without summing only those whose value is
+  provably below it, so its acceptances, and with them its sigmas, are the
+  stepwise loop's.  Those candidates are finite, so the stepwise loop would
+  not have raised on them.
 
 All three paths raise ``NumericalError`` with the same message in the
 same cases: a non-finite candidate among those the stepwise loop makes,
@@ -623,7 +631,8 @@ def _screened(rng, x, sigma, up, down, generations):
     generation)``.
 
     ``x`` is the row's start point as a 1-D array.  Let ``f`` be the
-    parent's value, ``s`` the sigma of a generation and ``z`` its normals.
+    parent's value, its squares summed in coordinate order as the stepwise
+    loop sums them, ``s`` the sigma of a generation and ``z`` its normals.
     The screen estimates the value of the candidate ``x + s z`` as
     ``approx = f + D`` with ``D = 2 s a + s s b``, from ``b = |z|**2``, one
     call per block of normals, and ``a = z . x``, one matrix-vector product
@@ -671,7 +680,7 @@ def _screened(rng, x, sigma, up, down, generations):
     + 3.2e-304`` at ``d <= MAX_DIMENSION``.  After its own three roundings
     ``m`` still exceeds ``E`` by at least ``(1.5 d + 55) eps (h + s s b)
     + 0.99e-300``.  So ``D > m`` gives ``F > f`` and ``D < -m`` gives
-    ``F < f``, whatever ``f`` is below ``h``.  A decision needs a finite
+    ``F < f``, for any ``f`` up to ``h``.  A decision needs a finite
     ``m``, so ``h`` and ``s s b`` are finite.  A skipped candidate then has
     finite coordinates, and so has an accepted one, whose value is below
     ``f``: the stepwise loop would not have raised on either.  If ``D``
@@ -681,16 +690,17 @@ def _screened(rng, x, sigma, up, down, generations):
     top of the float range, but ``Y``, up to the top of it, may cancel
     that.  A nan ``D`` or ``m``, or an inf ``m``, decides nothing.
 
-    Why ``h`` stays above ``f``.  At a proven acceptance ``F <= f + D + E
-    <= h + D + E``, the new parent's exact bound.  ``F >= 0`` gives
+    Why ``h`` stays at or above ``f``.  At a proven acceptance, with ``E``
+    taken at the old ``h``, ``F <= f + D + E <= h + D + E``.  ``F >= 0`` gives
     ``D >= -h - E``, and ``D < 0``, so ``|h + D| <= h + E`` and the two
     roundings of ``fl(fl(h + D) + m)`` are at most ``2 u (1 + u)
     (h + E + m)``, about ``eps (h + s s b)``: less than the margin by which
     ``m`` exceeds ``E``.  So the new ``h`` is at least ``h + D + E >= F``.
     Only this upper end is kept: both decisions read ``h`` only, through
-    ``m``, so a lower end would never be read.  ``h`` widens by about
-    ``2 m`` per proven acceptance; an undecided screen, which the wider
-    ``m`` makes likelier, sums the squares and makes ``h`` exact again.
+    ``m``, so a lower end would never be read.  ``h`` moves away from ``f``
+    by up to about ``2 m`` per proven acceptance; an undecided screen, which
+    the larger ``m`` makes likelier, sums the squares and makes ``h`` exact
+    again.
     """
     dim = x.shape[0]
     k = (4 * dim + 64) * _EPS

@@ -259,30 +259,25 @@ def _read_body(resp) -> bytes:
 def _urlopen(request, timeout: float):
     """``urllib.request.urlopen(request, timeout=timeout)``, except that the
     whole reply, status line, headers and body, must arrive within
-    ``timeout`` of the call, not just each socket read.
-
-    ``urlopen`` reads the status line and headers before it returns, and its
-    timeout limits each read only: a server that sends a few bytes at a
-    time could hold an attempt without end.
+    ``timeout`` of the call.  ``urlopen`` reads the status line and headers
+    before it returns, with ``timeout`` limiting each socket read only, so a
+    server that sent a few bytes at a time could hold an attempt for good.
     """
     return _deadline_opener().open(request, timeout=timeout)
 
 
 @functools.cache
 def _deadline_opener():
-    """``urlopen``'s default opener, but its HTTP and HTTPS connections read
-    their replies through ``Reader``.
-
-    Made on first use: urllib.request adds about 15% to the package's import
-    time.
-    """
+    """``urlopen``'s default opener, whose HTTP and HTTPS connections read
+    each reply through a ``Reader`` with the request's deadline.  Made on
+    first use, like the imports in ``HttpBackend.send``."""
     import http.client
     import io
     import urllib.request
 
     class Reader(io.RawIOBase):
         """A socket's reads, each waiting only for the time left before
-        ``deadline``.  ``HTTPResponse`` reads through ``makefile``."""
+        ``deadline``; ``HTTPResponse`` reads through ``makefile``."""
 
         def __init__(self, sock, deadline):
             # The socket's own file keeps it open until this one is closed.
@@ -306,17 +301,19 @@ def _deadline_opener():
             self._file.close()
             super().close()
 
-    class Response(http.client.HTTPResponse):
-        def __init__(self, sock, *args, deadline, **kwargs):
-            super().__init__(Reader(sock, deadline), *args, **kwargs)
-
     class Deadline:
+        """A handler whose connections make their replies read through a
+        ``Reader``, with the deadline ``req.timeout`` from now."""
+
         def do_open(self, http_class, req, **kwargs):
             deadline = time.monotonic() + req.timeout
 
+            def reply(sock, *args, **kw):
+                return http.client.HTTPResponse(Reader(sock, deadline), *args, **kw)
+
             def connection(*args, **kw):
                 conn = http_class(*args, **kw)
-                conn.response_class = functools.partial(Response, deadline=deadline)
+                conn.response_class = reply
                 return conn
 
             return super().do_open(connection, req, **kwargs)

@@ -1014,10 +1014,13 @@ class TestScreened:
 
     @pytest.mark.parametrize("dimension, box, sigma0, tau, generations, seed, scales, case", [
         (13, 5.0, 1.0, 30.0, 300, 0, [1.0], "undecided_after_proven"),
-        # Sigma starts in ties, grows out of them, and at tau 30 falls back.
+        # Sigma starts in ties and grows out of them; at tau 30 a few
+        # rejections shrink it back into ties.
         (13, 5.0, 1e-300, 30.0, 300, 1, [1.0], "tie_after_proven"),
+        # The parent's value falls from normal to subnormal.
         (13, 1e-150, 1.0, 5.0, 2000, 1, [1.0], "subnormal_after_proven"),
-        # The second block's |z|**2 is below, then above, _SCREEN_NORMS.
+        # The second block's |z|**2 is below, or above, _SCREEN_NORMS; with
+        # one scale these rows decide every screen.
         (64, 5.0, 1.0, 0.9, 300, 0, [1.0, 1e-110], "undecided_after_proven"),
         (64, 5.0, 1.0, 0.9, 300, 0, [1.0, 1e11], "undecided_after_proven"),
     ], ids=["undecided", "tie", "subnormal", "small_normals", "large_normals"])

@@ -323,25 +323,14 @@ class TestHttpBackend:
         # The body takes 13 drips, about 3.9 s; each socket read waits only
         # 0.3 s, well inside the 1 s socket timeout.
         monkeypatch.setenv("no_proxy", "*")
-        server = http.server.HTTPServer(("127.0.0.1", 0), _DripHandler)
-        server.stop = threading.Event()
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-        try:
+        with _loopback(_DripHandler) as port:
             backend = HttpBackend(LlmBackendConfig(
-                base_url=f"http://127.0.0.1:{server.server_port}",
-                timeout_seconds=1, transport_retries=0,
+                base_url=f"http://127.0.0.1:{port}", timeout_seconds=1, transport_retries=0,
             ))
             start = time.monotonic()
             with pytest.raises(TransportError, match="TimeoutError"):
                 backend.send("p")
             elapsed = time.monotonic() - start
-        finally:
-            server.stop.set()
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
-        assert not thread.is_alive()
         assert elapsed < 2.0
 
     def test_loopback_replies_are_read(self, monkeypatch):
