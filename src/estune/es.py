@@ -24,39 +24,39 @@ ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
 ``run_batch`` is the one kernel, and it computes the sphere only.  Its rows
 share one ``EsTemplate`` (sigma0, dimension, generation count and init box)
-and differ in tau and seed.  It has three paths, chosen by row count and
-dimension only:
+and differ in tau and seed.  They run in chunks whose lockstep buffers fit
+``_LOCKSTEP_BYTES`` (the paper grid's 100 rows are one); rows are
+independent, so chunks change no result.  A chunk of at most 3 rows runs row
+by row on ``make_rng`` generators, on one of two paths chosen by dimension;
+a larger chunk runs in lockstep:
 
-* stepwise: a batch of at most 3 rows of at most 8 dimensions runs one row
-  at a time, one generation at a time, in Python floats.  At these sizes
-  numpy's fixed cost per call, 1-3 us, outweighs its arithmetic, while
-  Python floats cost about 0.1 us per coordinate and generation;
-* screened: a batch of at most 3 rows of more dimensions runs one row at a
-  time, makes only the offspring that may be accepted and sums squares
-  only where it must.  From ``|z|**2``, one call per block of normals, and
-  ``z . x``, one matrix-vector product per acceptance, it estimates in
-  Python floats the change of each candidate's value from the parent's.
-  The estimate's error is at most ``(4 d + 64) eps (h + sigma**2 |z|**2)
-  + 1e-300`` either way, at d dimensions, with h an upper bound on the
-  parent's value (derived in ``_screened``'s docstring).  A change above
-  the bound proves a rejection, and the candidate is not made; one below
-  minus the bound proves an acceptance, and the candidate is made but not
-  summed, h growing by the change plus the bound.  Only an undecided
-  screen sums the parent's squares, and then makes and sums the candidate
-  as the stepwise loop does; the row sums them once more at its end.
-  Under the 1/5th rule about four offspring in five are rejected, so it
-  makes about one candidate in five, and at 64-D it sums squares a few
-  times a row;
-* lockstep: any other batch advances its rows in lockstep, one generation
-  at a time on ``(dimension, rows)`` arrays, one row per column.  The rows
-  run in chunks whose buffers fit ``_LOCKSTEP_BYTES``; rows are
-  independent, so the chunks change no result.  Each chunk seeds its rows
-  in one vectorised pass (``_seed_states``) whose states equal
+* stepwise: rows of at most 8 dimensions run one generation at a time in
+  Python floats.  At these sizes numpy's fixed cost per call, 1-3 us,
+  outweighs its arithmetic, while Python floats cost about 0.1 us per
+  coordinate and generation;
+* screened: rows of more dimensions run one generation at a time, make only
+  the offspring that may be accepted and sum squares only where they must.
+  From ``|z|**2``, one call per block of normals, and ``z . x``, one
+  matrix-vector product per acceptance, a row estimates in Python floats the
+  change of each candidate's value from the parent's.  The estimate's error
+  is at most ``(4 d + 64) eps (h + sigma**2 |z|**2) + 1e-300`` either way,
+  at d dimensions, with h an upper bound on the parent's value (derived in
+  ``_screened``'s docstring).  A change above the bound proves a rejection,
+  and the candidate is not made; one below minus the bound proves an
+  acceptance, and the candidate is made but not summed, h growing by the
+  change plus the bound.  Only an undecided screen sums the parent's
+  squares, and then makes and sums the candidate as the stepwise loop does;
+  the row sums them once more at its end.  Under the 1/5th rule about four
+  offspring in five are rejected, so it makes about one candidate in five,
+  and at 64-D it sums squares a few times a row;
+* lockstep: a chunk of more than 3 rows advances them one generation at a
+  time on ``(dimension, rows)`` arrays, one row per column.  It seeds its
+  rows in one vectorised pass (``_seed_states``) whose states equal
   ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
-  start in ``make_rng``'s state; ``make_rng`` stays the reference, and
-  the other two paths use it.  It runs in preallocated buffers; each block
-  of generations is checked by its values and replayed, keeping its
-  candidates, only when a value is not finite (see ``_lockstep``).
+  start in ``make_rng``'s state; ``make_rng`` stays the reference.  It
+  runs in preallocated buffers; each block of generations is checked by
+  its values and replayed, keeping its candidates, only when a value is
+  not finite (see ``_lockstep``).
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -68,13 +68,12 @@ Every row on each path is bit-identical to the stepwise loop built from
 * a candidate is ``x + sigma * z``: one multiply, then one add, in numpy
   or per coordinate in Python floats, which round alike;
 * the sphere sums its squares strictly in coordinate order, never along
-  the array's fast axis in memory, where numpy sums pairwise.  A
-  C-ordered array of at least 2 columns, the lockstep path's layout, has
-  its columns along the fast axis, so ``np.add.reduce`` down axis 0 adds
-  whole rows in turn; any other layout (F order, a single column) goes
-  through ``np.add.accumulate`` down each column, as does each sum the
-  screened path makes, and the stepwise path folds with ``+=``.  Do
-  not replace these with ``np.sum`` along the fast axis, ``np.dot``,
+  the array's fast axis in memory, where numpy sums pairwise.  The
+  lockstep path's C-ordered ``(dimension, rows)`` squares, of more than 3
+  columns, have their columns along the fast axis, so ``np.add.reduce``
+  down axis 0 adds whole rows in turn; each sum the screened path makes
+  goes through ``np.add.accumulate``, and the stepwise path folds with
+  ``+=``.  Do not replace these with ``np.sum`` along the fast axis, ``np.dot``,
   ``math.fsum`` or the builtin ``sum()``: the first two sum pairwise or
   blocked, the last two round differently (since Python 3.12 ``sum()`` of
   floats is compensated), and any of them changes the last bits.  The
@@ -143,18 +142,18 @@ BLOCK_GENERATIONS = 128
 # dimension doubles of normals and candidates: at most 2 MB here.
 MAX_DIMENSION = 1000
 
-# The lockstep path runs a batch's rows in chunks whose normals and
+# run_batch runs a batch's rows in chunks whose lockstep normals and
 # candidates take at most this many bytes (32 rows at MAX_DIMENSION), so a
 # batch of any size stays within it; the paper grid's 100 rows are one chunk.
 _LOCKSTEP_BYTES = 64 << 20
 
-# Batches of at most this many rows run one row at a time, stepwise or
+# Chunks of at most this many rows run one row at a time, stepwise or
 # screened; larger ones run in lockstep (see the module docstring).
 _FEW_ROWS = 3
 
-# Rows of at most this dimension, in batches of at most _FEW_ROWS rows, run
-# stepwise in Python floats; above it the screened path wins from about 100
-# generations on (crossover table in CHANGES.md).
+# Rows of at most this dimension, in chunks of at most _FEW_ROWS rows, run
+# stepwise in Python floats, and rows above it screened.  Where they cross
+# depends on the generation count too (table in ROADMAP item 12).
 _STEPWISE_DIMENSION = 8
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
@@ -250,7 +249,7 @@ def objective_names() -> list[str]:
 class ObjectiveSpec:
     """A registered objective function instantiated at a fixed dimension.
 
-    The dimension must equal the ``EsTemplate``'s, which checks it.
+    ``SessionConfig`` checks that the dimension equals its template's.
     """
 
     name: str
@@ -417,26 +416,28 @@ def score_of(f_value: float) -> float:
     return -math.log(max(f_value, FITNESS_FLOOR))
 
 
-def run_es(template: EsTemplate, objective: ObjectiveSpec, tau: float, seed: int) -> EsRunResult:
+def run_es(template: EsTemplate, tau: float, seed: int) -> EsRunResult:
     """Run the full (1+1)-ES loop for ``template.max_generations`` generations.
 
     The candidate is accepted when its objective value is less than or equal
     to the parent's, and sigma is updated every generation from that same
     indicator.  Pure: identical inputs give bit-identical results.
     """
-    return run_batch(template, objective, [tau], [seed])[0]
+    return run_batch(template, [tau], [seed])[0]
 
 
 def run_batch(
-    template: EsTemplate, objective: ObjectiveSpec, taus: Sequence[float], seeds: Sequence[int]
+    template: EsTemplate, taus: Sequence[float], seeds: Sequence[int]
 ) -> list[EsRunResult]:
     """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
-    Each row's result is bit-identical to the stepwise loop of its tau and
-    seed alone (see the module docstring), and the batch raises
-    ``NumericalError`` exactly when some row's stepwise loop would raise
-    ``ValueError``: a non-finite candidate, or sigma at 0 before a
-    generation.
+    The rows run in chunks that fit ``_LOCKSTEP_BYTES``: a chunk of more
+    than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
+    stepwise or screened as the dimension decides.  Each row's result is
+    bit-identical to the stepwise loop of its tau and seed alone (see the
+    module docstring), and the batch raises ``NumericalError`` exactly when
+    some row's stepwise loop would raise ``ValueError``: a non-finite
+    candidate, or sigma at 0 before a generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -445,33 +446,28 @@ def run_batch(
         raise ConfigurationError(f"tau must be > 0 and <= {TAU_MAX}")
     if not all(0 <= seed < _SEED_LIMIT for seed in seeds):
         raise ConfigurationError("seed must be an unsigned 64-bit integer")
-    dim, generations = template.dimension, template.max_generations
-    if objective.dimension != dim:
-        raise ConfigurationError(f"objective dimension {objective.dimension} != template's {dim}")
     if not taus:
         return []
+    dim, generations, sigma0 = template.dimension, template.max_generations, template.sigma0
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
-    sigma0 = template.sigma0
+    row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
 
     def start(rng):
         return rng.uniform(template.init_low, template.init_high, size=dim)
 
-    if len(seeds) <= _FEW_ROWS:
-        row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
-        rows = [
-            row(rng, start(rng), sigma0, up[i], down[i], generations)
-            for i, rng in enumerate(map(make_rng, seeds))
-        ]
-    else:
-        # A row's normals and a replayed block's candidates: 2 * block * dim + 8 doubles.
-        block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
-        chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
-        rows = []
-        # Each chunk seeds its generators and draws its start points itself,
-        # so a batch holds one chunk's rows at a time.
-        for i in range(0, len(seeds), chunk):
-            part = slice(i, i + chunk)
+    # A row's normals and a replayed block's candidates: 2 * block * dim + 8 doubles.
+    block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
+    chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
+    rows = []
+    # Each chunk seeds its generators and draws its start points itself,
+    # so a batch holds one chunk's rows at a time.
+    for i in range(0, len(seeds), chunk):
+        part = slice(i, i + chunk)
+        if len(seeds[part]) <= _FEW_ROWS:
+            rows += [row(rng, start(rng), sigma0, u, d, generations)
+                     for rng, u, d in zip(map(make_rng, seeds[part]), up[part], down[part])]
+        else:
             rngs = _seeded_generators(seeds[part])
             rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
                               up[part], down[part], generations)
@@ -504,19 +500,20 @@ def _lockstep(rngs, x, sigma0, up, down, generations):
     Row g of ``sigmas`` holds the sigmas of generation g of a block, so row
     0 keeps the block's start.
 
-    One candidate buffer and one buffer of squares are reused, and
-    ``np.add.reduce`` writes each generation's sums, in coordinate order,
-    into a ``(block, rows)`` buffer of values (``_fold_column`` does so for
-    a one-row chunk).  The parent's value is ``np.minimum(f_new, f)``,
-    which equals the accepted value wherever ``f_new <= f``: sums of
-    squares are never -0, and a nan value comes only from a non-finite
-    candidate.  The block is checked by its values, since a non-finite
-    candidate has a non-finite value.  When one is not finite, the parents
-    and their values are restored to the block's start and the block runs
-    again, keeping each candidate in a ``(block, dimension, rows)`` buffer
-    to check it.  This tells a non-finite candidate, which raises, from
-    finite squares that overflow, which are legal.  Both runs make the same
-    candidates up to the first non-finite one, so they raise alike.
+    It takes at least 2 rows, so that ``np.add.reduce`` sums down axis 0 in
+    coordinate order; ``run_batch`` gives it more than ``_FEW_ROWS``.  One
+    candidate buffer and one buffer of squares are reused, and the reduce
+    writes each generation's sums into a ``(block, rows)`` buffer of values.
+    The parent's value is ``np.minimum(f_new, f)``, which equals the
+    accepted value wherever ``f_new <= f``: sums of squares are never -0,
+    and a nan value comes only from a non-finite candidate.  The block is
+    checked by its values, since a non-finite candidate has a non-finite
+    value.  When one is not finite, the parents and their values are
+    restored to the block's start and the block runs again, keeping each
+    candidate in a ``(block, dimension, rows)`` buffer to check it.  This
+    tells a non-finite candidate, which raises, from finite squares that
+    overflow, which are legal.  Both runs make the same candidates up to the
+    first non-finite one, so they raise alike.
     """
     rows, dim = x.shape
     x = np.ascontiguousarray(x.T)
@@ -535,9 +532,8 @@ def _lockstep(rngs, x, sigma0, up, down, generations):
     success = np.empty(rows, dtype=bool)
     factor = np.empty(rows)
     squares = np.empty((dim, rows))
-    fold = np.add.reduce if rows > 1 else _fold_column
     f = np.empty(rows)
-    fold(np.multiply(x, x, out=squares), axis=0, out=f)
+    np.add.reduce(np.multiply(x, x, out=squares), axis=0, out=f)
     values = np.empty((block, rows))
     start_x, start_f = np.empty_like(x), np.empty_like(f)
 
@@ -547,7 +543,7 @@ def _lockstep(rngs, x, sigma0, up, down, generations):
         for normal, c, f_new, sigma, next_sigma in views:
             np.multiply(sigma, normal, out=c)
             np.add(x, c, out=c)
-            fold(np.multiply(c, c, out=squares), axis=0, out=f_new)
+            np.add.reduce(np.multiply(c, c, out=squares), axis=0, out=f_new)
             np.less_equal(f_new, f, out=success)
             np.copyto(x, c, where=success)
             np.minimum(f_new, f, out=f)
@@ -577,14 +573,6 @@ def _lockstep(rngs, x, sigma0, up, down, generations):
         if not np.isfinite(kept).all():
             raise NumericalError(_NON_FINITE)
     return list(zip(f.tolist(), sigmas[n].tolist(), sigmas[n - 1].tolist()))
-
-
-def _fold_column(squares, axis, out):
-    """``np.add.reduce(squares, axis, out=out)`` for a ``(dimension, 1)``
-    array, summed in coordinate order: a single column is its own fast
-    axis, where ``reduce`` sums pairwise."""
-    np.add.accumulate(squares, axis=axis, out=squares)
-    np.copyto(out, squares[-1])
 
 
 def _stepwise(rng, x, sigma, up, down, generations):

@@ -88,7 +88,7 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
         for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
         for replicate_word in replicate_words
     ]
-    results = run_batch(cfg.es_template, cfg.objective, row_taus, seeds)
+    results = run_batch(cfg.es_template, row_taus, seeds)
     trials = []
     for k, tau in enumerate(taus):
         runs = results[k * reps : (k + 1) * reps]

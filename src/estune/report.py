@@ -51,9 +51,9 @@ def grid_values(spec: GridSpec) -> list[float]:
 def run_grid(spec: GridSpec, cfg: SessionConfig) -> list[Trial]:
     """One replicated trial per grid value; no LLM involved.
 
-    Every (grid value, replicate) row runs in one ES batch, in lockstep
-    unless the grid has at most 3 rows (see ``es.run_batch``); trial i
-    equals ``run_trial(grid_values(spec)[i], cfg, i)``.
+    Every (grid value, replicate) row runs in one ES batch, whose chunks of
+    more than 3 rows run in lockstep (see ``es.run_batch``); trial i equals
+    ``run_trial(grid_values(spec)[i], cfg, i)``.
     """
     taus = grid_values(spec)
     return run_trials(taus, cfg, range(len(taus)))

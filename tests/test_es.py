@@ -252,18 +252,15 @@ def _paper_template(generations=1000):
     return EsTemplate(sigma0=1.0, dimension=5, max_generations=generations)
 
 
-SPHERE_5D = ObjectiveSpec("sphere", 5)
-
-
 class TestRunEs:
     def test_bit_identical_repeat(self):
-        a = run_es(_paper_template(), SPHERE_5D, 0.95, 42)
-        b = run_es(_paper_template(), SPHERE_5D, 0.95, 42)
+        a = run_es(_paper_template(), 0.95, 42)
+        b = run_es(_paper_template(), 0.95, 42)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_es(_paper_template(50), SPHERE_5D, 0.95, 1)
-        b = run_es(_paper_template(50), SPHERE_5D, 0.95, 2)
+        a = run_es(_paper_template(50), 0.95, 1)
+        b = run_es(_paper_template(50), 0.95, 2)
         assert a.best_f != b.best_f
 
     def test_objective_values_non_increasing(self):
@@ -272,23 +269,19 @@ class TestRunEs:
         stepwise_run(template, 0.95, 5, history)
         assert len(history) == 400
         assert all(a >= b for a, b in zip(history, history[1:]))
-        assert history[-1] == run_es(template, SPHERE_5D, 0.95, 5).best_f
+        assert history[-1] == run_es(template, 0.95, 5).best_f
 
     def test_score_recomputable_from_best_f(self):
-        result = run_es(_paper_template(200), SPHERE_5D, 0.95, 9)
+        result = run_es(_paper_template(200), 0.95, 9)
         assert result.score == score_of(result.best_f)
 
     def test_final_sigma_positive(self):
         for seed in range(5):
-            assert run_es(_paper_template(100), SPHERE_5D, 0.95, seed).final_sigma > 0
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_es(_paper_template(), ObjectiveSpec("sphere", 4), 0.95, 0)
+            assert run_es(_paper_template(100), 0.95, seed).final_sigma > 0
 
     def _first_generation_outcome(self, seed, tau=0.95):
         template = EsTemplate(sigma0=1.0, dimension=3, max_generations=1)
-        result = run_es(template, ObjectiveSpec("sphere", 3), tau, seed)
+        result = run_es(template, tau, seed)
         rng = make_rng(seed)
         x0 = rng.uniform(template.init_low, template.init_high, size=3)
         return template, result, sphere_eval(x0)
@@ -317,11 +310,11 @@ class TestRunEs:
 
     def test_paper_setting_score_magnitude(self):
         # Single run of the reference setting; scores land in the tens.
-        result = run_es(_paper_template(), SPHERE_5D, 0.95, 7)
+        result = run_es(_paper_template(), 0.95, 7)
         assert 20.0 < result.score < 150.0
 
     def test_generations_run_recorded(self):
-        result = run_es(_paper_template(17), SPHERE_5D, 0.95, 3)
+        result = run_es(_paper_template(17), 0.95, 3)
         assert result.generations_run == 17
 
 
@@ -351,7 +344,7 @@ class TestConfigValidation:
         base.update(kwargs)
         tau, seed = base.pop("tau"), base.pop("seed")
         with pytest.raises(ConfigurationError):
-            run_batch(EsTemplate(**base), ObjectiveSpec("sphere", 5), [0.95, tau], [1, seed])
+            run_batch(EsTemplate(**base), [0.95, tau], [1, seed])
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigurationError, match="sphere"):
@@ -376,7 +369,7 @@ class TestConfigValidation:
         # The template supplies all but tau and seed: a run is its stepwise
         # loop at that tau and seed.
         template = EsTemplate(sigma0=2.0, dimension=4, max_generations=50)
-        result = run_es(template, ObjectiveSpec("sphere", 4), 1.1, 77)
+        result = run_es(template, 1.1, 77)
         assert result.seed == 77
         assert result.generations_run == 50
         assert (result.best_f, result.final_sigma) == stepwise_run(template, 1.1, 77)
@@ -385,7 +378,7 @@ class TestConfigValidation:
         assert EsTemplate(dimension=MAX_DIMENSION).dimension == MAX_DIMENSION
 
     def test_tau_max_itself_accepted(self):
-        run_es(_paper_template(10), SPHERE_5D, TAU_MAX, 0)
+        run_es(_paper_template(10), TAU_MAX, 0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -414,9 +407,9 @@ _DIMENSIONS = st.one_of(
 
 
 @st.composite
-def _batches(draw):
-    """One template and 1-8 (tau, seed) rows; sigma0 reaches down to 1e-300,
-    where an unmoved candidate ties its parent."""
+def _batches(draw, min_rows=1, max_rows=8):
+    """One template and min_rows to max_rows (tau, seed) rows; sigma0
+    reaches down to 1e-300, where an unmoved candidate ties its parent."""
     template = EsTemplate(
         sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
         dimension=draw(_DIMENSIONS),
@@ -425,29 +418,19 @@ def _batches(draw):
     rows = draw(st.lists(st.tuples(
         st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
         st.integers(0, (1 << 64) - 1),
-    ), min_size=1, max_size=8))
+    ), min_size=min_rows, max_size=max_rows))
     return template, rows
 
 
-@st.composite
-def _lockstep_batches(draw):
-    """Like ``_batches``, but 4-8 rows: more than the stepwise and screened
-    paths take."""
-    template = EsTemplate(
-        sigma0=draw(st.floats(min_value=1e-300, max_value=1e3)),
-        dimension=draw(_DIMENSIONS),
-        max_generations=draw(st.integers(1, 200)),
-    )
-    rows = draw(st.lists(st.tuples(
-        st.floats(min_value=0.0, max_value=TAU_MAX, exclude_min=True),
-        st.integers(0, (1 << 64) - 1),
-    ), min_size=4, max_size=8))
-    return template, rows
+def _lockstep_budget(template, rows):
+    """The ``_LOCKSTEP_BYTES`` that makes chunks of ``rows`` rows."""
+    block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
+    return rows * 8 * (2 * block * template.dimension + 8)
 
 
 def _hex_rows_or_error(template, taus, seeds):
     try:
-        results = run_batch(template, ObjectiveSpec("sphere", template.dimension), taus, seeds)
+        results = run_batch(template, taus, seeds)
     except NumericalError:
         return "NumericalError"
     return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
@@ -455,7 +438,7 @@ def _hex_rows_or_error(template, taus, seeds):
 
 def _rows_or_message(template, taus, seeds):
     try:
-        results = run_batch(template, ObjectiveSpec("sphere", template.dimension), taus, seeds)
+        results = run_batch(template, taus, seeds)
     except NumericalError as exc:
         return str(exc)
     return [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
@@ -473,6 +456,19 @@ def _spy_paths(monkeypatch):
     return taken
 
 
+def _spy_chunks(monkeypatch):
+    """The path name and start points, as a ``(rows, dimension)`` array, of
+    each kernel call ``run_batch`` makes from here on."""
+    calls = []
+    for name in ("_stepwise", "_screened", "_lockstep"):
+        def spy(rngs, x, *rest, _name=name, _real=getattr(es_mod, name)):
+            calls.append((_name, np.atleast_2d(x).copy()))
+            return _real(rngs, x, *rest)
+
+        monkeypatch.setattr(es_mod, name, spy)
+    return calls
+
+
 def _oracle_or_error(template, tau, seed):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -484,12 +480,11 @@ def _oracle_or_error(template, tau, seed):
 def _assert_rows_match_oracle(template, rows):
     taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
     expected = [_oracle_or_error(template, tau, seed) for tau, seed in rows]
-    objective = ObjectiveSpec("sphere", template.dimension)
     if None in expected:
         with pytest.raises(ValueError):
-            run_batch(template, objective, taus, seeds)
+            run_batch(template, taus, seeds)
         return
-    results = run_batch(template, objective, taus, seeds)
+    results = run_batch(template, taus, seeds)
     got = [(r.best_f.hex(), r.final_sigma.hex()) for r in results]
     assert got == [(f.hex(), sigma.hex()) for f, sigma in expected]
 
@@ -501,7 +496,7 @@ class TestRunBatch:
         _assert_rows_match_oracle(*batch)
 
     @settings(max_examples=100, deadline=None)
-    @given(_lockstep_batches())
+    @given(_batches(4, 8))
     def test_lockstep_rows_equal_few_row_chunks(self, batch):
         # 4+ rows run in lockstep, chunks of at most 3 stepwise or screened,
         # as their dimension decides.
@@ -520,7 +515,7 @@ class TestRunBatch:
         # run-es traffic: one row, 5-D, 1000 generations.
         template = _paper_template()
         for seed in (0, 7, 123456789):
-            result = run_es(template, SPHERE_5D, 0.95, seed)
+            result = run_es(template, 0.95, seed)
             f, sigma = stepwise_run(template, 0.95, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
@@ -531,7 +526,7 @@ class TestRunBatch:
         template = _paper_template(300)
         taus = [tau for tau in grid_values(GridSpec()) for _ in range(10)]
         seeds = list(range(100))
-        results = run_batch(template, SPHERE_5D, taus, seeds)
+        results = run_batch(template, taus, seeds)
         for result, tau, seed in zip(results, taus, seeds):
             f, sigma = stepwise_run(template, tau, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
@@ -554,8 +549,7 @@ class TestRunBatch:
         monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", lambda x: sphere(x))
         taken = _spy_paths(monkeypatch)
         template = EsTemplate(dimension=dimension, max_generations=20)
-        results = run_batch(template, ObjectiveSpec("sphere", dimension),
-                            [0.9] * rows, list(range(rows)))
+        results = run_batch(template, [0.9] * rows, list(range(rows)))
         assert taken == {path}
         for result, seed in zip(results, range(rows)):
             f, sigma = stepwise_run(template, 0.9, seed)
@@ -596,8 +590,7 @@ class TestRunBatch:
             with monkeypatch.context() as patch:
                 taken = _spy_paths(patch)
                 with pytest.raises(NumericalError) as caught:
-                    run_batch(template, ObjectiveSpec("sphere", dimension),
-                              [1.0] * len(seeds), seeds)
+                    run_batch(template, [1.0] * len(seeds), seeds)
             assert taken == {path}
             messages.append(str(caught.value))
         assert len(set(messages)) == 1
@@ -626,16 +619,13 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("sigma0", [1.0, 1e160])
     def test_a_one_row_chunk_matches_stepwise(self, monkeypatch, sigma0):
-        # 5 rows in chunks of 4: the last chunk holds one row, a single
-        # column, which np.add.reduce would sum pairwise at 64-D.
+        # 5 rows in chunks of 4: the last chunk holds one row, which runs
+        # row by row, screened at 64-D, and not as a single lockstep column.
         template = EsTemplate(sigma0=sigma0, dimension=64, max_generations=200)
-        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
-        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 4 * 8 * (2 * block * 64 + 8))
-        chunks, lockstep = [], es_mod._lockstep
-        monkeypatch.setattr(es_mod, "_lockstep",
-                            lambda rngs, *rest: chunks.append(len(rngs)) or lockstep(rngs, *rest))
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 4))
+        calls = _spy_chunks(monkeypatch)
         _assert_rows_match_oracle(template, [(0.9, seed) for seed in range(5)])
-        assert chunks == [4, 1]
+        assert [(name, len(x)) for name, x in calls] == [("_lockstep", 4), ("_screened", 1)]
 
     def test_raises_on_a_non_finite_candidate(self):
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
@@ -643,7 +633,7 @@ class TestRunBatch:
         assert _oracle_or_error(template, 1.0, seed) is None
         assert _oracle_or_error(template, 1.0, 2) is not None
         with pytest.raises(NumericalError):
-            run_batch(template, SPHERE_5D, [1.0, 1.0], [2, seed])
+            run_batch(template, [1.0, 1.0], [2, seed])
         assert issubclass(NumericalError, ValueError)
 
     def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
@@ -651,16 +641,16 @@ class TestRunBatch:
         # sigma 0, not when sigma reaches 0 in the last one.  A row path
         # returns (f, sigma, sigma before the last generation).
         monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 5e-324))
-        assert run_batch(_paper_template(), SPHERE_5D, [1.0], [0])[0].final_sigma == 0.0
+        assert run_batch(_paper_template(), [1.0], [0])[0].final_sigma == 0.0
         monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 0.0))
         with pytest.raises(NumericalError, match="sigma reached 0"):
-            run_batch(_paper_template(), SPHERE_5D, [1.0], [0])
+            run_batch(_paper_template(), [1.0], [0])
 
     def test_zero_sigma_message_is_the_same_on_both_paths(self, monkeypatch):
         # On the sphere a tiny sigma leaves the candidate equal to its parent,
         # a tie that is accepted, so sigma cannot fall to 0: each path's rows
         # are started at sigma 0, which stays 0.  Lockstep runs 4 rows in one
-        # chunk and in one-row chunks.
+        # chunk, and 8 rows in two chunks of 4.
         stepwise, screened, lockstep = es_mod._stepwise, es_mod._screened, es_mod._lockstep
         start = [1.0, -2.0, 3.0, 0.5, 0.0]
         assert stepwise(make_rng(0), np.array(start), 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
@@ -674,37 +664,64 @@ class TestRunBatch:
         monkeypatch.setattr(es_mod, "_lockstep",
                             lambda rngs, x, sigma, *rest: lockstep(rngs, x, 0.0, *rest))
         messages = []
-        for dimension, rows, budget in [(5, 1, None), (15, 1, None), (5, 4, None), (5, 4, 1)]:
+        for dimension, rows, chunk_rows in [(5, 1, None), (15, 1, None), (5, 4, None), (5, 8, 4)]:
+            template = EsTemplate(dimension=dimension, max_generations=200)
             with monkeypatch.context() as patch:
-                if budget is not None:
-                    patch.setattr(es_mod, "_LOCKSTEP_BYTES", budget)
+                if chunk_rows is not None:
+                    patch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, chunk_rows))
                 with pytest.raises(NumericalError) as caught:
-                    run_batch(EsTemplate(dimension=dimension, max_generations=200),
-                              ObjectiveSpec("sphere", dimension), [TAU_MAX] * rows,
-                              list(range(rows)))
+                    run_batch(template, [TAU_MAX] * rows, list(range(rows)))
             messages.append(str(caught.value))
         assert set(messages) == {"sigma reached 0 before the last generation"}
 
     @settings(max_examples=60, deadline=None)
-    @given(_lockstep_batches(), st.integers(1, 3))
+    @given(_batches(8, 16), st.integers(4, 8))
     def test_rows_in_chunks_equal_one_chunk(self, batch, chunk_rows):
-        # A budget of chunk_rows rows splits the 4-8 rows into 2-8 chunks.
+        # A budget of 4-8 rows splits the 8-16 rows into lockstep chunks,
+        # and maybe a last chunk of at most 3 rows, run row by row.
         template, rows = batch
         taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
-        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
-        row_bytes = 8 * (2 * block * template.dimension + 8)
         whole = _rows_or_message(template, taus, seeds)
-        with mock.patch.object(es_mod, "_LOCKSTEP_BYTES", chunk_rows * row_bytes):
+        with mock.patch.object(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, chunk_rows)):
             assert _rows_or_message(template, taus, seeds) == whole
 
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(1, 16), st.integers(1, 8))
+    def test_chunks_cover_the_rows_in_order(self, batch, chunk_rows):
+        # Every lockstep chunk holds more than _FEW_ROWS rows, and the
+        # chunks take the rows' start points in order.
+        template, rows = batch
+        taus, seeds = [tau for tau, _ in rows], [seed for _, seed in rows]
+        whole = _rows_or_message(template, taus, seeds)
+        starts = [make_rng(seed).uniform(template.init_low, template.init_high,
+                                         size=template.dimension) for seed in seeds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, chunk_rows))
+            calls = _spy_chunks(patch)
+            assert _rows_or_message(template, taus, seeds) == whole
+        assert all(len(x) > es_mod._FEW_ROWS for name, x in calls if name == "_lockstep")
+        taken = [start for _, x in calls for start in x]
+        assert len(taken) == len(seeds) or isinstance(whole, str)
+        assert [s.tobytes() for s in taken] == [s.tobytes() for s in starts[: len(taken)]]
+
+    def test_a_last_row_past_the_real_budget_runs_alone(self, monkeypatch):
+        # 33 rows at 1000-D and 128 generations fill one 32-row lockstep
+        # chunk; the 33rd row runs row by row, not as a one-column chunk.
+        template = EsTemplate(dimension=MAX_DIMENSION, max_generations=es_mod.BLOCK_GENERATIONS)
+        calls = _spy_chunks(monkeypatch)
+        results = run_batch(template, [0.9] * 33, range(33))
+        assert [(name, len(x)) for name, x in calls] == [("_lockstep", 32), ("_screened", 1)]
+        f, sigma = stepwise_run(template, 0.9, 32)
+        assert (results[32].best_f.hex(), results[32].final_sigma.hex()) == (f.hex(), sigma.hex())
+
     def test_chunks_raise_as_one_batch(self, monkeypatch):
-        # One row per chunk.  The first chunk's row is started at sigma 0,
-        # where it stays; at sigma0 1e308 the first candidate of the third
-        # row overflows.  The batch raises for the candidate, though the
-        # first row reached sigma 0 before it: sigma is checked only after
-        # every chunk.
+        # Two lockstep chunks of 4 rows.  The first chunk's rows are started
+        # at sigma 0, where they stay; at sigma0 1e308 a candidate of the
+        # second chunk's second row overflows.  The batch raises for the
+        # candidate, though the first chunk's rows reached sigma 0 before
+        # it: sigma is checked only after every chunk.
         template = EsTemplate(sigma0=1e308, dimension=5, max_generations=200)
-        seeds = [0, 2, 16789950873655392269, 3]
+        seeds = [0, 1, 4, 5, 2, 16789950873655392269, 3, 6]
         chunks, finished = [], []
         lockstep = es_mod._lockstep
 
@@ -714,16 +731,16 @@ class TestRunBatch:
             return finished[-1]
 
         monkeypatch.setattr(es_mod, "_lockstep", spy)
-        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 1)
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 4))
         with pytest.raises(NumericalError) as caught:
-            run_batch(template, SPHERE_5D, [1.0] * len(seeds), seeds)
+            run_batch(template, [1.0] * len(seeds), seeds)
         assert str(caught.value) == es_mod._NON_FINITE
-        assert chunks == [1, 1, 1]
-        assert finished[0][0][2] == 0.0
+        assert chunks == [4, 4]
+        assert [row[2] for row in finished[0]] == [0.0] * 4
 
     def test_lockstep_chunks_seed_in_one_pass(self, monkeypatch):
         # Each lockstep chunk seeds its rows in one pass, into generators in
-        # make_rng's state; a batch of at most 3 rows calls make_rng.
+        # make_rng's state; a chunk of at most 3 rows calls make_rng.
         template = EsTemplate(dimension=5, max_generations=20)
         seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 7]
         passes, made, states = [], [], []
@@ -737,12 +754,10 @@ class TestRunBatch:
                             lambda part: passes.append(list(part)) or seed_states(part))
         monkeypatch.setattr(es_mod, "make_rng", lambda seed: made.append(seed) or make_rng(seed))
         monkeypatch.setattr(es_mod, "_lockstep", spy_lockstep)
-        block = min(es_mod.BLOCK_GENERATIONS, template.max_generations)
-        row_bytes = 8 * (2 * block * template.dimension + 8)
-        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", 4 * row_bytes)
-        results = run_batch(template, SPHERE_5D, [0.9] * len(seeds), seeds)
-        assert passes == [seeds[:4], seeds[4:]]
-        assert made == []
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 4))
+        results = run_batch(template, [0.9] * len(seeds), seeds)
+        assert passes == [seeds[:4]]
+        assert made == [seeds[4]]
         for seed, state in zip(seeds, states):
             rng = make_rng(seed)
             rng.uniform(template.init_low, template.init_high, size=template.dimension)
@@ -753,8 +768,7 @@ class TestRunBatch:
         passes.clear()
         for dimension in (5, es_mod._STEPWISE_DIMENSION + 1):
             made.clear()
-            run_batch(EsTemplate(dimension=dimension, max_generations=20),
-                      ObjectiveSpec("sphere", dimension), [0.9] * 3, seeds[:3])
+            run_batch(EsTemplate(dimension=dimension, max_generations=20), [0.9] * 3, seeds[:3])
             assert made == seeds[:3]
         assert passes == []
 
@@ -762,24 +776,23 @@ class TestRunBatch:
         # 1000 rows at 1000-D in chunks of 32 rows: the start points of all
         # rows alone would take 8 MB, 15 times the chunk budget.
         template = EsTemplate(dimension=1000, max_generations=1)
-        objective = ObjectiveSpec("sphere", 1000)
         budget = 32 * 8 * (2 * template.dimension + 8)
         with mock.patch.object(es_mod, "_LOCKSTEP_BYTES", budget):
-            run_batch(template, objective, [1.0] * 4, range(4))
+            run_batch(template, [1.0] * 4, range(4))
             tracemalloc.start()
             try:
-                run_batch(template, objective, [1.0] * 1000, range(1000))
+                run_batch(template, [1.0] * 1000, range(1000))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < 4 * budget
 
     def test_empty_batch(self):
-        assert run_batch(_paper_template(), SPHERE_5D, [], []) == []
+        assert run_batch(_paper_template(), [], []) == []
 
     def test_one_seed_per_tau_required(self):
         with pytest.raises(ConfigurationError):
-            run_batch(_paper_template(10), SPHERE_5D, [0.9, 1.1], [1])
+            run_batch(_paper_template(10), [0.9, 1.1], [1])
 
     @pytest.mark.parametrize("master_seed", [7, 42, 101])
     def test_grid_rows_equal_separate_trials(self, paper_cfg, master_seed):
@@ -820,8 +833,7 @@ def _screened_row(template, tau, seed):
     """``run_batch``'s one row, checked to run on the screened path."""
     with pytest.MonkeyPatch.context() as patch:
         taken = _spy_paths(patch)
-        result = run_batch(template, ObjectiveSpec("sphere", template.dimension),
-                           [tau], [seed])[0]
+        result = run_batch(template, [tau], [seed])[0]
     assert taken == {"_screened"}
     return result
 
