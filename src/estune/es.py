@@ -463,14 +463,14 @@ def run_batch(
     # Each chunk seeds its generators and draws its start points itself,
     # so a batch holds one chunk's rows at a time.
     for i in range(0, len(seeds), chunk):
-        part = slice(i, i + chunk)
-        if len(seeds[part]) <= _FEW_ROWS:
-            rows += [row(rng, start(rng), sigma0, u, d, generations)
-                     for rng, u, d in zip(map(make_rng, seeds[part]), up[part], down[part])]
+        part = seeds[i : i + chunk]
+        if len(part) <= _FEW_ROWS:
+            rows += [row(rng, start(rng), sigma0, up[j], down[j], generations)
+                     for j, rng in enumerate(map(make_rng, part), i)]
         else:
-            rngs = _seeded_generators(seeds[part])
+            rngs = _seeded_generators(part)
             rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
-                              up[part], down[part], generations)
+                              up[i : i + chunk], down[i : i + chunk], generations)
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.

@@ -445,18 +445,6 @@ def _rows_or_message(template, taus, seeds):
 
 
 def _spy_paths(monkeypatch):
-    """The names of the row paths ``run_batch`` takes from here on."""
-    taken = set()
-    for name in ("_stepwise", "_screened", "_lockstep"):
-        def spy(*args, _name=name, _real=getattr(es_mod, name)):
-            taken.add(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(es_mod, name, spy)
-    return taken
-
-
-def _spy_chunks(monkeypatch):
     """The path name and start points, as a ``(rows, dimension)`` array, of
     each kernel call ``run_batch`` makes from here on."""
     calls = []
@@ -547,10 +535,10 @@ class TestRunBatch:
         # not change the path: no path calls the registry.
         sphere = es_mod.get_objective("sphere")
         monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", lambda x: sphere(x))
-        taken = _spy_paths(monkeypatch)
+        calls = _spy_paths(monkeypatch)
         template = EsTemplate(dimension=dimension, max_generations=20)
         results = run_batch(template, [0.9] * rows, list(range(rows)))
-        assert taken == {path}
+        assert {name for name, _ in calls} == {path}
         for result, seed in zip(results, range(rows)):
             f, sigma = stepwise_run(template, 0.9, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
@@ -588,10 +576,10 @@ class TestRunBatch:
         for dimension, seeds, path in cases:
             template = EsTemplate(sigma0=1e308, dimension=dimension, max_generations=200)
             with monkeypatch.context() as patch:
-                taken = _spy_paths(patch)
+                calls = _spy_paths(patch)
                 with pytest.raises(NumericalError) as caught:
                     run_batch(template, [1.0] * len(seeds), seeds)
-            assert taken == {path}
+            assert {name for name, _ in calls} == {path}
             messages.append(str(caught.value))
         assert len(set(messages)) == 1
 
@@ -613,9 +601,9 @@ class TestRunBatch:
             rng = make_rng(seed)
             x = rng.uniform(template.init_low, template.init_high, size=dimension)
             assert sphere_eval(mutate(x, template.sigma0, rng)) == math.inf
-        taken = _spy_paths(monkeypatch)
+        calls = _spy_paths(monkeypatch)
         _assert_rows_match_oracle(template, rows)
-        assert taken == {"_lockstep"}
+        assert {name for name, _ in calls} == {"_lockstep"}
 
     @pytest.mark.parametrize("sigma0", [1.0, 1e160])
     def test_a_one_row_chunk_matches_stepwise(self, monkeypatch, sigma0):
@@ -623,7 +611,7 @@ class TestRunBatch:
         # row by row, screened at 64-D, and not as a single lockstep column.
         template = EsTemplate(sigma0=sigma0, dimension=64, max_generations=200)
         monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 4))
-        calls = _spy_chunks(monkeypatch)
+        calls = _spy_paths(monkeypatch)
         _assert_rows_match_oracle(template, [(0.9, seed) for seed in range(5)])
         assert [(name, len(x)) for name, x in calls] == [("_lockstep", 4), ("_screened", 1)]
 
@@ -697,7 +685,7 @@ class TestRunBatch:
                                          size=template.dimension) for seed in seeds]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, chunk_rows))
-            calls = _spy_chunks(patch)
+            calls = _spy_paths(patch)
             assert _rows_or_message(template, taus, seeds) == whole
         assert all(len(x) > es_mod._FEW_ROWS for name, x in calls if name == "_lockstep")
         taken = [start for _, x in calls for start in x]
@@ -708,7 +696,7 @@ class TestRunBatch:
         # 33 rows at 1000-D and 128 generations fill one 32-row lockstep
         # chunk; the 33rd row runs row by row, not as a one-column chunk.
         template = EsTemplate(dimension=MAX_DIMENSION, max_generations=es_mod.BLOCK_GENERATIONS)
-        calls = _spy_chunks(monkeypatch)
+        calls = _spy_paths(monkeypatch)
         results = run_batch(template, [0.9] * 33, range(33))
         assert [(name, len(x)) for name, x in calls] == [("_lockstep", 32), ("_screened", 1)]
         f, sigma = stepwise_run(template, 0.9, 32)
@@ -832,9 +820,9 @@ def _screened_batches(draw):
 def _screened_row(template, tau, seed):
     """``run_batch``'s one row, checked to run on the screened path."""
     with pytest.MonkeyPatch.context() as patch:
-        taken = _spy_paths(patch)
+        calls = _spy_paths(patch)
         result = run_batch(template, [tau], [seed])[0]
-    assert taken == {"_screened"}
+    assert {name for name, _ in calls} == {"_screened"}
     return result
 
 
