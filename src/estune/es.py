@@ -99,8 +99,12 @@ then, checked only after all rows, sigma at 0 before a generation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -151,10 +155,20 @@ _LOCKSTEP_BYTES = 64 << 20
 # screened; larger ones run in lockstep (see the module docstring).
 _FEW_ROWS = 3
 
-# Rows of at most this dimension, in chunks of at most _FEW_ROWS rows, run
-# stepwise in Python floats, and rows above it screened.  Where they cross
-# depends on the generation count too (table in ROADMAP item 12).
-_STEPWISE_DIMENSION = 8
+# Rows in chunks of at most _FEW_ROWS rows run screened from each (dimension,
+# generation count) here on, and stepwise below all of them: the measured
+# crossover of the two paths (table in ROADMAP item 12).
+_SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
+
+# A screened chunk of 2 or 3 rows draws its later rows' normals on a helper
+# thread when they number at least this many, which repays the thread's
+# start (measured crossover: 32k to 48k).  The helper draws whole blocks,
+# at least one and at most _AHEAD_BYTES of normals a call, since each call
+# costs a hand-over of the interpreter lock that slows the row screened
+# meanwhile, and holds at most _AHEAD_CALLS calls' normals undelivered.
+_HELPER_NORMALS = 40_000
+_AHEAD_BYTES = 1 << 19
+_AHEAD_CALLS = 4
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
 # term that covers subnormal roundings, and the range of |z|**2 in which
@@ -451,7 +465,8 @@ def run_batch(
     dim, generations, sigma0 = template.dimension, template.max_generations, template.sigma0
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
-    row = _stepwise if dim <= _STEPWISE_DIMENSION else _screened
+    screened = any(dim >= d and generations >= g for d, g in _SCREENED_FROM)
+    row = _screened if screened else _stepwise
 
     def start(rng):
         return rng.uniform(template.init_low, template.init_high, size=dim)
@@ -465,8 +480,14 @@ def run_batch(
     for i in range(0, len(seeds), chunk):
         part = seeds[i : i + chunk]
         if len(part) <= _FEW_ROWS:
-            rows += [row(rng, start(rng), sigma0, up[j], down[j], generations)
-                     for j, rng in enumerate(map(make_rng, part), i)]
+            rngs = list(map(make_rng, part))
+            x = [start(rng) for rng in rngs]
+            later = (len(part) - 1) * generations * dim
+            helper = screened and later >= _HELPER_NORMALS and _cpus() >= 2
+            draws = _drawn_ahead(rngs, generations, dim) if helper else contextlib.nullcontext(rngs)
+            with draws as rngs:
+                rows += [row(rng, xj, sigma0, up[j], down[j], generations)
+                         for j, (rng, xj) in enumerate(zip(rngs, x), i)]
         else:
             rngs = _seeded_generators(part)
             rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
@@ -486,6 +507,74 @@ def run_batch(
         )
         for seed, best_f, final_sigma in zip(seeds, f, sigma)
     ]
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Drawn:
+    """A generator stand-in whose ``standard_normal((n, dim))`` returns the
+    next n rows of the normals a helper thread puts in ``fifo``, or raises
+    what the helper raised."""
+
+    def __init__(self, fifo: queue.Queue):
+        self._fifo = fifo
+        self._rest = ()
+
+    def standard_normal(self, size):
+        if not len(self._rest):
+            self._rest = self._fifo.get()
+            if isinstance(self._rest, BaseException):
+                raise self._rest
+        block, self._rest = self._rest[: size[0]], self._rest[size[0] :]
+        return block
+
+
+@contextlib.contextmanager
+def _drawn_ahead(rngs, generations, dim):
+    """``rngs[0]``, then one stand-in per later generator whose normals a
+    helper thread draws meanwhile.
+
+    While the caller runs the first row on ``rngs[0]``, the helper draws
+    the later rows' normals in order, row after row, each in calls of
+    whole blocks (the last call of a row ends with the row), and puts each
+    call's array in a FIFO of ``_AHEAD_CALLS``.  A row's blocks never
+    straddle two calls.  The caller has drawn every start point, so each generator
+    is used by one thread at a time, in stream order, and yields the
+    values a row drawing its own blocks would.  On the way out the helper
+    is stopped, the FIFO drained so that its one pending put returns, and
+    the helper joined: no thread outlives the ``with``.
+    """
+    fifo = queue.Queue(_AHEAD_CALLS)
+    stop = threading.Event()
+    step = BLOCK_GENERATIONS * max(1, _AHEAD_BYTES // (8 * BLOCK_GENERATIONS * dim))
+
+    def draw():
+        try:
+            for rng in rngs[1:]:
+                for start in range(0, generations, step):
+                    if stop.is_set():
+                        return
+                    fifo.put(rng.standard_normal((min(step, generations - start), dim)))
+        except BaseException as exc:  # handed to the caller, who raises it
+            fifo.put(exc)
+
+    helper = threading.Thread(target=draw, name="estune-normals")
+    helper.start()
+    try:
+        yield [rngs[0]] + [_Drawn(fifo)] * (len(rngs) - 1)
+    finally:
+        stop.set()
+        # After this drain the helper puts at most one more item, into an
+        # empty FIFO, before it sees the stop.
+        with contextlib.suppress(queue.Empty):
+            while True:
+                fifo.get_nowait()
+        helper.join()
 
 
 # A failing row runs on with inf/nan until the check at the end of its

@@ -399,11 +399,10 @@ class TestConfigValidation:
             EsTemplate(**kwargs)
 
 
-# Dimensions on both sides of the stepwise path's limit.
-_DIMENSIONS = st.one_of(
-    st.integers(1, es_mod._STEPWISE_DIMENSION),
-    st.integers(es_mod._STEPWISE_DIMENSION + 1, 64),
-)
+# Dimensions on both sides of where the row paths cross: at 1-200
+# generations rows run stepwise up to 4-D and screened from 9-D, and 5-8-D
+# rows take either path by their generation count.
+_DIMENSIONS = st.one_of(st.integers(1, 8), st.integers(9, 64))
 
 
 @st.composite
@@ -523,8 +522,8 @@ class TestRunBatch:
         "rows, dimension, path",
         [
             (1, 1, "_stepwise"),
-            (3, es_mod._STEPWISE_DIMENSION, "_stepwise"),
-            (1, es_mod._STEPWISE_DIMENSION + 1, "_screened"),
+            (3, 8, "_stepwise"),
+            (1, 9, "_screened"),
             (3, 64, "_screened"),
             (4, 3, "_lockstep"),
             (4, 64, "_lockstep"),
@@ -564,17 +563,17 @@ class TestRunBatch:
         assert es_mod._lockstep(rngs, starts, 1.0, up, down, generations) == expected
 
     def test_non_finite_message_is_the_same_on_both_paths(self, monkeypatch):
-        # Three paths: 2 rows at 5-D run stepwise, 2 rows past the stepwise
-        # limit screened, 4 rows in lockstep.
+        # Three paths: 2 rows at 5-D and 20 generations run stepwise, 2 rows
+        # at 9-D screened, 4 rows in lockstep.
         seed = 16789950873655392269
         cases = [
-            (5, [2, seed], "_stepwise"),
-            (es_mod._STEPWISE_DIMENSION + 1, [2, seed], "_screened"),
-            (5, [2, seed, 3, 4], "_lockstep"),
+            (5, 20, [2, seed], "_stepwise"),
+            (9, 200, [2, seed], "_screened"),
+            (5, 200, [2, seed, 3, 4], "_lockstep"),
         ]
         messages = []
-        for dimension, seeds, path in cases:
-            template = EsTemplate(sigma0=1e308, dimension=dimension, max_generations=200)
+        for dimension, generations, seeds, path in cases:
+            template = EsTemplate(sigma0=1e308, dimension=dimension, max_generations=generations)
             with monkeypatch.context() as patch:
                 calls = _spy_paths(patch)
                 with pytest.raises(NumericalError) as caught:
@@ -627,10 +626,11 @@ class TestRunBatch:
     def test_raises_only_when_sigma_is_0_before_a_generation(self, monkeypatch):
         # The stepwise loop raises in the first generation that starts at
         # sigma 0, not when sigma reaches 0 in the last one.  A row path
-        # returns (f, sigma, sigma before the last generation).
-        monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 5e-324))
+        # returns (f, sigma, sigma before the last generation); the paper
+        # setting's row runs screened.
+        monkeypatch.setattr(es_mod, "_screened", lambda *args: (1.0, 0.0, 5e-324))
         assert run_batch(_paper_template(), [1.0], [0])[0].final_sigma == 0.0
-        monkeypatch.setattr(es_mod, "_stepwise", lambda *args: (1.0, 0.0, 0.0))
+        monkeypatch.setattr(es_mod, "_screened", lambda *args: (1.0, 0.0, 0.0))
         with pytest.raises(NumericalError, match="sigma reached 0"):
             run_batch(_paper_template(), [1.0], [0])
 
@@ -652,7 +652,7 @@ class TestRunBatch:
         monkeypatch.setattr(es_mod, "_lockstep",
                             lambda rngs, x, sigma, *rest: lockstep(rngs, x, 0.0, *rest))
         messages = []
-        for dimension, rows, chunk_rows in [(5, 1, None), (15, 1, None), (5, 4, None), (5, 8, 4)]:
+        for dimension, rows, chunk_rows in [(3, 1, None), (15, 1, None), (5, 4, None), (5, 8, 4)]:
             template = EsTemplate(dimension=dimension, max_generations=200)
             with monkeypatch.context() as patch:
                 if chunk_rows is not None:
@@ -754,7 +754,7 @@ class TestRunBatch:
             f, sigma = stepwise_run(template, 0.9, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
         passes.clear()
-        for dimension in (5, es_mod._STEPWISE_DIMENSION + 1):
+        for dimension in (5, 9):
             made.clear()
             run_batch(EsTemplate(dimension=dimension, max_generations=20), [0.9] * 3, seeds[:3])
             assert made == seeds[:3]
@@ -798,15 +798,16 @@ _SCREENED_CELLS = 40_000
 
 @st.composite
 def _screened_batches(draw):
-    """1-3 rows past the stepwise limit, on a template whose sigma0 reaches
-    from 1e-300 to 1e308 and whose init box gives squares from subnormal to
-    past the float range."""
-    dimension = draw(st.integers(es_mod._STEPWISE_DIMENSION + 1, MAX_DIMENSION))
+    """1-3 rows that run screened, from 4-D up, on a template whose sigma0
+    reaches from 1e-300 to 1e308 and whose init box gives squares from
+    subnormal to past the float range."""
+    dimension = draw(st.one_of(st.integers(4, 8), st.integers(9, MAX_DIMENSION)))
+    fewest = min(g for d, g in es_mod._SCREENED_FROM if dimension >= d)
     box = draw(st.sampled_from([1e-160, 1e-3, 5.0, 1e150, 1e300]))
     template = EsTemplate(
         sigma0=10.0 ** draw(st.floats(min_value=-300, max_value=308)),
         dimension=dimension,
-        max_generations=draw(st.integers(1, min(300, _SCREENED_CELLS // dimension))),
+        max_generations=fewest - 1 + draw(st.integers(1, min(300, _SCREENED_CELLS // dimension))),
         init_low=-box,
         init_high=box,
     )
@@ -906,7 +907,7 @@ def _interval_cases(states):
 class TestScreened:
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(es_mod._STEPWISE_DIMENSION + 1, 200),
+        st.one_of(st.integers(4, 8), st.integers(9, 200)),
         st.integers(1, 300),
         st.integers(0, (1 << 64) - 1),
         st.floats(-250, 20),
@@ -931,7 +932,10 @@ class TestScreened:
     @settings(max_examples=100, deadline=None)
     @given(_screened_batches())
     def test_rows_match_stepwise_oracle_bit_for_bit(self, batch):
-        _assert_rows_match_oracle(*batch)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _spy_paths(patch)
+            _assert_rows_match_oracle(*batch)
+        assert {name for name, _ in calls} == {"_screened"}
 
     @pytest.mark.parametrize("dimension", [13, 200])
     def test_a_tie_is_accepted(self, dimension):
@@ -1037,7 +1041,7 @@ class TestScreened:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(es_mod._STEPWISE_DIMENSION + 1, 64),
+        st.one_of(st.integers(4, 8), st.integers(9, 64)),
         st.integers(1, 300),
         st.integers(0, (1 << 64) - 1),
         st.floats(-120, 12),
