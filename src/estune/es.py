@@ -27,14 +27,15 @@ share one ``EsTemplate`` (sigma0, dimension, generation count and init box)
 and differ in tau and seed.  They run in chunks whose lockstep buffers fit
 ``_LOCKSTEP_BYTES`` (the paper grid's 100 rows are one); rows are
 independent, so chunks change no result.  A chunk of at most 3 rows runs row
-by row on ``make_rng`` generators, on one of two paths chosen by dimension;
-a larger chunk runs in lockstep:
+by row on ``make_rng`` generators, on one of two paths chosen by dimension
+and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
 
-* stepwise: rows of at most 8 dimensions run one generation at a time in
-  Python floats.  At these sizes numpy's fixed cost per call, 1-3 us,
-  outweighs its arithmetic, while Python floats cost about 0.1 us per
-  coordinate and generation;
-* screened: rows of more dimensions run one generation at a time, make only
+* stepwise: rows of at most 3 dimensions, of 4 below 1000 generations, and
+  of 5 to 8 below 100, run one generation at a time in Python floats.  At
+  these sizes numpy's fixed cost per call, 1-3 us, outweighs its
+  arithmetic, while Python floats cost about 0.1 us per coordinate and
+  generation;
+* screened: all other rows run one generation at a time, make only
   the offspring that may be accepted and sum squares only where they must.
   From ``|z|**2``, one call per block of normals, and ``z . x``, one
   matrix-vector product per acceptance, a row estimates in Python floats the
@@ -57,6 +58,20 @@ a larger chunk runs in lockstep:
   runs in preallocated buffers; each block of generations is checked by
   its values and replayed, keeping its candidates, only when a value is
   not finite (see ``_lockstep``).
+
+Who draws the normals.  Every row's start point is drawn on the calling
+thread, before any row runs.  Then each row draws its own normals there,
+with one exception: when a screened chunk of 2 or 3 rows has at least
+``_HELPER_NORMALS`` normals in its later rows, and the process may run on
+2 CPUs, one helper thread draws the later rows' normals, row after row,
+while the calling thread draws and screens the first row
+(``_drawn_ahead``).  numpy's generators release the interpreter lock while
+they fill an array, so the draws overlap the screening.  The bits cannot
+change: each generator is still used by one thread at a time and in
+stream order, a draw of whole generations yields the values of the
+single-generation draws it spans, and the row's arithmetic, which reads
+only the values, is the same code on either thread's normals.  The helper
+is joined before ``run_batch`` returns or raises.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -447,11 +462,18 @@ def run_batch(
 
     The rows run in chunks that fit ``_LOCKSTEP_BYTES``: a chunk of more
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
-    stepwise or screened as the dimension decides.  Each row's result is
+    stepwise or screened as the dimension and generation count decide.
+    The calling thread draws every row's start point and normals, except
+    that a screened chunk of 2 or 3 rows with at least ``_HELPER_NORMALS``
+    normals in its later rows, on a host that gives the process 2 CPUs,
+    has one helper thread draw those rows' normals while its first row
+    runs.  The helper is stopped and joined before this returns or raises,
+    and an error it meets is raised here.  Each row's result is
     bit-identical to the stepwise loop of its tau and seed alone (see the
-    module docstring), and the batch raises ``NumericalError`` exactly when
-    some row's stepwise loop would raise ``ValueError``: a non-finite
-    candidate, or sigma at 0 before a generation.
+    module docstring), whichever thread drew its normals, and the batch
+    raises ``NumericalError`` exactly when some row's stepwise loop would
+    raise ``ValueError``: a non-finite candidate, or sigma at 0 before a
+    generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -543,11 +565,11 @@ def _drawn_ahead(rngs, generations, dim):
     the later rows' normals in order, row after row, each in calls of
     whole blocks (the last call of a row ends with the row), and puts each
     call's array in a FIFO of ``_AHEAD_CALLS``.  A row's blocks never
-    straddle two calls.  The caller has drawn every start point, so each generator
-    is used by one thread at a time, in stream order, and yields the
-    values a row drawing its own blocks would.  On the way out the helper
-    is stopped, the FIFO drained so that its one pending put returns, and
-    the helper joined: no thread outlives the ``with``.
+    straddle two calls.  The caller has drawn every start point, so each
+    generator is used by one thread at a time, in stream order, and yields
+    the values a row drawing its own blocks would.  On the way out the
+    helper is stopped, the FIFO drained so that its one pending put
+    returns, and the helper joined: no thread outlives the ``with``.
     """
     fifo = queue.Queue(_AHEAD_CALLS)
     stop = threading.Event()

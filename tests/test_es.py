@@ -4,8 +4,11 @@ import functools
 import itertools
 import math
 import os
+import queue
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -542,6 +545,26 @@ class TestRunBatch:
             f, sigma = stepwise_run(template, 0.9, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
+    @pytest.mark.parametrize("dimension, generations, path", [
+        (3, 1000, "_stepwise"),
+        (4, 999, "_stepwise"),
+        (4, 1000, "_screened"),
+        (5, 99, "_stepwise"),
+        (5, 100, "_screened"),
+        (8, 99, "_stepwise"),
+        (8, 100, "_screened"),
+        (9, 1, "_screened"),
+    ])
+    def test_path_is_chosen_by_dimension_and_generations(self, monkeypatch, dimension,
+                                                          generations, path):
+        # The measured crossover of the two row paths (ROADMAP item 12).
+        calls = _spy_paths(monkeypatch)
+        template = EsTemplate(dimension=dimension, max_generations=generations)
+        result = run_batch(template, [0.9], [4])[0]
+        assert [name for name, _ in calls] == [path]
+        f, sigma = stepwise_run(template, 0.9, 4)
+        assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
     @pytest.mark.parametrize("generations", [1, es_mod.BLOCK_GENERATIONS,
                                              es_mod.BLOCK_GENERATIONS + 1, 300])
     @pytest.mark.parametrize("dimension, path", [(5, "_stepwise"), (16, "_screened")])
@@ -789,6 +812,190 @@ class TestRunBatch:
         trials = run_grid(spec, cfg)
         for i, tau in enumerate(grid_values(spec)):
             assert trials[i] == run_trial(tau, cfg, i)
+
+
+def _spy_threads(monkeypatch):
+    """The name of every thread started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+# At sigma0 1e308 and TAU_MAX a 64-D row raises in its first generation
+# unless all 64 of its normals lie below about 1.798 in magnitude; this
+# seed's do, and the row runs to its end.
+_SURVIVES_1E308 = 42
+
+
+class TestHelper:
+    """A screened chunk of 2 or 3 rows whose later rows hold enough normals
+    draws them on one helper thread while its first row runs."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        # The helper starts only where the process may run on 2 CPUs.
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("generations", [1, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("rows", [2, 3])
+    # One block a call fills the helper's FIFO while the first row runs.
+    @pytest.mark.parametrize("ahead_bytes", [es_mod._AHEAD_BYTES, 1], ids=["calls", "blocks"])
+    def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, ahead_bytes):
+        monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
+        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", ahead_bytes)
+        template = EsTemplate(dimension=64, max_generations=generations)
+        taus, seeds = [0.9, 1.7, 0.3][:rows], [3, 2**64 - 1, 0][:rows]
+        started = _spy_threads(monkeypatch)
+        before = threading.active_count()
+        results = run_batch(template, taus, seeds)
+        assert threading.active_count() == before
+        assert started == ["estune-normals"]
+        for result, tau, seed in zip(results, taus, seeds):
+            f, sigma = stepwise_run(template, tau, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_rows_hold_under_a_short_switch_interval(self, monkeypatch):
+        # The interpreter lock changes hands about every microsecond.
+        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", 1)
+        template = EsTemplate(dimension=64, max_generations=1000)
+        taus, seeds = [0.9, 1.7, 0.3], [5, 6, 7]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_batch(template, taus, seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        for result, tau, seed in zip(results, taus, seeds):
+            f, sigma = stepwise_run(template, tau, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    @pytest.mark.parametrize("dimension, rows, threads", [(64, 2, 1), (32, 2, 0), (32, 3, 1)])
+    def test_starts_when_the_later_rows_repay_a_thread(self, monkeypatch, dimension, rows,
+                                                       threads):
+        # At 1000 generations: 64,000 later normals start it, 32,000 do not.
+        started = _spy_threads(monkeypatch)
+        run_batch(EsTemplate(dimension=dimension, max_generations=1000), [0.9] * rows,
+                  list(range(rows)))
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("affinity, threads", [({0}, 0), ({0, 1}, 1)])
+    def test_starts_only_on_2_cpus(self, monkeypatch, affinity, threads):
+        # On one CPU the helper only takes turns with the row it would
+        # overlap.
+        monkeypatch.undo()  # the real _cpus, which reads the affinity
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        started = _spy_threads(monkeypatch)
+        template = EsTemplate(dimension=64, max_generations=1000)
+        results = run_batch(template, [0.9] * 2, [0, 1])
+        assert len(started) == threads
+        for result, seed in zip(results, [0, 1]):
+            f, sigma = stepwise_run(template, 0.9, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    @pytest.mark.parametrize("dimension, generations, rows", [(3, 20, 2), (64, 1000, 4),
+                                                               (5, 1000, 10)])
+    def test_stepwise_rows_and_lockstep_start_no_thread(self, monkeypatch, dimension,
+                                                        generations, rows):
+        monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
+        started = _spy_threads(monkeypatch)
+        run_batch(EsTemplate(dimension=dimension, max_generations=generations), [0.9] * rows,
+                  list(range(rows)))
+        assert started == []
+
+    @pytest.mark.parametrize("seeds", [[2, _SURVIVES_1E308], [_SURVIVES_1E308, 2]],
+                             ids=["first_row", "later_row"])
+    def test_a_non_finite_candidate_raises_the_stepwise_message(self, monkeypatch, seeds):
+        template = EsTemplate(sigma0=1e308, dimension=64, max_generations=1000)
+        assert _oracle_or_error(template, TAU_MAX, 2) is None
+        assert _oracle_or_error(template, TAU_MAX, _SURVIVES_1E308) is not None
+        stepwise = EsTemplate(sigma0=1e308, dimension=5, max_generations=20)
+        with pytest.raises(NumericalError) as expected:
+            run_batch(stepwise, [1.0, 1.0], [2, 16789950873655392269])
+        started = _spy_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as caught:
+            run_batch(template, [TAU_MAX] * 2, seeds)
+        assert threading.active_count() == before
+        assert started == ["estune-normals"]
+        assert str(caught.value) == str(expected.value)
+
+    def test_a_raise_while_the_fifo_is_full_stops_the_helper(self, monkeypatch):
+        # One block a call: the helper fills its FIFO and waits to put the
+        # next, and then the first row raises.
+        fifos = []
+
+        class Fifo(queue.Queue):
+            def __init__(self, *args):
+                super().__init__(*args)
+                fifos.append(self)
+
+        def first_row(rng, *rest):
+            deadline = time.monotonic() + 30
+            while not fifos[0].full() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise RuntimeError(f"first row, FIFO full: {fifos[0].full()}")
+
+        monkeypatch.setattr(es_mod.queue, "Queue", Fifo)
+        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", 1)
+        monkeypatch.setattr(es_mod, "_screened", first_row)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="FIFO full: True"):
+            _within_a_minute(lambda: run_batch(EsTemplate(dimension=64, max_generations=1000),
+                                               [0.9] * 3, [0, 1, 2]))
+        assert threading.active_count() == before
+
+    def test_a_raise_in_the_helper_is_raised_by_the_batch(self, monkeypatch):
+        calling = []
+
+        class OffThreadFails:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
+
+            def standard_normal(self, size):
+                if threading.current_thread() is not calling[0]:
+                    raise MemoryError("drawn off the calling thread")
+                return self._rng.standard_normal(size)
+
+        def call():
+            calling.append(threading.current_thread())
+            return run_batch(EsTemplate(dimension=64, max_generations=1000), [0.9] * 2, [0, 1])
+
+        monkeypatch.setattr(es_mod, "make_rng", lambda seed: OffThreadFails(make_rng(seed)))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="off the calling thread"):
+            _within_a_minute(call)
+        assert threading.active_count() == before
+
+
+def _within_a_minute(fn):
+    """``fn()`` on a thread of its own, which must end within a minute: a
+    helper left waiting fails the test instead of hanging it.  Returns what
+    ``fn`` returns, or raises what it raised."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((fn(), None))
+        except BaseException as exc:  # raised again below, on the test's thread
+            outcome.append((None, exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_batch did not end within a minute"
+    result, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return result
 
 
 # Most coordinates times generations a screened case runs, so that the
