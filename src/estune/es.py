@@ -59,16 +59,16 @@ and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
   its values and replayed, keeping its candidates, only when a value is
   not finite (see ``_lockstep``).
 
-Who draws the normals.  Every row's start point is drawn on the calling
-thread, before any row runs.  Then each row draws its own normals there,
-with one exception: when a screened chunk of 2 or 3 rows has at least
-``_HELPER_NORMALS`` normals in its later rows, and the process may run on
-2 CPUs, one helper thread draws the later rows' normals, row after row,
-while the calling thread draws and screens the first row
-(``_drawn_ahead``).  numpy's generators release the interpreter lock while
-they fill an array, so the draws overlap the screening.  The bits cannot
-change: each generator is still used by one thread at a time and in
-stream order, a draw of whole generations yields the values of the
+Who draws the normals.  Each chunk's start points are drawn on the
+calling thread before any of its rows runs, and each row then draws its
+own normals there, with one exception.  When a screened chunk of 2 or 3
+rows has at least ``_HELPER_NORMALS`` normals in its later rows, and the
+process may run on 2 or more CPUs, one helper thread draws the later rows'
+normals, row after row, while the calling thread draws and screens the
+first row (``_drawn_ahead``).  numpy's generators release the interpreter
+lock while they fill an array, so the draws overlap the screening.  The
+bits cannot change: each generator is still used by one thread at a time
+and in stream order, a draw of whole generations yields the values of the
 single-generation draws it spans, and the row's arithmetic, which reads
 only the values, is the same code on either thread's normals.  The helper
 is joined before ``run_batch`` returns or raises.
@@ -465,10 +465,10 @@ def run_batch(
     stepwise or screened as the dimension and generation count decide.
     The calling thread draws every row's start point and normals, except
     that a screened chunk of 2 or 3 rows with at least ``_HELPER_NORMALS``
-    normals in its later rows, on a host that gives the process 2 CPUs,
-    has one helper thread draw those rows' normals while its first row
-    runs.  The helper is stopped and joined before this returns or raises,
-    and an error it meets is raised here.  Each row's result is
+    normals in its later rows, on a host that gives the process 2 or more
+    CPUs, has one helper thread draw those rows' normals while its first
+    row runs.  The helper is stopped and joined before this returns or
+    raises, and an error it meets is raised here.  Each row's result is
     bit-identical to the stepwise loop of its tau and seed alone (see the
     module docstring), whichever thread drew its normals, and the batch
     raises ``NumericalError`` exactly when some row's stepwise loop would
