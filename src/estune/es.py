@@ -61,25 +61,26 @@ and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
 
 Who draws the normals.  Each chunk's start points are drawn on the
 calling thread before any of its rows runs, and each row then draws its
-own normals there, with one exception.  When a screened chunk of 2 or 3
-rows has at least ``_HELPER_NORMALS`` normals in its later rows, and the
-process may run on 2 or more CPUs, one helper thread draws the later rows'
-normals, row after row, while the calling thread draws and screens the
-first row (``_drawn_ahead``).  numpy's generators release the interpreter
-lock while they fill an array, so the draws overlap the screening.  The
-bits cannot change: each generator is still used by one thread at a time
-and in stream order, a draw of whole generations yields the values of the
-single-generation draws it spans, and the row's arithmetic, which reads
-only the values, is the same code on either thread's normals.  The helper
-is joined before ``run_batch`` returns or raises.
+own normals there, block by block (``_blocks``), with one exception.  When
+a screened chunk of 2 or 3 rows has at least ``_HELPER_NORMALS`` and at
+most ``_LOCKSTEP_BYTES // 8`` normals in its later rows, and the process
+may run on 2 or more CPUs, one helper thread draws each later row whole,
+row after row, while the calling thread draws and screens the first row;
+a later row then reads its whole-row array in blocks (``_handed_over``).
+numpy's generators release the interpreter lock while they fill an array,
+so the draws overlap the screening.  The bits cannot change: each
+generator is still used by one thread, in stream order, a whole-row draw
+yields the values of the block draws it spans, and a row's arithmetic
+reads only the values.  The helper is joined before ``run_batch`` returns
+or raises.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
 
-* each row keeps its own generator and draws its normals in blocks of at
-  most ``BLOCK_GENERATIONS`` generations, ``standard_normal((k, dimension))``,
-  which yields exactly the values of k successive
-  ``standard_normal(dimension)`` draws;
+* each row keeps its own generator and reads its normals in blocks of at
+  most ``BLOCK_GENERATIONS`` generations, drawn as ``standard_normal((k,
+  dimension))`` or sliced from a whole-row draw, which yield exactly the
+  values of k successive ``standard_normal(dimension)`` draws;
 * a candidate is ``x + sigma * z``: one multiply, then one add, in numpy
   or per coordinate in Python floats, which round alike;
 * the sphere sums its squares strictly in coordinate order, never along
@@ -114,7 +115,6 @@ then, checked only after all rows, sigma at 0 before a generation.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -141,7 +141,6 @@ __all__ = [
     "run_batch",
     "run_es",
     "score_of",
-    "sphere_columns",
     "sphere_eval",
     "update_sigma",
 ]
@@ -177,13 +176,9 @@ _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 
 # A screened chunk of 2 or 3 rows draws its later rows' normals on a helper
 # thread when they number at least this many, which repays the thread's
-# start (measured crossover: 32k to 48k).  The helper draws whole blocks,
-# at least one and at most _AHEAD_BYTES of normals a call, since each call
-# costs a hand-over of the interpreter lock that slows the row screened
-# meanwhile, and holds at most _AHEAD_CALLS calls' normals undelivered.
+# start (measured crossover: 32k to 48k).  The helper holds those rows
+# whole, so it starts only while they fit the lockstep budget too.
 _HELPER_NORMALS = 40_000
-_AHEAD_BYTES = 1 << 19
-_AHEAD_CALLS = 4
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
 # term that covers subnormal roundings, and the range of |z|**2 in which
@@ -226,44 +221,24 @@ def sphere_eval(x) -> float:
     return total
 
 
-def sphere_columns(x: np.ndarray) -> np.ndarray:
-    """``sphere_eval`` of every column of a ``(dimension, N)`` array, bit for bit.
-
-    The squares are added strictly in coordinate order, the order
-    ``sphere_eval`` uses; ``x`` may have any strides.  numpy sums pairwise
-    only along the fast axis in memory.  When the squares are C-ordered
-    with at least 2 columns, that axis runs across the columns and
-    ``np.add.reduce`` down axis 0 adds one whole row at a time; otherwise
-    (F order, or a single column, which is its own fast axis)
-    ``np.add.accumulate`` folds down each column.  Columns are not checked
-    for finiteness.  This is the registry's ``"sphere"`` entry, which the
-    benchmark's tracer wraps; no kernel path calls it, as ``run_batch``
-    sums the sphere's squares itself.
-    """
-    squares = x * x
-    if squares.flags.c_contiguous and squares.shape[1] > 1:
-        return np.add.reduce(squares, axis=0)
-    np.add.accumulate(squares, axis=0, out=squares)
-    return squares[-1]
+# Objectives map a non-empty 1-D vector to a float.
+_OBJECTIVES: dict[str, Callable[[np.ndarray], float]] = {"sphere": sphere_eval}
 
 
-# Objectives map a (dimension, N) array, one candidate per column, to N values.
-_OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {"sphere": sphere_columns}
-
-
-def register_objective(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
+def register_objective(name: str, fn: Callable[[np.ndarray], float]) -> None:
     """Replace a registered objective's entry; ``"sphere"`` is the only one.
 
-    ``fn`` takes a ``(dimension, N)`` array of any strides, one candidate per
-    column, and returns N values.  No kernel path calls an entry, so
-    replacing one changes no result.  Any other name raises
-    ``ConfigurationError``: the kernel would run it as the sphere.
+    ``fn`` maps a non-empty 1-D vector to a float.  The benchmark's tracer
+    wraps the ``"sphere"`` entry, ``sphere_eval``; no kernel path calls an
+    entry, as ``run_batch`` sums the sphere's squares itself, so replacing
+    one changes no result.  Any other name raises ``ConfigurationError``:
+    the kernel would run it as the sphere.
     """
     get_objective(name)
     _OBJECTIVES[name] = fn
 
 
-def get_objective(name: str) -> Callable[[np.ndarray], np.ndarray]:
+def get_objective(name: str) -> Callable[[np.ndarray], float]:
     if name not in _OBJECTIVES:
         known = ", ".join(sorted(_OBJECTIVES))
         raise ConfigurationError(f"unknown objective {name!r} (known: {known})")
@@ -464,16 +439,16 @@ def run_batch(
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
     The calling thread draws every row's start point and normals, except
-    that a screened chunk of 2 or 3 rows with at least ``_HELPER_NORMALS``
-    normals in its later rows, on a host that gives the process 2 or more
-    CPUs, has one helper thread draw those rows' normals while its first
-    row runs.  The helper is stopped and joined before this returns or
-    raises, and an error it meets is raised here.  Each row's result is
-    bit-identical to the stepwise loop of its tau and seed alone (see the
-    module docstring), whichever thread drew its normals, and the batch
-    raises ``NumericalError`` exactly when some row's stepwise loop would
-    raise ``ValueError``: a non-finite candidate, or sigma at 0 before a
-    generation.
+    that a screened chunk of 2 or 3 rows whose later rows hold from
+    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
+    gives the process 2 or more CPUs, has one helper thread draw each of
+    those rows whole while its first row runs.  The helper is joined
+    before this returns or raises, and an error it meets is raised here.
+    Each row's result is bit-identical to the stepwise loop of its tau and
+    seed alone (see the module docstring), whichever thread drew its
+    normals, and the batch raises ``NumericalError`` exactly when some
+    row's stepwise loop would raise ``ValueError``: a non-finite candidate,
+    or sigma at 0 before a generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -504,12 +479,21 @@ def run_batch(
         if len(part) <= _FEW_ROWS:
             rngs = list(map(make_rng, part))
             x = [start(rng) for rng in rngs]
+            normals = [_blocks(rng, generations, dim) for rng in rngs]
             later = (len(part) - 1) * generations * dim
-            helper = screened and later >= _HELPER_NORMALS and _cpus() >= 2
-            draws = _drawn_ahead(rngs, generations, dim) if helper else contextlib.nullcontext(rngs)
-            with draws as rngs:
-                rows += [row(rng, xj, sigma0, up[j], down[j], generations)
-                         for j, (rng, xj) in enumerate(zip(rngs, x), i)]
+            helper = None
+            if screened and _HELPER_NORMALS <= later <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2:
+                drawn = queue.SimpleQueue()
+                helper = threading.Thread(target=_draw_rows, name="estune-normals",
+                                          args=(rngs[1:], generations, dim, drawn))
+                helper.start()
+                normals[1:] = [_handed_over(drawn) for _ in rngs[1:]]
+            try:
+                rows += [row(blocks, xj, sigma0, up[j], down[j])
+                         for j, (blocks, xj) in enumerate(zip(normals, x), i)]
+            finally:
+                if helper:
+                    helper.join()
         else:
             rngs = _seeded_generators(part)
             rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
@@ -538,65 +522,34 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Drawn:
-    """A generator stand-in whose ``standard_normal((n, dim))`` returns the
-    next n rows of the normals a helper thread puts in ``fifo``, or raises
-    what the helper raised."""
-
-    def __init__(self, fifo: queue.Queue):
-        self._fifo = fifo
-        self._rest = ()
-
-    def standard_normal(self, size):
-        if not len(self._rest):
-            self._rest = self._fifo.get()
-            if isinstance(self._rest, BaseException):
-                raise self._rest
-        block, self._rest = self._rest[: size[0]], self._rest[size[0] :]
-        return block
+def _blocks(rng, generations, dim):
+    """A row's normals, drawn from ``rng`` as the row reads them: one
+    ``(n, dim)`` array per block of at most ``BLOCK_GENERATIONS``
+    generations."""
+    for start in range(0, generations, BLOCK_GENERATIONS):
+        yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-@contextlib.contextmanager
-def _drawn_ahead(rngs, generations, dim):
-    """``rngs[0]``, then one stand-in per later generator whose normals a
-    helper thread draws meanwhile.
-
-    While the caller runs the first row on ``rngs[0]``, the helper draws
-    the later rows' normals in order, row after row, each in calls of
-    whole blocks (the last call of a row ends with the row), and puts each
-    call's array in a FIFO of ``_AHEAD_CALLS``.  A row's blocks never
-    straddle two calls.  The caller has drawn every start point, so each
-    generator is used by one thread at a time, in stream order, and yields
-    the values a row drawing its own blocks would.  On the way out the
-    helper is stopped, the FIFO drained so that its one pending put
-    returns, and the helper joined: no thread outlives the ``with``.
-    """
-    fifo = queue.Queue(_AHEAD_CALLS)
-    stop = threading.Event()
-    step = BLOCK_GENERATIONS * max(1, _AHEAD_BYTES // (8 * BLOCK_GENERATIONS * dim))
-
-    def draw():
-        try:
-            for rng in rngs[1:]:
-                for start in range(0, generations, step):
-                    if stop.is_set():
-                        return
-                    fifo.put(rng.standard_normal((min(step, generations - start), dim)))
-        except BaseException as exc:  # handed to the caller, who raises it
-            fifo.put(exc)
-
-    helper = threading.Thread(target=draw, name="estune-normals")
-    helper.start()
+def _draw_rows(rngs, generations, dim, drawn):
+    """The helper thread: put each generator's whole row of normals in
+    ``drawn``, in order, or the exception it meets."""
     try:
-        yield [rngs[0]] + [_Drawn(fifo)] * (len(rngs) - 1)
-    finally:
-        stop.set()
-        # After this drain the helper puts at most one more item, into an
-        # empty FIFO, before it sees the stop.
-        with contextlib.suppress(queue.Empty):
-            while True:
-                fifo.get_nowait()
-        helper.join()
+        for rng in rngs:
+            drawn.put(rng.standard_normal((generations, dim)))
+    except BaseException as exc:  # raised on the calling thread by _handed_over
+        drawn.put(exc)
+
+
+def _handed_over(drawn):
+    """A later row's normals from the helper: the next whole row in
+    ``drawn``, in blocks of ``BLOCK_GENERATIONS`` generations, or a raise
+    of what the helper met.  A whole-row draw yields the values of the
+    block draws it spans."""
+    z = drawn.get()
+    if isinstance(z, BaseException):
+        raise z
+    for start in range(0, len(z), BLOCK_GENERATIONS):
+        yield z[start : start + BLOCK_GENERATIONS]
 
 
 # A failing row runs on with inf/nan until the check at the end of its
@@ -686,23 +639,23 @@ def _lockstep(rngs, x, sigma0, up, down, generations):
     return list(zip(f.tolist(), sigmas[n].tolist(), sigmas[n - 1].tolist()))
 
 
-def _stepwise(rng, x, sigma, up, down, generations):
+def _stepwise(blocks, x, sigma, up, down):
     """One sphere row, one generation at a time in Python floats: ``(f,
     sigma, sigma before the last generation)``.
 
-    ``x`` is the row's start point as a 1-D array, taken as a list.  Each
-    candidate coordinate is ``xi + sigma * zi`` and the squares are summed
-    with ``+=`` in coordinate order: the stepwise loop's own operations, in
-    its order.  Only an accepted candidate is kept, made again from the same
-    operands.
+    ``blocks`` yields the row's normals as ``(n, dimension)`` arrays, n
+    generations each, and ``x`` is its start point as a 1-D array, taken as
+    a list.  Each candidate coordinate is ``xi + sigma * zi`` and the
+    squares are summed with ``+=`` in coordinate order: the stepwise loop's
+    own operations, in its order.  Only an accepted candidate is kept, made
+    again from the same operands.
     """
     x = x.tolist()
     f = 0.0
     for xi in x:
         f += xi * xi
-    for start in range(0, generations, BLOCK_GENERATIONS):
-        n = min(BLOCK_GENERATIONS, generations - start)
-        for z in rng.standard_normal((n, len(x))).tolist():
+    for block in blocks:
+        for z in block.tolist():
             f_new = 0.0
             for xi, zi in zip(x, z):
                 ci = xi + sigma * zi
@@ -724,20 +677,22 @@ def _stepwise(rng, x, sigma, up, down, generations):
 
 # Squares and products that overflow to inf are legal, as in sphere_eval.
 @np.errstate(over="ignore", invalid="ignore")
-def _screened(rng, x, sigma, up, down, generations):
+def _screened(blocks, x, sigma, up, down):
     """One sphere row that makes only the offspring that may be accepted and
     sums only the squares it must: ``(f, sigma, sigma before the last
     generation)``.
 
-    ``x`` is the row's start point as a 1-D array.  Let ``f`` be the
-    parent's value, its squares summed in coordinate order as the stepwise
-    loop sums them, ``s`` the sigma of a generation and ``z`` its normals.
-    The screen estimates the value of the candidate ``x + s z`` as
-    ``approx = f + D`` with ``D = 2 s a + s s b``, from ``b = |z|**2``, one
-    call per block of normals, and ``a = z . x``, one matrix-vector product
-    per acceptance (made for ``_SCREEN_AHEAD`` generations at a time).  With
-    ``m = k (h + s s b) + 1e-300``, ``k = (4 d + 64) eps`` at ``d``
-    dimensions and ``h`` an upper bound on ``f``, it decides two ways:
+    ``blocks`` yields the row's normals as ``(n, dimension)`` arrays, n
+    generations each, and ``x`` is its start point as a 1-D array.  Let
+    ``f`` be the parent's value, its squares summed in coordinate order as
+    the stepwise loop sums them, ``s`` the sigma of a generation and ``z``
+    its normals.  The screen estimates the value of the candidate
+    ``x + s z`` as ``approx = f + D`` with ``D = 2 s a + s s b``, from
+    ``b = |z|**2``, one call per block of normals, and ``a = z . x``, one
+    matrix-vector product per acceptance (made for ``_SCREEN_AHEAD``
+    generations at a time).  With ``m = k (h + s s b) + 1e-300``,
+    ``k = (4 d + 64) eps`` at ``d`` dimensions and ``h`` an upper bound on
+    ``f``, it decides two ways:
 
     * ``D > m``: a rejection.  The candidate is not made;
     * ``D < -m``, ``D`` finite: an acceptance.  The candidate is made, as
@@ -808,9 +763,8 @@ def _screened(rng, x, sigma, up, down, generations):
     h = _fold_squares(x)
     exact = True
     kh = k * h + _SCREEN_TINY
-    for start in range(0, generations, BLOCK_GENERATIONS):
-        n = min(BLOCK_GENERATIONS, generations - start)
-        z = rng.standard_normal((n, dim))
+    for z in blocks:
+        n = len(z)
         b = np.einsum("ij,ij->i", z, z).tolist()
         if not (_SCREEN_NORMS[0] <= min(b) and max(b) <= _SCREEN_NORMS[1]):
             b = [math.nan] * n

@@ -4,7 +4,6 @@ import functools
 import itertools
 import math
 import os
-import queue
 import subprocess
 import sys
 import threading
@@ -32,7 +31,6 @@ from estune.es import (
     run_batch,
     run_es,
     score_of,
-    sphere_columns,
     sphere_eval,
     update_sigma,
 )
@@ -73,53 +71,6 @@ class TestSphere:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40))
     def test_matches_independent_oracle_exactly(self, values):
         assert sphere_eval(np.array(values)) == sum_of_squares_oracle(values)
-
-
-# Most values a sphere_columns case holds, so the Python fold stays quick.
-_SPHERE_CELLS = 20_000
-
-
-@st.composite
-def _column_arrays(draw):
-    """A ``(dimension, N)`` array in one of several layouts, with values whose
-    squares reach from subnormal to past the float range."""
-    dimension = draw(st.integers(1, MAX_DIMENSION))
-    columns = draw(st.integers(1, min(300, _SPHERE_CELLS // dimension)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([1e-160, 1.0, 1e3, 1e150, 1e154]))
-    layout = draw(st.sampled_from(["C", "F", "transposed", "sliced", "reversed"]))
-    if layout == "transposed":
-        return rng.standard_normal((columns, dimension)).T * scale
-    if layout == "sliced":
-        return (rng.standard_normal((2 * dimension, 3 * columns)) * scale)[::2, 1::3]
-    x = rng.standard_normal((dimension, columns)) * scale
-    if layout == "F":
-        return np.asfortranarray(x)
-    if layout == "reversed":
-        return x[::-1, ::-1]
-    return x
-
-
-def _fold_hex(column):
-    total = 0.0
-    for v in column.tolist():
-        total += v * v
-    return total.hex()
-
-
-class TestSphereColumns:
-    @settings(max_examples=150, deadline=None)
-    @given(_column_arrays())
-    # numpy sums pairwise along the fast axis, which differs from the fold in
-    # these two: a single column of 8 or more coordinates, and an F-ordered
-    # transpose.
-    @example(np.random.default_rng(1).standard_normal((9, 1)))
-    @example(np.random.default_rng(0).standard_normal((2, 64)).T)
-    def test_columns_match_a_left_to_right_fold(self, x):
-        with np.errstate(over="ignore"):
-            got = sphere_columns(x)
-            expected = [_fold_hex(x[:, j]) for j in range(x.shape[1])]
-        assert [v.hex() for v in got.tolist()] == expected
 
 
 class TestMutate:
@@ -358,12 +309,12 @@ class TestConfigValidation:
         # name as the sphere.
         before = dict(es_mod._OBJECTIVES)
         with pytest.raises(ConfigurationError):
-            es_mod.register_objective("other", sphere_columns)
+            es_mod.register_objective("other", sphere_eval)
         with pytest.raises(ConfigurationError):
             ObjectiveSpec("other", 5)
         assert es_mod._OBJECTIVES == before
-        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", sphere_columns)
-        wrapped = functools.partial(sphere_columns)
+        monkeypatch.setitem(es_mod._OBJECTIVES, "sphere", sphere_eval)
+        wrapped = functools.partial(sphere_eval)
         es_mod.register_objective("sphere", wrapped)
         assert es_mod.get_objective("sphere") is wrapped
         assert es_mod.objective_names() == ["sphere"]
@@ -451,9 +402,9 @@ def _spy_paths(monkeypatch):
     each kernel call ``run_batch`` makes from here on."""
     calls = []
     for name in ("_stepwise", "_screened", "_lockstep"):
-        def spy(rngs, x, *rest, _name=name, _real=getattr(es_mod, name)):
+        def spy(normals, x, *rest, _name=name, _real=getattr(es_mod, name)):
             calls.append((_name, np.atleast_2d(x).copy()))
-            return _real(rngs, x, *rest)
+            return _real(normals, x, *rest)
 
         monkeypatch.setattr(es_mod, name, spy)
     return calls
@@ -580,7 +531,7 @@ class TestRunBatch:
             return rngs, np.array([rng.uniform(-5.0, 5.0, size=dimension) for rng in rngs])
 
         rngs, starts = seeded()
-        expected = [getattr(es_mod, path)(rng, x, 1.0, u, d, generations)
+        expected = [getattr(es_mod, path)(es_mod._blocks(rng, generations, dimension), x, 1.0, u, d)
                     for rng, x, u, d in zip(rngs, starts, up, down)]
         rngs, starts = seeded()
         assert es_mod._lockstep(rngs, starts, 1.0, up, down, generations) == expected
@@ -664,14 +615,16 @@ class TestRunBatch:
         # chunk, and 8 rows in two chunks of 4.
         stepwise, screened, lockstep = es_mod._stepwise, es_mod._screened, es_mod._lockstep
         start = [1.0, -2.0, 3.0, 0.5, 0.0]
-        assert stepwise(make_rng(0), np.array(start), 0.0, 2.0, 0.5, 200) == (14.25, 0.0, 0.0)
-        assert screened(make_rng(0), np.array(start * 3), 0.0, 2.0, 0.5, 200) == (42.75, 0.0, 0.0)
+        assert stepwise(es_mod._blocks(make_rng(0), 200, 5), np.array(start), 0.0, 2.0,
+                        0.5) == (14.25, 0.0, 0.0)
+        assert screened(es_mod._blocks(make_rng(0), 200, 15), np.array(start * 3), 0.0, 2.0,
+                        0.5) == (42.75, 0.0, 0.0)
         assert lockstep([make_rng(0), make_rng(1)], np.array([start] * 2), 0.0, [2.0] * 2,
                         [0.5] * 2, 200) == [(14.25, 0.0, 0.0)] * 2
         monkeypatch.setattr(es_mod, "_stepwise",
-                            lambda rng, x, sigma, *rest: stepwise(rng, x, 0.0, *rest))
+                            lambda blocks, x, sigma, *rest: stepwise(blocks, x, 0.0, *rest))
         monkeypatch.setattr(es_mod, "_screened",
-                            lambda rng, x, sigma, *rest: screened(rng, x, 0.0, *rest))
+                            lambda blocks, x, sigma, *rest: screened(blocks, x, 0.0, *rest))
         monkeypatch.setattr(es_mod, "_lockstep",
                             lambda rngs, x, sigma, *rest: lockstep(rngs, x, 0.0, *rest))
         messages = []
@@ -844,25 +797,25 @@ class TestHelper:
 
     @pytest.mark.parametrize("generations", [1, 127, 128, 129, 1000])
     @pytest.mark.parametrize("rows", [2, 3])
-    # One block a call fills the helper's FIFO while the first row runs.
-    @pytest.mark.parametrize("ahead_bytes", [es_mod._AHEAD_BYTES, 1], ids=["calls", "blocks"])
-    def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, ahead_bytes):
+    # Who draws the later rows: the helper, one whole-row call each, or the
+    # calling thread, block by block, where the process has 1 CPU.
+    @pytest.mark.parametrize("cpus, threads", [(2, 1), (1, 0)], ids=["calls", "blocks"])
+    def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, cpus, threads):
         monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
-        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", ahead_bytes)
+        monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
         template = EsTemplate(dimension=64, max_generations=generations)
         taus, seeds = [0.9, 1.7, 0.3][:rows], [3, 2**64 - 1, 0][:rows]
         started = _spy_threads(monkeypatch)
         before = threading.active_count()
         results = run_batch(template, taus, seeds)
         assert threading.active_count() == before
-        assert started == ["estune-normals"]
+        assert started == ["estune-normals"] * threads
         for result, tau, seed in zip(results, taus, seeds):
             f, sigma = stepwise_run(template, tau, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     def test_rows_hold_under_a_short_switch_interval(self, monkeypatch):
         # The interpreter lock changes hands about every microsecond.
-        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", 1)
         template = EsTemplate(dimension=64, max_generations=1000)
         taus, seeds = [0.9, 1.7, 0.3], [5, 6, 7]
         interval = sys.getswitchinterval()
@@ -883,6 +836,22 @@ class TestHelper:
         run_batch(EsTemplate(dimension=dimension, max_generations=1000), [0.9] * rows,
                   list(range(rows)))
         assert len(started) == threads
+
+    @pytest.mark.parametrize("generations, threads", [(4194, 1), (4195, 0)])
+    def test_starts_only_while_the_later_rows_fit_the_lockstep_budget(self, monkeypatch,
+                                                                       generations, threads):
+        # The helper holds its rows whole.  At 1000-D the 2 later rows hold
+        # 8,388,000 normals at 4194 generations, within _LOCKSTEP_BYTES // 8
+        # = 8,388,608, and 8,390,000 at 4195.
+        assert 2 * 4194 * 1000 <= es_mod._LOCKSTEP_BYTES // 8 < 2 * 4195 * 1000
+        template = EsTemplate(dimension=MAX_DIMENSION, max_generations=generations)
+        taus, seeds = [0.9, 1.7, 0.3], [3, 2**64 - 1, 0]
+        started = _spy_threads(monkeypatch)
+        results = run_batch(template, taus, seeds)
+        assert started == ["estune-normals"] * threads
+        for result, tau, seed in zip(results, taus, seeds):
+            f, sigma = stepwise_run(template, tau, seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     @pytest.mark.parametrize("affinity, threads", [({0}, 0), ({0, 1}, 1)])
     def test_starts_only_on_2_cpus(self, monkeypatch, affinity, threads):
@@ -925,29 +894,39 @@ class TestHelper:
         assert started == ["estune-normals"]
         assert str(caught.value) == str(expected.value)
 
-    def test_a_raise_while_the_fifo_is_full_stops_the_helper(self, monkeypatch):
-        # One block a call: the helper fills its FIFO and waits to put the
-        # next, and then the first row raises.
-        fifos = []
+    def test_a_raise_in_the_first_row_waits_for_the_helper(self, monkeypatch):
+        # The first row raises while the helper is still in its draw, which
+        # it leaves only after the raise: run_batch must join it first.
+        drawing, raised, alive = threading.Event(), threading.Event(), []
 
-        class Fifo(queue.Queue):
-            def __init__(self, *args):
-                super().__init__(*args)
-                fifos.append(self)
+        class SlowOffThread:
+            def __init__(self, rng):
+                self._rng = rng
 
-        def first_row(rng, *rest):
-            deadline = time.monotonic() + 30
-            while not fifos[0].full() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            raise RuntimeError(f"first row, FIFO full: {fifos[0].full()}")
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
 
-        monkeypatch.setattr(es_mod.queue, "Queue", Fifo)
-        monkeypatch.setattr(es_mod, "_AHEAD_BYTES", 1)
+            def standard_normal(self, size):
+                if threading.current_thread().name == "estune-normals":
+                    drawing.set()
+                    raised.wait(timeout=30)
+                    time.sleep(0.2)
+                return self._rng.standard_normal(size)
+
+        def first_row(blocks, *rest):
+            assert drawing.wait(timeout=30)
+            alive.extend(t.is_alive() for t in threading.enumerate()
+                         if t.name == "estune-normals")
+            raised.set()
+            raise RuntimeError("first row")
+
+        monkeypatch.setattr(es_mod, "make_rng", lambda seed: SlowOffThread(make_rng(seed)))
         monkeypatch.setattr(es_mod, "_screened", first_row)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="FIFO full: True"):
+        with pytest.raises(RuntimeError, match="first row"):
             _within_a_minute(lambda: run_batch(EsTemplate(dimension=64, max_generations=1000),
                                                [0.9] * 3, [0, 1, 2]))
+        assert alive == [True]
         assert threading.active_count() == before
 
     def test_a_raise_in_the_helper_is_raised_by_the_batch(self, monkeypatch):
@@ -1034,30 +1013,25 @@ def _screened_row(template, tau, seed):
     return result
 
 
-class _ScaledNormals:
-    """A stand-in generator whose normals are ``make_rng(seed)``'s times
-    ``scale``, so that ``|z|**2`` reaches from 0 to past 1e20.  With more
-    scales, block k of normals takes the k-th, and every later block the
-    last."""
-
-    def __init__(self, seed, scale, *later):
-        self._rng, self._scales = make_rng(seed), [scale, *later]
-
-    def standard_normal(self, size):
-        scale = self._scales[0] if len(self._scales) == 1 else self._scales.pop(0)
-        return self._rng.standard_normal(size) * scale
+def _scaled_normals(seed, generations, dimension, scale, *later):
+    """A row's blocks of normals: ``make_rng(seed)``'s times ``scale``, so
+    that ``|z|**2`` reaches from 0 to past 1e20.  With more scales, block k
+    takes the k-th, and every later block the last."""
+    scales = [scale, *later]
+    blocks = es_mod._blocks(make_rng(seed), generations, dimension)
+    return [z * scales[min(k, len(scales) - 1)] for k, z in enumerate(blocks)]
 
 
 def _path_row(path, seed, scale, x, sigma0, tau, generations):
     up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
     try:
-        row = path(_ScaledNormals(seed, scale), x, sigma0, up, down, generations)
+        row = path(_scaled_normals(seed, generations, len(x), scale), x, sigma0, up, down)
     except NumericalError as exc:
         return str(exc)
     return [v.hex() for v in row]
 
 
-def _traced_screened(normals, x, sigma0, tau, generations):
+def _traced_screened(normals, x, sigma0, tau):
     """``_screened``'s row in hex, or its error message, and the
     ``(exact, h, x)`` states it went through, in order.
 
@@ -1069,13 +1043,17 @@ def _traced_screened(normals, x, sigma0, tau, generations):
     up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
     states = []
     code = es_mod._screened.__wrapped__.__code__  # inside np.errstate's wrapper
+    # The parent last summed and its value: a parent array is never changed
+    # in place, so it is summed once.
+    summed = [None, None]
 
     def line(frame, event, arg):
         local = frame.f_locals
         if event == "line" and "exact" in local:
             exact, h, parent = local["exact"], local["h"], local["x"]
-            with np.errstate(over="ignore"):
-                value = sphere_columns(parent[:, None])[0]
+            if summed[0] is not parent:
+                summed[:] = parent, sphere_eval(parent)
+            value = summed[1]
             assert value == h if exact else not value > h
             if not states or states[-1][:2] != (exact, h) or states[-1][2] is not parent:
                 states.append((exact, h, parent))
@@ -1084,7 +1062,7 @@ def _traced_screened(normals, x, sigma0, tau, generations):
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
     try:
-        row = es_mod._screened(normals, x, sigma0, up, down, generations)
+        row = es_mod._screened(normals, x, sigma0, up, down)
     except NumericalError as exc:
         return str(exc), states
     finally:
@@ -1204,16 +1182,9 @@ class TestScreened:
                     made.append(1)
                 return super().__mul__(other)
 
-        class CountedNormals:
-            def __init__(self, rng):
-                self._rng = rng
-
-            def standard_normal(self, size):
-                return self._rng.standard_normal(size).view(Counted)
-
         real = es_mod._screened
-        monkeypatch.setattr(es_mod, "_screened",
-                            lambda rng, *rest: real(CountedNormals(rng), *rest))
+        monkeypatch.setattr(es_mod, "_screened", lambda blocks, *rest: real(
+            [z.view(Counted) for z in blocks], *rest))
         fold = es_mod._fold_squares
         monkeypatch.setattr(es_mod, "_fold_squares", lambda c: folds.append(1) or fold(c))
         result = _screened_row(template, 0.9, 11)
@@ -1238,12 +1209,11 @@ class TestScreened:
     def test_proven_acceptances_keep_every_bit(self, dimension, box, sigma0, tau, generations,
                                                seed, scales, case):
         x = make_rng(seed ^ 1).uniform(-box, box, size=dimension)
-        rest = (sigma0, tau, generations)
-        row, states = _traced_screened(_ScaledNormals(seed, *scales), x, *rest)
+        normals = _scaled_normals(seed, generations, dimension, *scales)
+        row, states = _traced_screened(normals, x, sigma0, tau)
         assert case in _interval_cases(states)
         up, down = math.exp(tau * (1.0 - 0.2)), math.exp(tau * (0.0 - 0.2))
-        stepwise = es_mod._stepwise(_ScaledNormals(seed, *scales), x, sigma0, up, down,
-                                    generations)
+        stepwise = es_mod._stepwise(normals, x, sigma0, up, down)
         assert row == [v.hex() for v in stepwise]
 
     @settings(max_examples=60, deadline=None)
@@ -1259,7 +1229,7 @@ class TestScreened:
     def test_bound_stays_above_the_parent(self, dimension, generations, seed, scale_exp,
                                           sigma_exp, box_exp, tau):
         x = make_rng(seed ^ 1).uniform(-(10.0**box_exp), 10.0**box_exp, size=dimension)
-        args = (seed, 10.0**scale_exp)
-        rest = (10.0**sigma_exp, tau, generations)
-        row, _ = _traced_screened(_ScaledNormals(*args), x, *rest)
-        assert row == _path_row(es_mod._stepwise, *args, x, *rest)
+        scale, sigma0 = 10.0**scale_exp, 10.0**sigma_exp
+        row, _ = _traced_screened(_scaled_normals(seed, generations, dimension, scale), x, sigma0,
+                                  tau)
+        assert row == _path_row(es_mod._stepwise, seed, scale, x, sigma0, tau, generations)
