@@ -129,11 +129,13 @@ __all__ = [
     "FITNESS_FLOOR",
     "MAX_DIMENSION",
     "ConfigurationError",
+    "DrawAhead",
     "EsRunResult",
     "EsTemplate",
     "NumericalError",
     "ObjectiveSpec",
     "TAU_MAX",
+    "draw_ahead",
     "get_objective",
     "make_rng",
     "mutate",
@@ -431,24 +433,27 @@ def run_es(template: EsTemplate, tau: float, seed: int) -> EsRunResult:
 
 
 def run_batch(
-    template: EsTemplate, taus: Sequence[float], seeds: Sequence[int]
+    template: EsTemplate, taus: Sequence[float], seeds: Sequence[int],
+    ahead: DrawAhead | None = None,
 ) -> list[EsRunResult]:
     """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
     The rows run in chunks that fit ``_LOCKSTEP_BYTES``: a chunk of more
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
-    The calling thread draws every row's start point and normals, except
-    that a screened chunk of 2 or 3 rows whose later rows hold from
-    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
-    gives the process 2 or more CPUs, has one helper thread draw each of
-    those rows whole while its first row runs.  The helper is joined
-    before this returns or raises, and an error it meets is raised here.
-    Each row's result is bit-identical to the stepwise loop of its tau and
-    seed alone (see the module docstring), whichever thread drew its
-    normals, and the batch raises ``NumericalError`` exactly when some
-    row's stepwise loop would raise ``ValueError``: a non-finite candidate,
-    or sigma at 0 before a generation.
+    The calling thread draws every row's start point and normals, with two
+    exceptions.  ``ahead``, a source from ``draw_ahead(template,
+    len(seeds))`` that was asked for ``seeds``, hands over every row, drawn
+    on its helper thread.  Without one, a screened chunk of 2 or 3 rows
+    whose later rows hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES //
+    8`` normals, on a host that gives the process 2 or more CPUs, has one
+    helper thread draw those rows while its first row runs, and joins it
+    before this returns or raises.  An error a helper meets is raised here,
+    by the row it was drawing.  Each row's result is bit-identical to the
+    stepwise loop of its tau and seed alone (see the module docstring),
+    whichever thread drew it, and the batch raises ``NumericalError``
+    exactly when some row's stepwise loop would raise ``ValueError``: a
+    non-finite candidate, or sigma at 0 before a generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -462,12 +467,8 @@ def run_batch(
     dim, generations, sigma0 = template.dimension, template.max_generations, template.sigma0
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
-    screened = any(dim >= d and generations >= g for d, g in _SCREENED_FROM)
+    screened = _runs_screened(dim, generations)
     row = _screened if screened else _stepwise
-
-    def start(rng):
-        return rng.uniform(template.init_low, template.init_high, size=dim)
-
     # A row's normals and a replayed block's candidates: 2 * block * dim + 8 doubles.
     block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
     chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
@@ -476,28 +477,30 @@ def run_batch(
     # so a batch holds one chunk's rows at a time.
     for i in range(0, len(seeds), chunk):
         part = seeds[i : i + chunk]
-        if len(part) <= _FEW_ROWS:
-            rngs = list(map(make_rng, part))
-            x = [start(rng) for rng in rngs]
-            normals = [_blocks(rng, generations, dim) for rng in rngs]
-            later = (len(part) - 1) * generations * dim
-            helper = None
-            if screened and _HELPER_NORMALS <= later <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2:
-                drawn = queue.SimpleQueue()
-                helper = threading.Thread(target=_draw_rows, name="estune-normals",
-                                          args=(rngs[1:], generations, dim, drawn))
-                helper.start()
-                normals[1:] = [_handed_over(drawn) for _ in rngs[1:]]
-            try:
-                rows += [row(blocks, xj, sigma0, up[j], down[j])
-                         for j, (blocks, xj) in enumerate(zip(normals, x), i)]
-            finally:
-                if helper:
-                    helper.join()
-        else:
+        if len(part) > _FEW_ROWS:
             rngs = _seeded_generators(part)
-            rows += _lockstep(rngs, np.array([start(rng) for rng in rngs]), sigma0,
+            rows += _lockstep(rngs, np.array([_start(rng, template) for rng in rngs]), sigma0,
                               up[i : i + chunk], down[i : i + chunk], generations)
+            continue
+        # The first ``here`` rows are drawn on this thread, the rest handed over.
+        helper, here = None, len(part)
+        if ahead is not None:
+            drawn, here = ahead.handed_over(part), 0
+        elif screened and _helps(len(part), generations, dim):
+            helper = DrawAhead(template)
+            helper.request(part[1:])
+            drawn, here = helper.handed_over(part[1:]), 1
+        try:
+            for j, seed in enumerate(part, i):
+                if j - i < here:
+                    rng = make_rng(seed)
+                    x, blocks = _start(rng, template), _blocks(rng, generations, dim)
+                else:
+                    x, blocks = next(drawn)
+                rows.append(row(blocks, x, sigma0, up[j], down[j]))
+        finally:
+            if helper is not None:
+                helper.close()
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
@@ -515,11 +518,82 @@ def run_batch(
     ]
 
 
+@functools.cache
+def _runs_screened(dimension: int, generations: int) -> bool:
+    """Whether rows of a few-row chunk of this size run ``_screened``
+    (``_SCREENED_FROM``), else ``_stepwise``."""
+    return any(dimension >= d and generations >= g for d, g in _SCREENED_FROM)
+
+
+def _helps(rows: int, generations: int, dimension: int) -> bool:
+    """Whether a screened chunk of ``rows`` rows has a helper thread draw
+    its later rows: they hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES
+    // 8`` normals, and the process may run on 2 or more CPUs."""
+    later = (rows - 1) * generations * dimension
+    return _HELPER_NORMALS <= later <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2
+
+
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def draw_ahead(template: EsTemplate, rows: int) -> DrawAhead | None:
+    """A started ``DrawAhead`` for batches of ``rows`` rows on ``template``
+    where ``run_batch`` would start its helper thread for such a batch,
+    else None."""
+    if (rows <= _FEW_ROWS and _runs_screened(template.dimension, template.max_generations)
+            and _helps(rows, template.max_generations, template.dimension)):
+        return DrawAhead(template)
+    return None
+
+
+class DrawAhead:
+    """Rows drawn on one helper thread, named ``estune-normals``, ahead of
+    the rows that read them.
+
+    ``request(seeds)`` asks for one row per seed: its start point, then its
+    whole normals, both drawn from ``make_rng(seed)`` in stream order
+    (``_draw_rows``).  ``handed_over(seeds)`` yields the rows in the order
+    they were asked for, each as ``run_batch``'s rows read it, and raises
+    on the reading thread an error the helper met; a row's array is
+    dropped once the row has read it.  ``close()`` lets the helper finish
+    what was asked for, then joins it.
+    """
+
+    def __init__(self, template: EsTemplate):
+        self._requests, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=_draw_rows, name="estune-normals",
+            args=(template, iter(self._requests.get, None), self._drawn))
+        self._thread.start()
+
+    def request(self, seeds: Sequence[int]) -> None:
+        self._requests.put(seeds)
+
+    def handed_over(self, seeds: Sequence[int]):
+        """Each seed's row, ``(start point, normals in blocks of
+        BLOCK_GENERATIONS)``, taken from the helper when the row starts.  A
+        whole-row draw yields the values of the block draws it spans."""
+        for seed in seeds:
+            drawn = self._drawn.get()
+            if isinstance(drawn, BaseException):
+                raise drawn
+            drawn_for, x, z = drawn
+            if drawn_for != seed:
+                raise RuntimeError(f"rows were drawn for seed {drawn_for}, not {seed}")
+            yield x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
+
+    def close(self) -> None:
+        self._requests.put(None)
+        self._thread.join()
+
+
+def _start(rng, template):
+    """A row's start point, its generator's first draw."""
+    return rng.uniform(template.init_low, template.init_high, size=template.dimension)
 
 
 def _blocks(rng, generations, dim):
@@ -530,26 +604,19 @@ def _blocks(rng, generations, dim):
         yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-def _draw_rows(rngs, generations, dim, drawn):
-    """The helper thread: put each generator's whole row of normals in
-    ``drawn``, in order, or the exception it meets."""
+def _draw_rows(template, requests, drawn):
+    """The helper thread: for each list of seeds in ``requests``, put each
+    seed's row in ``drawn``, as ``(seed, start point, whole normals)``, or
+    the exception it meets, and stop."""
+    shape = (template.max_generations, template.dimension)
     try:
-        for rng in rngs:
-            drawn.put(rng.standard_normal((generations, dim)))
-    except BaseException as exc:  # raised on the calling thread by _handed_over
+        for seeds in requests:
+            for seed in seeds:
+                rng = make_rng(seed)
+                x = _start(rng, template)
+                drawn.put((seed, x, rng.standard_normal(shape)))
+    except BaseException as exc:  # raised on the reading thread by handed_over
         drawn.put(exc)
-
-
-def _handed_over(drawn):
-    """A later row's normals from the helper: the next whole row in
-    ``drawn``, in blocks of ``BLOCK_GENERATIONS`` generations, or a raise
-    of what the helper met.  A whole-row draw yields the values of the
-    block draws it spans."""
-    z = drawn.get()
-    if isinstance(z, BaseException):
-        raise z
-    for start in range(0, len(z), BLOCK_GENERATIONS):
-        yield z[start : start + BLOCK_GENERATIONS]
 
 
 # A failing row runs on with inf/nan until the check at the end of its

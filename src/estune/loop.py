@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .es import TAU_MAX, NumericalError, run_batch
+from .es import TAU_MAX, DrawAhead, NumericalError, draw_ahead, run_batch
 from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
     DUPLICATE_REMINDER,
@@ -61,12 +61,17 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
     return z
 
 
-def run_trial(tau: float, cfg: SessionConfig, trial_index: int) -> Trial:
-    """Run ``cfg.replicates`` independent ES runs at one tau and summarize."""
-    return run_trials([tau], cfg, [trial_index])[0]
+def run_trial(tau: float, cfg: SessionConfig, trial_index: int,
+              ahead: DrawAhead | None = None) -> Trial:
+    """Run ``cfg.replicates`` independent ES runs at one tau and summarize.
+
+    ``ahead``, if given, was asked for this trial's rows (see
+    ``run_batch``)."""
+    return run_trials([tau], cfg, [trial_index], ahead)[0]
 
 
-def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
+def run_trials(taus, cfg: SessionConfig, trial_indices,
+               ahead: DrawAhead | None = None) -> list[Trial]:
     """``run_trial`` of each (tau, trial_index) pair, in one ES batch.
 
     Every replicate of every trial is one row of a single ``run_batch``
@@ -79,16 +84,7 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
         raise ValueError("trial_index must be >= 0")
     reps = cfg.replicates
     row_taus = [tau for tau in taus for _ in range(reps)]
-    # derive_seed's rounds, each made once: the master seed's, each trial's
-    # two and each replicate index's.  That leaves one round a row.
-    root = _splitmix64(cfg.master_seed & _MASK64)
-    replicate_words = [_splitmix64(i) for i in range(reps)]
-    seeds = [
-        _splitmix64(trial_word ^ replicate_word)
-        for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
-        for replicate_word in replicate_words
-    ]
-    results = run_batch(cfg.es_template, row_taus, seeds)
+    results = run_batch(cfg.es_template, row_taus, _trial_seeds(cfg, trial_indices), ahead)
     trials = []
     for k, tau in enumerate(taus):
         runs = results[k * reps : (k + 1) * reps]
@@ -97,6 +93,21 @@ def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
             raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
         trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
     return trials
+
+
+def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
+    """``derive_seed`` of every replicate of every trial, in row order.
+
+    derive_seed's rounds are each made once: the master seed's, each
+    trial's two and each replicate index's.  That leaves one round a row.
+    """
+    root = _splitmix64(cfg.master_seed & _MASK64)
+    replicate_words = [_splitmix64(i) for i in range(cfg.replicates)]
+    return [
+        _splitmix64(trial_word ^ replicate_word)
+        for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
+        for replicate_word in replicate_words
+    ]
 
 
 def _near_any(tau: float, tried: list[float], tol: float) -> bool:
@@ -193,16 +204,31 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     Backend transport and extraction failures, and an ES run that leaves
     the finite floating-point range, abort the session (status "aborted",
     diagnostics in ``session.error``) instead of raising.
+
+    A trial's rows depend on its seeds only, never on its tau.  So where
+    ``run_batch`` would start a helper thread for one trial's rows (see
+    ``es.draw_ahead``), decided once for the session, one helper thread
+    draws them instead: trial 0's as the session starts, and each later
+    trial's one trial ahead, asked for just before the trial before it
+    runs.  Which thread draws a row changes none of its bits.  The helper
+    is joined before this returns or raises, and an error it meets is
+    raised by the trial whose row it was drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
     log_text = ""
     tried: list[float] = []
+    ahead = None
     try:
         try:
+            ahead = draw_ahead(cfg.es_template, cfg.replicates)
+            if ahead is not None:
+                ahead.request(_trial_seeds(cfg, [0]))
             for trial_index in range(cfg.budget):
                 tau = propose_next_tau(session, backend, log_text, tried)
-                trial = run_trial(tau, cfg, trial_index)
+                if ahead is not None and trial_index + 1 < cfg.budget:
+                    ahead.request(_trial_seeds(cfg, [trial_index + 1]))
+                trial = run_trial(tau, cfg, trial_index, ahead)
                 trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
                 session.trials.append(trial)
                 bisect.insort(tried, tau)
@@ -218,6 +244,8 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
         if writer is not None:
             writer.finish(session)
     finally:
+        if ahead is not None:
+            ahead.close()
         if writer is not None:
             writer.close()
     return session

@@ -1,3 +1,4 @@
+import threading
 import warnings
 from pathlib import Path
 
@@ -62,3 +63,38 @@ def run_cli():
             return int(exc.code or 0)
 
     return _run
+
+
+def spy_threads(monkeypatch):
+    """The name of every thread started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def within_a_minute(fn):
+    """``fn()`` on a thread of its own, which must end within a minute: a
+    helper left waiting fails the test instead of hanging it.  Returns what
+    ``fn`` returns, or raises what it raised."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((fn(), None))
+        except BaseException as exc:  # raised again below, on the test's thread
+            outcome.append((None, exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the call did not end within a minute"
+    result, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return result

@@ -37,6 +37,7 @@ from estune.es import (
 from estune.loop import run_trial
 from estune.report import GridSpec, grid_values, run_grid
 
+from conftest import spy_threads, within_a_minute
 from oracle import stepwise_run
 
 
@@ -767,19 +768,6 @@ class TestRunBatch:
             assert trials[i] == run_trial(tau, cfg, i)
 
 
-def _spy_threads(monkeypatch):
-    """The name of every thread started from here on."""
-    started = []
-    start = threading.Thread.start
-
-    def spy(thread):
-        started.append(thread.name)
-        return start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
-
-
 # At sigma0 1e308 and TAU_MAX a 64-D row raises in its first generation
 # unless all 64 of its normals lie below about 1.798 in magnitude; this
 # seed's do, and the row runs to its end.
@@ -805,7 +793,7 @@ class TestHelper:
         monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
         template = EsTemplate(dimension=64, max_generations=generations)
         taus, seeds = [0.9, 1.7, 0.3][:rows], [3, 2**64 - 1, 0][:rows]
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         before = threading.active_count()
         results = run_batch(template, taus, seeds)
         assert threading.active_count() == before
@@ -832,7 +820,7 @@ class TestHelper:
     def test_starts_when_the_later_rows_repay_a_thread(self, monkeypatch, dimension, rows,
                                                        threads):
         # At 1000 generations: 64,000 later normals start it, 32,000 do not.
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         run_batch(EsTemplate(dimension=dimension, max_generations=1000), [0.9] * rows,
                   list(range(rows)))
         assert len(started) == threads
@@ -846,7 +834,7 @@ class TestHelper:
         assert 2 * 4194 * 1000 <= es_mod._LOCKSTEP_BYTES // 8 < 2 * 4195 * 1000
         template = EsTemplate(dimension=MAX_DIMENSION, max_generations=generations)
         taus, seeds = [0.9, 1.7, 0.3], [3, 2**64 - 1, 0]
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         results = run_batch(template, taus, seeds)
         assert started == ["estune-normals"] * threads
         for result, tau, seed in zip(results, taus, seeds):
@@ -859,7 +847,7 @@ class TestHelper:
         # overlap.
         monkeypatch.undo()  # the real _cpus, which reads the affinity
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         template = EsTemplate(dimension=64, max_generations=1000)
         results = run_batch(template, [0.9] * 2, [0, 1])
         assert len(started) == threads
@@ -872,7 +860,7 @@ class TestHelper:
     def test_stepwise_rows_and_lockstep_start_no_thread(self, monkeypatch, dimension,
                                                         generations, rows):
         monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         run_batch(EsTemplate(dimension=dimension, max_generations=generations), [0.9] * rows,
                   list(range(rows)))
         assert started == []
@@ -886,7 +874,7 @@ class TestHelper:
         stepwise = EsTemplate(sigma0=1e308, dimension=5, max_generations=20)
         with pytest.raises(NumericalError) as expected:
             run_batch(stepwise, [1.0, 1.0], [2, 16789950873655392269])
-        started = _spy_threads(monkeypatch)
+        started = spy_threads(monkeypatch)
         before = threading.active_count()
         with pytest.raises(NumericalError) as caught:
             run_batch(template, [TAU_MAX] * 2, seeds)
@@ -924,7 +912,7 @@ class TestHelper:
         monkeypatch.setattr(es_mod, "_screened", first_row)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="first row"):
-            _within_a_minute(lambda: run_batch(EsTemplate(dimension=64, max_generations=1000),
+            within_a_minute(lambda: run_batch(EsTemplate(dimension=64, max_generations=1000),
                                                [0.9] * 3, [0, 1, 2]))
         assert alive == [True]
         assert threading.active_count() == before
@@ -951,30 +939,56 @@ class TestHelper:
         monkeypatch.setattr(es_mod, "make_rng", lambda seed: OffThreadFails(make_rng(seed)))
         before = threading.active_count()
         with pytest.raises(MemoryError, match="off the calling thread"):
-            _within_a_minute(call)
+            within_a_minute(call)
         assert threading.active_count() == before
 
-
-def _within_a_minute(fn):
-    """``fn()`` on a thread of its own, which must end within a minute: a
-    helper left waiting fails the test instead of hanging it.  Returns what
-    ``fn`` returns, or raises what it raised."""
-    outcome = []
-
-    def call():
+    def test_rows_drawn_ahead_equal_the_stepwise_oracle(self, monkeypatch):
+        # A session's source: one thread draws every row of both batches,
+        # both asked for before the first batch runs.
+        template = EsTemplate(dimension=64, max_generations=1000)
+        batches = [([0.9, 1.7], [3, 2**64 - 1]), ([0.3, 0.9], [0, 5])]
+        started = spy_threads(monkeypatch)
+        before = threading.active_count()
+        ahead = es_mod.draw_ahead(template, 2)
         try:
-            outcome.append((fn(), None))
-        except BaseException as exc:  # raised again below, on the test's thread
-            outcome.append((None, exc))
+            for _, seeds in batches:
+                ahead.request(seeds)
+            results = [run_batch(template, taus, seeds, ahead) for taus, seeds in batches]
+        finally:
+            ahead.close()
+        assert threading.active_count() == before
+        assert started == ["estune-normals"]
+        for (taus, seeds), rows in zip(batches, results):
+            for result, tau, seed in zip(rows, taus, seeds):
+                f, sigma = stepwise_run(template, tau, seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "run_batch did not end within a minute"
-    result, exc = outcome[0]
-    if exc is not None:
-        raise exc
-    return result
+    def test_rows_drawn_for_other_seeds_are_refused(self):
+        template = EsTemplate(dimension=64, max_generations=1000)
+        ahead = es_mod.draw_ahead(template, 2)
+        try:
+            ahead.request([3, 4])
+            with pytest.raises(RuntimeError, match="drawn for seed 3, not 4"):
+                run_batch(template, [0.9, 0.9], [4, 3], ahead)
+        finally:
+            ahead.close()
+
+    @pytest.mark.parametrize("dimension, generations, rows, cpus, draws", [
+        (64, 1000, 2, 2, True), (64, 1000, 3, 2, True), (1000, 4194, 3, 2, True),
+        (1000, 4195, 3, 2, False), (64, 1000, 2, 1, False), (64, 1000, 1, 2, False),
+        (64, 1000, 4, 2, False), (32, 1000, 2, 2, False), (3, 20, 2, 2, False),
+    ])
+    def test_draws_ahead_only_where_a_batch_starts_its_helper(self, monkeypatch, dimension,
+                                                               generations, rows, cpus, draws):
+        # The shapes of the tests above: a session draws its trials' rows
+        # ahead only where run_batch alone would start a helper for them.
+        monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
+        started = spy_threads(monkeypatch)
+        ahead = es_mod.draw_ahead(EsTemplate(dimension=dimension, max_generations=generations),
+                                  rows)
+        if ahead is not None:
+            ahead.close()
+        assert (ahead is not None, started) == (draws, ["estune-normals"] * draws)
 
 
 # Most coordinates times generations a screened case runs, so that the

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import tempfile
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from estune.loop import (
     run_trial,
     run_trials,
 )
+import estune.es as es_mod
 import estune.loop as loop_mod
 import estune.store as store_mod
 from estune.store import (
@@ -43,7 +45,8 @@ from estune.store import (
 )
 from estune.store import read_session, render_log, write_session
 
-from conftest import FIXTURES
+from conftest import FIXTURES, spy_threads, within_a_minute
+from oracle import stepwise_run
 
 
 def reference_splitmix64(z):
@@ -716,3 +719,115 @@ class TestHostileReplies:
             assert read_session(Path(tmp) / "s.session.jsonl") == session
             log = (Path(tmp) / "s.log").read_text(encoding="utf-8")
             assert log == render_log(session.trials)
+
+
+def _wide_cfg(dimension, budget, **kwargs):
+    return SessionConfig(
+        objective=ObjectiveSpec("sphere", dimension),
+        es_template=EsTemplate(dimension=dimension, max_generations=1000, **kwargs),
+        master_seed=2024,
+        replicates=2,
+        budget=budget,
+    )
+
+
+def _helpers_alive():
+    return [t for t in threading.enumerate() if t.name == "estune-normals"]
+
+
+class TestDrawAhead:
+    """A session whose trials would start run_batch's helper has one helper
+    thread draw each trial's rows one trial ahead."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 2)
+
+    def test_files_equal_the_one_cpu_session(self, tmp_path, monkeypatch):
+        # 20-D x 1000 x 2 replicates, with the helper's floor lowered to
+        # take it; trial 2 re-prompts a duplicate and trial 3 falls back to
+        # 1.1 x 1.05.
+        monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
+        cfg = _wide_cfg(20, budget=4)
+        replies = ["tau = 0.7", "tau = 0.9", "tau = 0.9", "tau = 1.1"] + ["tau = 1.1"] * 3
+        started = spy_threads(monkeypatch)
+        ahead = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "ahead")
+        assert started == ["estune-normals"]
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
+        alone = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "alone")
+        assert started == ["estune-normals"]
+        assert ahead == alone
+        assert ahead.status == "completed"
+        assert [t.tau for t in ahead.trials] == [0.7, 0.9, 1.1, 1.1 * 1.05]
+        assert [len(t.exchanges) for t in ahead.trials] == [1, 1, 2, 3]
+        for suffix in (".log", ".session.jsonl"):
+            assert ((tmp_path / f"ahead{suffix}").read_bytes()
+                    == (tmp_path / f"alone{suffix}").read_bytes())
+        for k, trial in enumerate(ahead.trials):
+            for r, result in enumerate(trial.results):
+                assert result.seed == derive_seed(cfg.master_seed, k, r)
+                f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_a_stepwise_session_starts_no_thread(self, fast_cfg, monkeypatch):
+        started = spy_threads(monkeypatch)
+        session = run_session(fast_cfg, ScriptedBackend(PROBE_REPLIES))
+        assert session.status == "completed"
+        assert started == []
+
+    @pytest.mark.parametrize("replies, sigma0, status", [
+        (["tau = 0.7", "tau = 0.9", "tau = 1.1"], 1.0, "completed"),
+        (["tau = 0.7", "nothing", "nothing", "nothing"], 1.0, "aborted"),
+        (["tau = 0.7"], 1e308, "aborted"),
+    ], ids=["completed", "extraction_error", "numerical_error"])
+    def test_no_helper_outlives_the_session(self, tmp_path, monkeypatch, replies, sigma0,
+                                            status):
+        cfg = _wide_cfg(64, budget=3, sigma0=sigma0)
+        started = spy_threads(monkeypatch)
+        session = within_a_minute(
+            lambda: run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "s"))
+        assert session.status == status
+        assert started[1:] == ["estune-normals"]  # after within_a_minute's own
+        assert _helpers_alive() == []
+        assert read_session(tmp_path / "s.session.jsonl") == session
+        if sigma0 == 1e308:
+            assert session.error == "NumericalError: a candidate left the finite floating-point range"
+
+    def test_no_helper_outlives_an_exception_that_escapes(self, tmp_path, monkeypatch):
+        backend = CrashingBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"], crash_at=2)
+        started = spy_threads(monkeypatch)
+        with pytest.raises(RuntimeError, match="backend bug"):
+            within_a_minute(lambda: run_session(_wide_cfg(64, budget=3), backend,
+                                                out_base=tmp_path / "s"))
+        assert started[1:] == ["estune-normals"]
+        assert _helpers_alive() == []
+        assert [t.tau for t in read_session(tmp_path / "s.session.jsonl").trials] == [0.7, 0.9]
+
+    def test_an_error_met_drawing_ahead_is_raised_by_its_trial(self, tmp_path, monkeypatch):
+        # The helper fails on trial 1's rows, which it draws while trial 0
+        # runs: trial 0 is logged, and trial 1 raises on the calling thread.
+        cfg = _wide_cfg(64, budget=3)
+        failing = {derive_seed(cfg.master_seed, 1, r) for r in range(cfg.replicates)}
+        make_rng = es_mod.make_rng
+
+        class FailsOnTrial1:
+            def __init__(self, seed):
+                self._rng, self._seed = make_rng(seed), seed
+
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
+
+            def standard_normal(self, size):
+                if self._seed in failing:
+                    raise MemoryError(f"drawing on {threading.current_thread().name}")
+                return self._rng.standard_normal(size)
+
+        monkeypatch.setattr(es_mod, "make_rng", FailsOnTrial1)
+        backend = ScriptedBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"])
+        with pytest.raises(MemoryError, match="drawing on estune-normals") as caught:
+            within_a_minute(lambda: run_session(cfg, backend, out_base=tmp_path / "s"))
+        # Raised again where trial 1 reads its first row.
+        assert "handed_over" in [entry.name for entry in caught.traceback]
+        assert _helpers_alive() == []
+        stored = read_session(tmp_path / "s.session.jsonl")
+        assert (stored.status, [t.tau for t in stored.trials]) == ("running", [0.7])
