@@ -59,20 +59,28 @@ and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
   its values and replayed, keeping its candidates, only when a value is
   not finite (see ``_lockstep``).
 
-Who draws the normals.  Each chunk's start points are drawn on the
-calling thread before any of its rows runs, and each row then draws its
-own normals there, block by block (``_blocks``), with one exception.  When
-a screened chunk of 2 or 3 rows has at least ``_HELPER_NORMALS`` and at
-most ``_LOCKSTEP_BYTES // 8`` normals in its later rows, and the process
-may run on 2 or more CPUs, one helper thread draws each later row whole,
-row after row, while the calling thread draws and screens the first row;
-a later row then reads its whole-row array in blocks (``_handed_over``).
+Who draws the normals.  A row's start point and normals come from its
+own generator, in that order.  A lockstep chunk draws its start points on
+the calling thread before any of its rows runs, and each row then draws
+its normals there, block by block.  A row of a few-row chunk is drawn on
+the calling thread as it runs (``_blocks``), or handed over by a helper
+thread, ``DrawAhead``, that drew it whole: its start point, then all its
+normals in one call.  The rule for a helper is one (``_helps``): a
+screened chunk of 2 or 3 rows whose later rows hold at least
+``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8`` normals, on a
+process that may run on 2 or more CPUs.  Where it holds, ``run_batch``
+alone has a helper draw the later rows while the calling thread draws and
+screens the first, and joins it before it returns or raises.  A tuning
+session whose trials meet the rule (``draw_ahead``, decided once per
+session) keeps one helper for the whole session instead, which draws
+every row of each trial one trial ahead, while the trial before it runs,
+persists and proposes: a trial's rows depend on its seeds, not its tau.
 numpy's generators release the interpreter lock while they fill an array,
 so the draws overlap the screening.  The bits cannot change: each
 generator is still used by one thread, in stream order, a whole-row draw
 yields the values of the block draws it spans, and a row's arithmetic
-reads only the values.  The helper is joined before ``run_batch`` returns
-or raises.
+reads only the values.  An error the helper meets is raised on the
+thread that reads the row it was drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -115,6 +123,7 @@ then, checked only after all rows, sigma at 0 before a generation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -176,11 +185,18 @@ _FEW_ROWS = 3
 # crossover of the two paths (table in ROADMAP item 12).
 _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 
-# A screened chunk of 2 or 3 rows draws its later rows' normals on a helper
-# thread when they number at least this many, which repays the thread's
-# start (measured crossover: 32k to 48k).  The helper holds those rows
-# whole, so it starts only while they fit the lockstep budget too.
+# A screened chunk of 2 or 3 rows has a helper thread draw its later rows
+# when they hold at least this many normals, which repays the thread's
+# start (measured crossover: 32k to 48k); a session of such trials has one
+# draw every trial's rows ahead.  The helper holds rows whole, so it starts
+# only while the later rows fit the lockstep budget too.
 _HELPER_NORMALS = 40_000
+
+# A session has one helper draw all its trials' rows ahead only up to this
+# dimension.  Above it a row takes longer to draw than to screen, so that
+# helper falls behind the rows that read it, and the session runs faster
+# with run_batch's own helper (measured crossover: 192-D to 224-D).
+_AHEAD_DIMENSION = 192
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
 # term that covers subnormal roundings, and the range of |z|**2 in which
@@ -487,8 +503,7 @@ def run_batch(
         if ahead is not None:
             drawn, here = ahead.handed_over(part), 0
         elif screened and _helps(len(part), generations, dim):
-            helper = DrawAhead(template)
-            helper.request(part[1:])
+            helper = DrawAhead(template, part[1:], more=False)
             drawn, here = helper.handed_over(part[1:]), 1
         try:
             for j, seed in enumerate(part, i):
@@ -540,13 +555,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def draw_ahead(template: EsTemplate, rows: int) -> DrawAhead | None:
-    """A started ``DrawAhead`` for batches of ``rows`` rows on ``template``
-    where ``run_batch`` would start its helper thread for such a batch,
+def draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> DrawAhead | None:
+    """A started ``DrawAhead`` asked for ``seeds``, for batches of as many
+    rows on ``template``, where ``run_batch`` would start its helper thread
+    for such a batch and the dimension is at most ``_AHEAD_DIMENSION``;
     else None."""
-    if (rows <= _FEW_ROWS and _runs_screened(template.dimension, template.max_generations)
+    rows = len(seeds)
+    if (rows <= _FEW_ROWS and template.dimension <= _AHEAD_DIMENSION
+            and _runs_screened(template.dimension, template.max_generations)
             and _helps(rows, template.max_generations, template.dimension)):
-        return DrawAhead(template)
+        return DrawAhead(template, seeds)
     return None
 
 
@@ -555,40 +573,84 @@ class DrawAhead:
     the rows that read them.
 
     ``request(seeds)`` asks for one row per seed: its start point, then its
-    whole normals, both drawn from ``make_rng(seed)`` in stream order
-    (``_draw_rows``).  ``handed_over(seeds)`` yields the rows in the order
-    they were asked for, each as ``run_batch``'s rows read it, and raises
-    on the reading thread an error the helper met; a row's array is
-    dropped once the row has read it.  ``close()`` lets the helper finish
-    what was asked for, then joins it.
+    normals, both drawn from ``make_rng(seed)`` in stream order.  The
+    helper takes the rows asked for in order and draws each whole
+    (``_draw_rows``).  ``handed_over(seeds)`` yields the rows of the oldest
+    request, each as ``run_batch``'s rows read it, when the row starts: a
+    row the helper has taken is handed over once drawn, and an error the
+    helper met drawing it is raised there, on the reading thread; a row it
+    has not taken yet is taken and drawn there, block by block, so the
+    reading thread does not wait for a helper that has not reached it.  A
+    row's array is dropped once the row has read it.  ``close()`` lets the
+    helper finish the row it is drawing, takes every row not yet taken, and
+    joins it.
+
+    ``seeds`` are asked for before the helper starts, so that it starts
+    drawing at once; with ``more`` false nothing more may be asked for, and
+    the helper ends once it has drawn them.
     """
 
-    def __init__(self, template: EsTemplate):
-        self._requests, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    def __init__(self, template: EsTemplate, seeds: Sequence[int], more: bool = True):
+        self._template = template
+        self._taking = threading.Lock()
+        # The rows of each request not yet read, and of the one being read.
+        self._asked: collections.deque[list[_Row]] = collections.deque()
+        self._reading: list[_Row] = []
+        self._requests: queue.SimpleQueue[list[_Row] | None] = queue.SimpleQueue()
+        self.request(seeds)
+        if not more:
+            self._requests.put(None)
         self._thread = threading.Thread(
             target=_draw_rows, name="estune-normals",
-            args=(template, iter(self._requests.get, None), self._drawn))
+            args=(template, iter(self._requests.get, None), self._taking))
         self._thread.start()
 
     def request(self, seeds: Sequence[int]) -> None:
-        self._requests.put(seeds)
+        rows = [_Row(seed) for seed in seeds]
+        self._asked.append(rows)
+        self._requests.put(rows)
 
     def handed_over(self, seeds: Sequence[int]):
         """Each seed's row, ``(start point, normals in blocks of
-        BLOCK_GENERATIONS)``, taken from the helper when the row starts.  A
-        whole-row draw yields the values of the block draws it spans."""
-        for seed in seeds:
-            drawn = self._drawn.get()
+        BLOCK_GENERATIONS)``.  A whole-row draw yields the values of the
+        block draws it spans."""
+        rows = self._reading = self._asked.popleft()
+        if [row.seed for row in rows] != list(seeds):
+            raise RuntimeError(f"rows were asked for seeds {[row.seed for row in rows]}, "
+                               f"not {list(seeds)}")
+        for row in rows:
+            with self._taking:
+                mine, row.taken = not row.taken, True
+            if mine:
+                rng = make_rng(row.seed)
+                template = self._template
+                yield _start(rng, template), _blocks(rng, template.max_generations,
+                                                     template.dimension)
+                continue
+            drawn = row.drawn.get()
             if isinstance(drawn, BaseException):
                 raise drawn
-            drawn_for, x, z = drawn
-            if drawn_for != seed:
-                raise RuntimeError(f"rows were drawn for seed {drawn_for}, not {seed}")
+            x, z = drawn
             yield x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
 
     def close(self) -> None:
+        with self._taking:
+            for rows in (self._reading, *self._asked):
+                for row in rows:
+                    row.taken = True
         self._requests.put(None)
         self._thread.join()
+
+
+class _Row:
+    """A row asked of a ``DrawAhead``: its seed, whether a thread has taken
+    it to draw, and, once the helper has drawn it, ``(start point, whole
+    normals)`` or the exception it met."""
+
+    __slots__ = ("seed", "taken", "drawn")
+
+    def __init__(self, seed: int):
+        self.seed, self.taken, self.drawn = seed, False, queue.SimpleQueue()
 
 
 def _start(rng, template):
@@ -604,19 +666,23 @@ def _blocks(rng, generations, dim):
         yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-def _draw_rows(template, requests, drawn):
-    """The helper thread: for each list of seeds in ``requests``, put each
-    seed's row in ``drawn``, as ``(seed, start point, whole normals)``, or
-    the exception it meets, and stop."""
+def _draw_rows(template, requests, taking):
+    """The helper thread: take each row of each list in ``requests`` that
+    no thread has taken, under the lock ``taking``, and put in its
+    ``drawn`` the row drawn whole, or the exception it meets."""
     shape = (template.max_generations, template.dimension)
-    try:
-        for seeds in requests:
-            for seed in seeds:
-                rng = make_rng(seed)
+    for rows in requests:
+        for row in rows:
+            with taking:
+                if row.taken:
+                    continue
+                row.taken = True
+            try:
+                rng = make_rng(row.seed)
                 x = _start(rng, template)
-                drawn.put((seed, x, rng.standard_normal(shape)))
-    except BaseException as exc:  # raised on the reading thread by handed_over
-        drawn.put(exc)
+                row.drawn.put((x, rng.standard_normal(shape)))
+            except BaseException as exc:  # raised on the reading thread by handed_over
+                row.drawn.put(exc)
 
 
 # A failing row runs on with inf/nan until the check at the end of its

@@ -221,9 +221,7 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     ahead = None
     try:
         try:
-            ahead = draw_ahead(cfg.es_template, cfg.replicates)
-            if ahead is not None:
-                ahead.request(_trial_seeds(cfg, [0]))
+            ahead = draw_ahead(cfg.es_template, _trial_seeds(cfg, [0]))
             for trial_index in range(cfg.budget):
                 tau = propose_next_tau(session, backend, log_text, tried)
                 if ahead is not None and trial_index + 1 < cfg.budget:

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import sys
 import tempfile
 import threading
 from dataclasses import asdict, replace
@@ -769,6 +770,21 @@ class TestDrawAhead:
                 f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
                 assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
+    def test_trials_hold_under_a_short_switch_interval(self, monkeypatch):
+        # The interpreter lock changes hands about every microsecond while
+        # the helper draws each trial's rows ahead.
+        cfg = _wide_cfg(64, budget=4)
+        replies = ["tau = 0.7", "tau = 0.9", "tau = 1.1", "tau = 1.3"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = within_a_minute(lambda: run_session(cfg, ScriptedBackend(replies)))
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
+        assert ahead == run_session(cfg, ScriptedBackend(replies))
+        assert ahead.status == "completed"
+
     def test_a_stepwise_session_starts_no_thread(self, fast_cfg, monkeypatch):
         started = spy_threads(monkeypatch)
         session = run_session(fast_cfg, ScriptedBackend(PROBE_REPLIES))
@@ -805,10 +821,11 @@ class TestDrawAhead:
 
     def test_an_error_met_drawing_ahead_is_raised_by_its_trial(self, tmp_path, monkeypatch):
         # The helper fails on trial 1's rows, which it draws while trial 0
-        # runs: trial 0 is logged, and trial 1 raises on the calling thread.
+        # runs; trial 1 is proposed only once it has.  Trial 0 is logged,
+        # and trial 1 raises the helper's error on the calling thread.
         cfg = _wide_cfg(64, budget=3)
         failing = {derive_seed(cfg.master_seed, 1, r) for r in range(cfg.replicates)}
-        make_rng = es_mod.make_rng
+        make_rng, met = es_mod.make_rng, threading.Event()
 
         class FailsOnTrial1:
             def __init__(self, seed):
@@ -819,11 +836,22 @@ class TestDrawAhead:
 
             def standard_normal(self, size):
                 if self._seed in failing:
+                    met.set()
                     raise MemoryError(f"drawing on {threading.current_thread().name}")
                 return self._rng.standard_normal(size)
 
+        class ProposesTrial1Late:
+            def __init__(self, responses):
+                self.scripted, self.sends = ScriptedBackend(responses), 0
+
+            def send(self, prompt, attempt=0):
+                if self.sends == 1:
+                    assert met.wait(timeout=30)
+                self.sends += 1
+                return self.scripted.send(prompt, attempt)
+
         monkeypatch.setattr(es_mod, "make_rng", FailsOnTrial1)
-        backend = ScriptedBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"])
+        backend = ProposesTrial1Late(["tau = 0.7", "tau = 0.9", "tau = 1.1"])
         with pytest.raises(MemoryError, match="drawing on estune-normals") as caught:
             within_a_minute(lambda: run_session(cfg, backend, out_base=tmp_path / "s"))
         # Raised again where trial 1 reads its first row.
