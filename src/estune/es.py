@@ -63,24 +63,26 @@ Who draws the normals.  A row's start point and normals come from its
 own generator, in that order.  A lockstep chunk draws its start points on
 the calling thread before any of its rows runs, and each row then draws
 its normals there, block by block.  A row of a few-row chunk is drawn on
-the calling thread as it runs (``_blocks``), or handed over by a helper
-thread, ``DrawAhead``, that drew it whole: its start point, then all its
-normals in one call.  The rule for a helper is one (``_helps``): a
-screened chunk of 2 or 3 rows whose later rows hold at least
-``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8`` normals, on a
-process that may run on 2 or more CPUs.  Where it holds, ``run_batch``
-alone has a helper draw the later rows while the calling thread draws and
-screens the first, and joins it before it returns or raises.  A tuning
-session whose trials meet the rule (``draw_ahead``, decided once per
-session) keeps one helper for the whole session instead, which draws
-every row of each trial one trial ahead, while the trial before it runs,
+the calling thread as it runs (``_blocks``), or asked of a ``DrawAhead``:
+its start point is drawn as it is asked for, and a helper thread draws all
+its normals in one call.  The rule for a helper is one (``_helps``): a screened chunk
+of 2 or 3 rows whose later rows hold at least ``_HELPER_NORMALS`` and at
+most ``_LOCKSTEP_BYTES // 8`` normals, on a process that may run on 2 or
+more CPUs.  Where it holds, ``run_batch`` alone has a helper draw the
+later rows while the calling thread draws and screens the first, and
+joins it before it returns or raises.  A tuning session whose trials meet
+the rule up to ``_AHEAD_DIMENSION`` (``draw_ahead``, decided once per
+session) keeps one helper for the whole session instead, which draws every
+row of each trial one trial ahead, while the trial before it runs,
 persists and proposes: a trial's rows depend on its seeds, not its tau.
-numpy's generators release the interpreter lock while they fill an array,
-so the draws overlap the screening.  The bits cannot change: each
-generator is still used by one thread, in stream order, a whole-row draw
-yields the values of the block draws it spans, and a row's arithmetic
-reads only the values.  An error the helper meets is raised on the
-thread that reads the row it was drawing.
+A row goes to whichever thread takes it first: the helper takes rows in
+the order asked, and the calling thread takes and draws a row the helper
+has not reached when the row starts.  numpy's generators release the
+interpreter lock while they fill an array, so the draws overlap the
+screening.  The bits cannot change: each generator is used by one thread,
+in stream order, a whole-row draw yields the values of the block draws it
+spans, and a row's arithmetic reads only the values.  An error the helper
+meets is raised on the thread that reads the row it was drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -458,14 +460,15 @@ def run_batch(
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
     The calling thread draws every row's start point and normals, with two
-    exceptions.  ``ahead``, a source from ``draw_ahead(template,
-    len(seeds))`` that was asked for ``seeds``, hands over every row, drawn
-    on its helper thread.  Without one, a screened chunk of 2 or 3 rows
-    whose later rows hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES //
-    8`` normals, on a host that gives the process 2 or more CPUs, has one
-    helper thread draw those rows while its first row runs, and joins it
-    before this returns or raises.  An error a helper meets is raised here,
-    by the row it was drawing.  Each row's result is bit-identical to the
+    exceptions.  ``ahead``, a ``DrawAhead`` from ``draw_ahead`` whose
+    oldest unread request is ``seeds``, hands over every row: drawn on its
+    helper thread, or here if the helper has not reached it.  Without one,
+    a screened chunk of 2 or 3 rows whose later rows hold from
+    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
+    gives the process 2 or more CPUs, has a ``DrawAhead`` of its own draw
+    those rows while its first row runs, and joins its thread before this
+    returns or raises.  An error a helper meets is raised here, by the row
+    it was drawing.  Each row's result is bit-identical to the
     stepwise loop of its tau and seed alone (see the module docstring),
     whichever thread drew it, and the batch raises ``NumericalError``
     exactly when some row's stepwise loop would raise ``ValueError``: a
@@ -572,10 +575,10 @@ class DrawAhead:
     """Rows drawn on one helper thread, named ``estune-normals``, ahead of
     the rows that read them.
 
-    ``request(seeds)`` asks for one row per seed: its start point, then its
-    normals, both drawn from ``make_rng(seed)`` in stream order.  The
-    helper takes the rows asked for in order and draws each whole
-    (``_draw_rows``).  ``handed_over(seeds)`` yields the rows of the oldest
+    ``request(seeds)`` asks for one row per seed and draws its start point
+    there, from ``make_rng(seed)``; the row's normals come next from the
+    same generator.  The helper takes the rows asked for in order and draws
+    each one's normals whole (``_draw_rows``).  ``handed_over(seeds)`` yields the rows of the oldest
     request, each as ``run_batch``'s rows read it, when the row starts: a
     row the helper has taken is handed over once drawn, and an error the
     helper met drawing it is raised there, on the reading thread; a row it
@@ -602,11 +605,12 @@ class DrawAhead:
             self._requests.put(None)
         self._thread = threading.Thread(
             target=_draw_rows, name="estune-normals",
-            args=(template, iter(self._requests.get, None), self._taking))
+            args=((template.max_generations, template.dimension),
+                  iter(self._requests.get, None), self._taking))
         self._thread.start()
 
     def request(self, seeds: Sequence[int]) -> None:
-        rows = [_Row(seed) for seed in seeds]
+        rows = [_Row(seed, self._template) for seed in seeds]
         self._asked.append(rows)
         self._requests.put(rows)
 
@@ -622,16 +626,13 @@ class DrawAhead:
             with self._taking:
                 mine, row.taken = not row.taken, True
             if mine:
-                rng = make_rng(row.seed)
                 template = self._template
-                yield _start(rng, template), _blocks(rng, template.max_generations,
-                                                     template.dimension)
+                yield row.x, _blocks(row.rng, template.max_generations, template.dimension)
                 continue
-            drawn = row.drawn.get()
-            if isinstance(drawn, BaseException):
-                raise drawn
-            x, z = drawn
-            yield x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
+            z = row.drawn.get()
+            if isinstance(z, BaseException):
+                raise z
+            yield row.x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
 
     def close(self) -> None:
         with self._taking:
@@ -643,14 +644,16 @@ class DrawAhead:
 
 
 class _Row:
-    """A row asked of a ``DrawAhead``: its seed, whether a thread has taken
-    it to draw, and, once the helper has drawn it, ``(start point, whole
-    normals)`` or the exception it met."""
+    """A row asked of a ``DrawAhead``: its seed, generator and start point,
+    whether a thread has taken it to draw its normals, and, once the helper
+    has drawn them, its whole normals or the exception it met."""
 
-    __slots__ = ("seed", "taken", "drawn")
+    __slots__ = ("seed", "rng", "x", "taken", "drawn")
 
-    def __init__(self, seed: int):
-        self.seed, self.taken, self.drawn = seed, False, queue.SimpleQueue()
+    def __init__(self, seed: int, template: EsTemplate):
+        self.seed, self.rng = seed, make_rng(seed)
+        self.x = _start(self.rng, template)
+        self.taken, self.drawn = False, queue.SimpleQueue()
 
 
 def _start(rng, template):
@@ -666,11 +669,11 @@ def _blocks(rng, generations, dim):
         yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-def _draw_rows(template, requests, taking):
+def _draw_rows(shape, requests, taking):
     """The helper thread: take each row of each list in ``requests`` that
     no thread has taken, under the lock ``taking``, and put in its
-    ``drawn`` the row drawn whole, or the exception it meets."""
-    shape = (template.max_generations, template.dimension)
+    ``drawn`` its normals drawn whole, as a ``shape`` array, or the
+    exception it meets."""
     for rows in requests:
         for row in rows:
             with taking:
@@ -678,9 +681,7 @@ def _draw_rows(template, requests, taking):
                     continue
                 row.taken = True
             try:
-                rng = make_rng(row.seed)
-                x = _start(rng, template)
-                row.drawn.put((x, rng.standard_normal(shape)))
+                row.drawn.put(row.rng.standard_normal(shape))
             except BaseException as exc:  # raised on the reading thread by handed_over
                 row.drawn.put(exc)
 

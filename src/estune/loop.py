@@ -206,13 +206,15 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     diagnostics in ``session.error``) instead of raising.
 
     A trial's rows depend on its seeds only, never on its tau.  So where
-    ``run_batch`` would start a helper thread for one trial's rows (see
-    ``es.draw_ahead``), decided once for the session, one helper thread
-    draws them instead: trial 0's as the session starts, and each later
-    trial's one trial ahead, asked for just before the trial before it
-    runs.  Which thread draws a row changes none of its bits.  The helper
-    is joined before this returns or raises, and an error it meets is
-    raised by the trial whose row it was drawing.
+    ``run_batch`` would start a helper thread for one trial's rows, up to
+    ``es._AHEAD_DIMENSION`` (``es.draw_ahead``, decided once for the
+    session), one helper thread draws them instead: trial 0's as the
+    session starts, and each later trial's one trial ahead, asked for just
+    before the trial before it runs.  A row the helper has not reached when
+    its trial reads it is drawn on this thread.  Which thread draws a row
+    changes none of its bits.  The helper is joined before this returns or
+    raises, and an error it meets is raised by the trial whose row it was
+    drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None

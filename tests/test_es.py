@@ -993,20 +993,27 @@ class TestHelper:
 
     def test_rows_the_helper_has_not_taken_are_drawn_by_the_reader(self, monkeypatch):
         # The helper waits until both batches are read, so the reading
-        # thread takes and draws every row itself, block by block.
-        read, drawing = threading.Event(), []
+        # thread takes every row and draws its normals, block by block.
+        read, drawing = threading.Event(), set()
         draw_rows = es_mod._draw_rows
 
         def late(*args):
             assert read.wait(timeout=30)
             draw_rows(*args)
 
-        def spy(seed):
-            drawing.append(threading.current_thread().name)
-            return make_rng(seed)
+        class Spied:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
+
+            def standard_normal(self, size):
+                drawing.add(threading.current_thread().name)
+                return self._rng.standard_normal(size)
 
         monkeypatch.setattr(es_mod, "_draw_rows", late)
-        monkeypatch.setattr(es_mod, "make_rng", spy)
+        monkeypatch.setattr(es_mod, "make_rng", Spied)
         template = EsTemplate(dimension=64, max_generations=1000)
         batches = [([0.9, 1.7], [3, 2**64 - 1]), ([0.3, 0.9], [0, 5])]
         ahead = es_mod.draw_ahead(template, batches[0][1])
@@ -1016,7 +1023,7 @@ class TestHelper:
         finally:
             read.set()
             ahead.close()
-        assert drawing == [threading.current_thread().name] * 4
+        assert drawing == {threading.current_thread().name}
         for (taus, seeds), rows in zip(batches, results):
             for result, tau, seed in zip(rows, taus, seeds):
                 f, sigma = stepwise_run(template, tau, seed)
