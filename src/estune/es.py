@@ -59,30 +59,31 @@ and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
   its values and replayed, keeping its candidates, only when a value is
   not finite (see ``_lockstep``).
 
-Who draws the normals.  A row's start point and normals come from its
-own generator, in that order.  A lockstep chunk draws its start points on
-the calling thread before any of its rows runs, and each row then draws
-its normals there, block by block.  A row of a few-row chunk is drawn on
-the calling thread as it runs (``_blocks``), or asked of a ``DrawAhead``:
-its start point is drawn as it is asked for, and a helper thread draws all
-its normals in one call.  The rule for a helper is one (``_helps``): a screened chunk
-of 2 or 3 rows whose later rows hold at least ``_HELPER_NORMALS`` and at
-most ``_LOCKSTEP_BYTES // 8`` normals, on a process that may run on 2 or
-more CPUs.  Where it holds, ``run_batch`` alone has a helper draw the
-later rows while the calling thread draws and screens the first, and
-joins it before it returns or raises.  A tuning session whose trials meet
-the rule up to ``_AHEAD_DIMENSION`` (``draw_ahead``, decided once per
-session) keeps one helper for the whole session instead, which draws every
-row of each trial one trial ahead, while the trial before it runs,
-persists and proposes: a trial's rows depend on its seeds, not its tau.
-A row goes to whichever thread takes it first: the helper takes rows in
-the order asked, and the calling thread takes and draws a row the helper
-has not reached when the row starts.  numpy's generators release the
-interpreter lock while they fill an array, so the draws overlap the
-screening.  The bits cannot change: each generator is used by one thread,
-in stream order, a whole-row draw yields the values of the block draws it
-spans, and a row's arithmetic reads only the values.  An error the helper
-meets is raised on the thread that reads the row it was drawing.
+Who draws the normals.  A row's start point and normals come from its own
+generator, in that order.  A lockstep chunk draws its start points on the
+calling thread before any of its rows runs, and each row then draws its
+normals there, block by block.  A row of a few-row chunk is drawn on the
+calling thread as it runs (``_blocks``), or asked of a ``DrawAhead``: its
+start point is drawn as it is asked for, and a helper thread draws all its
+normals in one call.  The rule for a helper is one (``_helps``): a
+screened chunk of 2 or 3 rows whose later rows hold at least
+``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8`` normals, on a
+process that may run on 2 or more CPUs.  Where it holds, ``run_batch``
+alone has a helper draw the later rows while the calling thread draws and
+screens the first, and joins it before it returns or raises.  A tuning
+session whose trials meet the rule up to ``_AHEAD_DIMENSION``
+(``draw_ahead``, decided once per session) keeps one helper for the whole
+session instead, which draws every row of each trial one trial ahead,
+while the trial before it runs, persists and proposes: a trial's rows
+depend on its seeds, not its tau.  A row goes to whichever thread takes it
+first: the helper takes rows in the order asked, and the calling thread
+takes and draws a row the helper has not reached when the row starts.
+numpy's generators release the interpreter lock while they fill an array,
+so the draws overlap the screening.  The bits cannot change: each
+generator is used by one thread, in stream order, a whole-row draw yields
+the values of the block draws it spans, and a row's arithmetic reads only
+the values.  An error the helper meets is raised on the thread that reads
+the row it was drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -460,19 +461,19 @@ def run_batch(
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
     The calling thread draws every row's start point and normals, with two
-    exceptions.  ``ahead``, a ``DrawAhead`` from ``draw_ahead`` whose
-    oldest unread request is ``seeds``, hands over every row: drawn on its
-    helper thread, or here if the helper has not reached it.  Without one,
-    a screened chunk of 2 or 3 rows whose later rows hold from
+    exceptions.  ``ahead``, a ``DrawAhead`` from ``draw_ahead`` whose oldest
+    unread request is ``seeds``, hands over every row: drawn on its helper
+    thread, or here if the helper has not reached it.  Without one, a
+    screened chunk of 2 or 3 rows whose later rows hold from
     ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
     gives the process 2 or more CPUs, has a ``DrawAhead`` of its own draw
     those rows while its first row runs, and joins its thread before this
     returns or raises.  An error a helper meets is raised here, by the row
-    it was drawing.  Each row's result is bit-identical to the
-    stepwise loop of its tau and seed alone (see the module docstring),
-    whichever thread drew it, and the batch raises ``NumericalError``
-    exactly when some row's stepwise loop would raise ``ValueError``: a
-    non-finite candidate, or sigma at 0 before a generation.
+    it was drawing.  Each row's result is bit-identical to the stepwise loop
+    of its tau and seed alone (see the module docstring), whichever thread
+    drew it, and the batch raises ``NumericalError`` exactly when some row's
+    stepwise loop would raise ``ValueError``: a non-finite candidate, or
+    sigma at 0 before a generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -578,15 +579,15 @@ class DrawAhead:
     ``request(seeds)`` asks for one row per seed and draws its start point
     there, from ``make_rng(seed)``; the row's normals come next from the
     same generator.  The helper takes the rows asked for in order and draws
-    each one's normals whole (``_draw_rows``).  ``handed_over(seeds)`` yields the rows of the oldest
-    request, each as ``run_batch``'s rows read it, when the row starts: a
-    row the helper has taken is handed over once drawn, and an error the
-    helper met drawing it is raised there, on the reading thread; a row it
-    has not taken yet is taken and drawn there, block by block, so the
-    reading thread does not wait for a helper that has not reached it.  A
-    row's array is dropped once the row has read it.  ``close()`` lets the
-    helper finish the row it is drawing, takes every row not yet taken, and
-    joins it.
+    each one's normals whole (``_draw_rows``).  ``handed_over(seeds)``
+    yields the rows of the oldest request, each as ``run_batch``'s rows read
+    it, when the row starts: a row the helper has taken is handed over once
+    drawn, and an error the helper met drawing it is raised there, on the
+    reading thread; a row it has not taken yet is taken and drawn there,
+    block by block, so the reading thread does not wait for a helper that
+    has not reached it.  A row's array is dropped once the row has read it.
+    ``close()`` lets the helper finish the row it is drawing, takes every
+    row not yet taken, and joins it.
 
     ``seeds`` are asked for before the helper starts, so that it starts
     drawing at once; with ``more`` false nothing more may be asked for, and

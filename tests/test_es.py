@@ -998,7 +998,7 @@ class TestHelper:
         draw_rows = es_mod._draw_rows
 
         def late(*args):
-            assert read.wait(timeout=30)
+            read.wait(timeout=30)
             draw_rows(*args)
 
         class Spied:
