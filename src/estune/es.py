@@ -63,23 +63,22 @@ Who draws the normals.  A row's start point and normals come from its own
 generator, in that order.  A lockstep chunk draws its start points on the
 calling thread before any of its rows runs, and each row then draws its
 normals there, block by block.  A row of a few-row chunk is drawn on the
-calling thread as it runs (``_blocks``), or asked of a ``DrawAhead``: its
-start point is drawn as it is asked for, and a helper thread draws all its
-normals in one call.  The rule for a helper is one (``_helps``): a
-screened chunk of 2 or 3 rows whose later rows hold at least
-``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8`` normals, on a
-process that may run on 2 or more CPUs.  Where it holds, ``run_batch``
-alone has a helper draw the later rows while the calling thread draws and
-screens the first, and joins it before it returns or raises.  A tuning
-session whose trials meet the rule up to ``_AHEAD_DIMENSION``
-(``draw_ahead``, decided once per session) keeps one helper for the whole
-session instead, which draws every row of each trial one trial ahead,
-while the trial before it runs, persists and proposes: a trial's rows
-depend on its seeds, not its tau.  A row goes to whichever thread takes it
-first: the helper takes rows in the order asked, and the calling thread
-takes and draws a row the helper has not reached when the row starts.
-numpy's generators release the interpreter lock while they fill an array,
-so the draws overlap the screening.  The bits cannot change: each
+calling thread as it runs (``_blocks``), or asked of a ``_DrawAhead``:
+its start point is drawn as it is asked for, and a helper thread draws
+its normals in one call, rows in the order asked.  The rule for a helper
+is one (``_helps``): a screened chunk of 2 or 3 rows whose later rows
+hold at least ``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8``
+normals, on a process that may run on 2 or more CPUs.  Where it holds,
+``run_batch`` alone has a helper draw the later rows while the calling
+thread draws and screens the first, and joins it before it returns or
+raises.  A tuning session whose trials meet the rule up to
+``_AHEAD_DIMENSION``, and whose rows of two trials fit the lockstep
+budget (``_draw_ahead``, decided once per session), keeps one helper for
+the whole session instead, which draws every row of each trial one trial
+ahead, while the trial before it runs, persists and proposes: a trial's
+rows depend on its seeds, not its tau.  numpy's generators release the
+interpreter lock while they fill an array, so the draws overlap the
+screening.  The bits cannot change: each
 generator is used by one thread, in stream order, a whole-row draw yields
 the values of the block draws it spans, and a row's arithmetic reads only
 the values.  An error the helper meets is raised on the thread that reads
@@ -141,13 +140,11 @@ __all__ = [
     "FITNESS_FLOOR",
     "MAX_DIMENSION",
     "ConfigurationError",
-    "DrawAhead",
     "EsRunResult",
     "EsTemplate",
     "NumericalError",
     "ObjectiveSpec",
     "TAU_MAX",
-    "draw_ahead",
     "get_objective",
     "make_rng",
     "mutate",
@@ -192,7 +189,8 @@ _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 # when they hold at least this many normals, which repays the thread's
 # start (measured crossover: 32k to 48k); a session of such trials has one
 # draw every trial's rows ahead.  The helper holds rows whole, so it starts
-# only while the later rows fit the lockstep budget too.
+# only while the rows it may hold fit the lockstep budget too: a chunk's
+# later rows, or a session's rows of two trials.
 _HELPER_NORMALS = 40_000
 
 # A session has one helper draw all its trials' rows ahead only up to this
@@ -453,7 +451,7 @@ def run_es(template: EsTemplate, tau: float, seed: int) -> EsRunResult:
 
 def run_batch(
     template: EsTemplate, taus: Sequence[float], seeds: Sequence[int],
-    ahead: DrawAhead | None = None,
+    ahead: _DrawAhead | None = None,
 ) -> list[EsRunResult]:
     """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
@@ -461,14 +459,13 @@ def run_batch(
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
     The calling thread draws every row's start point and normals, with two
-    exceptions.  ``ahead``, a ``DrawAhead`` from ``draw_ahead`` whose oldest
-    unread request is ``seeds``, hands over every row: drawn on its helper
-    thread, or here if the helper has not reached it.  Without one, a
-    screened chunk of 2 or 3 rows whose later rows hold from
-    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
-    gives the process 2 or more CPUs, has a ``DrawAhead`` of its own draw
-    those rows while its first row runs, and joins its thread before this
-    returns or raises.  An error a helper meets is raised here, by the row
+    exceptions.  ``ahead``, a session's ``_DrawAhead`` (``_draw_ahead``)
+    whose oldest unread request is ``seeds``, hands over every row, drawn
+    on its helper thread.  Without one, a screened chunk of 2 or 3 rows
+    whose later rows hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES //
+    8`` normals, on a host that gives the process 2 or more CPUs, has a
+    ``_DrawAhead`` of its own draw those rows while its first row runs, and
+    joins its thread before this returns or raises.  An error a helper meets is raised here, by the row
     it was drawing.  Each row's result is bit-identical to the stepwise loop
     of its tau and seed alone (see the module docstring), whichever thread
     drew it, and the batch raises ``NumericalError`` exactly when some row's
@@ -507,7 +504,7 @@ def run_batch(
         if ahead is not None:
             drawn, here = ahead.handed_over(part), 0
         elif screened and _helps(len(part), generations, dim):
-            helper = DrawAhead(template, part[1:], more=False)
+            helper = _DrawAhead(template, part[1:])
             drawn, here = helper.handed_over(part[1:]), 1
         try:
             for j, seed in enumerate(part, i):
@@ -559,102 +556,69 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> DrawAhead | None:
-    """A started ``DrawAhead`` asked for ``seeds``, for batches of as many
+def _draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> _DrawAhead | None:
+    """A started ``_DrawAhead`` asked for ``seeds``, for batches of as many
     rows on ``template``, where ``run_batch`` would start its helper thread
-    for such a batch and the dimension is at most ``_AHEAD_DIMENSION``;
-    else None."""
-    rows = len(seeds)
-    if (rows <= _FEW_ROWS and template.dimension <= _AHEAD_DIMENSION
-            and _runs_screened(template.dimension, template.max_generations)
-            and _helps(rows, template.max_generations, template.dimension)):
-        return DrawAhead(template, seeds)
+    for such a batch, the dimension is at most ``_AHEAD_DIMENSION``, and
+    the rows of two batches, the most the helper may hold, fit the lockstep
+    budget; else None."""
+    rows, generations, dim = len(seeds), template.max_generations, template.dimension
+    if (rows <= _FEW_ROWS and dim <= _AHEAD_DIMENSION and _runs_screened(dim, generations)
+            and 2 * rows * generations * dim <= _LOCKSTEP_BYTES // 8
+            and _helps(rows, generations, dim)):
+        return _DrawAhead(template, seeds)
     return None
 
 
-class DrawAhead:
+class _DrawAhead:
     """Rows drawn on one helper thread, named ``estune-normals``, ahead of
     the rows that read them.
 
     ``request(seeds)`` asks for one row per seed and draws its start point
-    there, from ``make_rng(seed)``; the row's normals come next from the
-    same generator.  The helper takes the rows asked for in order and draws
-    each one's normals whole (``_draw_rows``).  ``handed_over(seeds)``
-    yields the rows of the oldest request, each as ``run_batch``'s rows read
-    it, when the row starts: a row the helper has taken is handed over once
-    drawn, and an error the helper met drawing it is raised there, on the
-    reading thread; a row it has not taken yet is taken and drawn there,
-    block by block, so the reading thread does not wait for a helper that
-    has not reached it.  A row's array is dropped once the row has read it.
-    ``close()`` lets the helper finish the row it is drawing, takes every
-    row not yet taken, and joins it.
-
-    ``seeds`` are asked for before the helper starts, so that it starts
-    drawing at once; with ``more`` false nothing more may be asked for, and
-    the helper ends once it has drawn them.
+    there, from ``make_rng(seed)``.  The helper draws each row's normals
+    whole from the same generator, rows in the order asked (``_draw_rows``).
+    ``handed_over(seeds)`` yields the rows of the oldest request not yet
+    read, each as ``run_batch``'s rows read it, once the helper has drawn
+    it; an error the helper met drawing it is raised there, on the reading
+    thread.  ``close()`` lets the helper draw the rows asked for, and joins
+    it.  ``seeds`` are asked for before the helper starts, so that it starts
+    drawing at once.
     """
 
-    def __init__(self, template: EsTemplate, seeds: Sequence[int], more: bool = True):
+    def __init__(self, template: EsTemplate, seeds: Sequence[int]):
         self._template = template
-        self._taking = threading.Lock()
-        # The rows of each request not yet read, and of the one being read.
-        self._asked: collections.deque[list[_Row]] = collections.deque()
-        self._reading: list[_Row] = []
-        self._requests: queue.SimpleQueue[list[_Row] | None] = queue.SimpleQueue()
+        # The seeds and start points of each request not yet read.
+        self._asked: collections.deque[tuple[list[int], list[np.ndarray]]] = collections.deque()
+        self._requests: queue.SimpleQueue[list[np.random.Generator] | None] = queue.SimpleQueue()
+        self._drawn: queue.SimpleQueue[np.ndarray | BaseException] = queue.SimpleQueue()
         self.request(seeds)
-        if not more:
-            self._requests.put(None)
         self._thread = threading.Thread(
             target=_draw_rows, name="estune-normals",
             args=((template.max_generations, template.dimension),
-                  iter(self._requests.get, None), self._taking))
+                  iter(self._requests.get, None), self._drawn))
         self._thread.start()
 
     def request(self, seeds: Sequence[int]) -> None:
-        rows = [_Row(seed, self._template) for seed in seeds]
-        self._asked.append(rows)
-        self._requests.put(rows)
+        rngs = list(map(make_rng, seeds))
+        self._asked.append((list(seeds), [_start(rng, self._template) for rng in rngs]))
+        self._requests.put(rngs)
 
     def handed_over(self, seeds: Sequence[int]):
         """Each seed's row, ``(start point, normals in blocks of
         BLOCK_GENERATIONS)``.  A whole-row draw yields the values of the
         block draws it spans."""
-        rows = self._reading = self._asked.popleft()
-        if [row.seed for row in rows] != list(seeds):
-            raise RuntimeError(f"rows were asked for seeds {[row.seed for row in rows]}, "
-                               f"not {list(seeds)}")
-        for row in rows:
-            with self._taking:
-                mine, row.taken = not row.taken, True
-            if mine:
-                template = self._template
-                yield row.x, _blocks(row.rng, template.max_generations, template.dimension)
-                continue
-            z = row.drawn.get()
+        asked, starts = self._asked.popleft()
+        if asked != list(seeds):
+            raise RuntimeError(f"rows were asked for seeds {asked}, not {list(seeds)}")
+        for x in starts:
+            z = self._drawn.get()
             if isinstance(z, BaseException):
                 raise z
-            yield row.x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
+            yield x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
 
     def close(self) -> None:
-        with self._taking:
-            for rows in (self._reading, *self._asked):
-                for row in rows:
-                    row.taken = True
         self._requests.put(None)
         self._thread.join()
-
-
-class _Row:
-    """A row asked of a ``DrawAhead``: its seed, generator and start point,
-    whether a thread has taken it to draw its normals, and, once the helper
-    has drawn them, its whole normals or the exception it met."""
-
-    __slots__ = ("seed", "rng", "x", "taken", "drawn")
-
-    def __init__(self, seed: int, template: EsTemplate):
-        self.seed, self.rng = seed, make_rng(seed)
-        self.x = _start(self.rng, template)
-        self.taken, self.drawn = False, queue.SimpleQueue()
 
 
 def _start(rng, template):
@@ -670,21 +634,16 @@ def _blocks(rng, generations, dim):
         yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-def _draw_rows(shape, requests, taking):
-    """The helper thread: take each row of each list in ``requests`` that
-    no thread has taken, under the lock ``taking``, and put in its
-    ``drawn`` its normals drawn whole, as a ``shape`` array, or the
-    exception it meets."""
-    for rows in requests:
-        for row in rows:
-            with taking:
-                if row.taken:
-                    continue
-                row.taken = True
-            try:
-                row.drawn.put(row.rng.standard_normal(shape))
-            except BaseException as exc:  # raised on the reading thread by handed_over
-                row.drawn.put(exc)
+def _draw_rows(shape, requests, drawn):
+    """The helper thread: put in ``drawn`` the normals of each generator of
+    each list in ``requests``, in order, each drawn whole as a ``shape``
+    array, or the exception it meets, and stop there."""
+    try:
+        for rngs in requests:
+            for rng in rngs:
+                drawn.put(rng.standard_normal(shape))
+    except BaseException as exc:  # raised on the reading thread by handed_over
+        drawn.put(exc)
 
 
 # A failing row runs on with inf/nan until the check at the end of its

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .es import TAU_MAX, DrawAhead, NumericalError, draw_ahead, run_batch
+from .es import TAU_MAX, NumericalError, _draw_ahead, _DrawAhead, run_batch
 from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
     DUPLICATE_REMINDER,
@@ -62,16 +62,17 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
 
 
 def run_trial(tau: float, cfg: SessionConfig, trial_index: int,
-              ahead: DrawAhead | None = None) -> Trial:
+              ahead: _DrawAhead | None = None) -> Trial:
     """Run ``cfg.replicates`` independent ES runs at one tau and summarize.
 
-    ``ahead``, if given, was asked for this trial's rows (see
-    ``run_batch``)."""
-    return run_trials([tau], cfg, [trial_index], ahead)[0]
+    ``ahead``, a session's draw-ahead source, hands over this trial's rows
+    if given (see ``run_session``)."""
+    seeds = _trial_seeds(cfg, [trial_index])
+    return _summarized([tau], cfg.replicates,
+                       run_batch(cfg.es_template, [tau] * cfg.replicates, seeds, ahead))[0]
 
 
-def run_trials(taus, cfg: SessionConfig, trial_indices,
-               ahead: DrawAhead | None = None) -> list[Trial]:
+def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
     """``run_trial`` of each (tau, trial_index) pair, in one ES batch.
 
     Every replicate of every trial is one row of a single ``run_batch``
@@ -79,20 +80,10 @@ def run_trials(taus, cfg: SessionConfig, trial_indices,
     for bit.  A trial whose mean score is not finite (an objective value
     that overflowed to inf) raises ``NumericalError``: it has no log line.
     """
-    taus, trial_indices = list(taus), list(trial_indices)
-    if any(trial_index < 0 for trial_index in trial_indices):
-        raise ValueError("trial_index must be >= 0")
-    reps = cfg.replicates
+    taus, reps = list(taus), cfg.replicates
+    seeds = _trial_seeds(cfg, list(trial_indices))
     row_taus = [tau for tau in taus for _ in range(reps)]
-    results = run_batch(cfg.es_template, row_taus, _trial_seeds(cfg, trial_indices), ahead)
-    trials = []
-    for k, tau in enumerate(taus):
-        runs = results[k * reps : (k + 1) * reps]
-        mean, std = trial_stats([r.score for r in runs])
-        if not math.isfinite(mean):
-            raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
-        trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
-    return trials
+    return _summarized(taus, reps, run_batch(cfg.es_template, row_taus, seeds))
 
 
 def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
@@ -101,6 +92,8 @@ def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
     derive_seed's rounds are each made once: the master seed's, each
     trial's two and each replicate index's.  That leaves one round a row.
     """
+    if any(trial_index < 0 for trial_index in trial_indices):
+        raise ValueError("trial_index must be >= 0")
     root = _splitmix64(cfg.master_seed & _MASK64)
     replicate_words = [_splitmix64(i) for i in range(cfg.replicates)]
     return [
@@ -108,6 +101,19 @@ def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
         for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
         for replicate_word in replicate_words
     ]
+
+
+def _summarized(taus: list[float], reps: int, results) -> list[Trial]:
+    """One ``Trial`` per tau, of its ``reps`` consecutive rows of
+    ``results``, or ``NumericalError`` for one whose mean is not finite."""
+    trials = []
+    for k, tau in enumerate(taus):
+        runs = results[k * reps : (k + 1) * reps]
+        mean, std = trial_stats([r.score for r in runs])
+        if not math.isfinite(mean):
+            raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
+        trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
+    return trials
 
 
 def _near_any(tau: float, tried: list[float], tol: float) -> bool:
@@ -207,14 +213,13 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
 
     A trial's rows depend on its seeds only, never on its tau.  So where
     ``run_batch`` would start a helper thread for one trial's rows, up to
-    ``es._AHEAD_DIMENSION`` (``es.draw_ahead``, decided once for the
-    session), one helper thread draws them instead: trial 0's as the
-    session starts, and each later trial's one trial ahead, asked for just
-    before the trial before it runs.  A row the helper has not reached when
-    its trial reads it is drawn on this thread.  Which thread draws a row
-    changes none of its bits.  The helper is joined before this returns or
-    raises, and an error it meets is raised by the trial whose row it was
-    drawing.
+    ``es._AHEAD_DIMENSION`` and while two trials' rows fit the lockstep
+    budget (``es._draw_ahead``, decided once for the session), one helper
+    thread draws them instead: trial 0's as the session starts, and each
+    later trial's one trial ahead, asked for just before the trial before
+    it runs.  Which thread draws a row changes none of its bits.  The
+    helper is joined before this returns or raises, and an error it meets
+    is raised by the trial whose row it was drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
@@ -223,7 +228,7 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     ahead = None
     try:
         try:
-            ahead = draw_ahead(cfg.es_template, _trial_seeds(cfg, [0]))
+            ahead = _draw_ahead(cfg.es_template, _trial_seeds(cfg, [0]))
             for trial_index in range(cfg.budget):
                 tau = propose_next_tau(session, backend, log_text, tried)
                 if ahead is not None and trial_index + 1 < cfg.budget:

@@ -949,7 +949,7 @@ class TestHelper:
         batches = [([0.9, 1.7], [3, 2**64 - 1]), ([0.3, 0.9], [0, 5])]
         started = spy_threads(monkeypatch)
         before = threading.active_count()
-        ahead = es_mod.draw_ahead(template, batches[0][1])
+        ahead = es_mod._draw_ahead(template, batches[0][1])
         try:
             ahead.request(batches[1][1])
             results = [run_batch(template, taus, seeds, ahead) for taus, seeds in batches]
@@ -964,7 +964,7 @@ class TestHelper:
 
     def test_rows_drawn_for_other_seeds_are_refused(self):
         template = EsTemplate(dimension=64, max_generations=1000)
-        ahead = es_mod.draw_ahead(template, [3, 4])
+        ahead = es_mod._draw_ahead(template, [3, 4])
         try:
             with pytest.raises(RuntimeError, match=r"asked for seeds \[3, 4\], not \[4, 3\]"):
                 run_batch(template, [0.9, 0.9], [4, 3], ahead)
@@ -975,59 +975,24 @@ class TestHelper:
         (64, 1000, 2, 2, True), (64, 1000, 3, 2, True), (192, 1000, 2, 2, True),
         (193, 1000, 2, 2, False), (1000, 4194, 3, 2, False), (64, 1000, 2, 1, False),
         (64, 1000, 1, 2, False), (64, 1000, 4, 2, False), (32, 1000, 2, 2, False),
-        (3, 20, 2, 2, False),
+        (3, 20, 2, 2, False), (64, 21845, 3, 2, True), (64, 21846, 3, 2, False),
+        (64, 32768, 2, 2, True), (64, 32769, 2, 2, False),
     ])
     def test_draws_ahead_only_where_a_batch_starts_its_helper(self, monkeypatch, dimension,
                                                                generations, rows, cpus, draws):
         # A session draws its trials' rows ahead only where run_batch alone
-        # would start a helper for them (the shapes of the tests above), and
-        # only up to _AHEAD_DIMENSION.
+        # would start a helper for them (the shapes of the tests above), only
+        # up to _AHEAD_DIMENSION, and only while two trials' rows, all the
+        # helper may hold, fit the lockstep budget: 2 * 3 * 21845 * 64 <=
+        # 8,388,608 < 2 * 3 * 21846 * 64, and likewise 2 * 2 * 32768 * 64.
         assert es_mod._AHEAD_DIMENSION == 192
         monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
         started = spy_threads(monkeypatch)
-        ahead = es_mod.draw_ahead(EsTemplate(dimension=dimension, max_generations=generations),
+        ahead = es_mod._draw_ahead(EsTemplate(dimension=dimension, max_generations=generations),
                                   list(range(rows)))
         if ahead is not None:
             ahead.close()
         assert (ahead is not None, started) == (draws, ["estune-normals"] * draws)
-
-    def test_rows_the_helper_has_not_taken_are_drawn_by_the_reader(self, monkeypatch):
-        # The helper waits until both batches are read, so the reading
-        # thread takes every row and draws its normals, block by block.
-        read, drawing = threading.Event(), set()
-        draw_rows = es_mod._draw_rows
-
-        def late(*args):
-            read.wait(timeout=30)
-            draw_rows(*args)
-
-        class Spied:
-            def __init__(self, seed):
-                self._rng = make_rng(seed)
-
-            def uniform(self, *args, **kwargs):
-                return self._rng.uniform(*args, **kwargs)
-
-            def standard_normal(self, size):
-                drawing.add(threading.current_thread().name)
-                return self._rng.standard_normal(size)
-
-        monkeypatch.setattr(es_mod, "_draw_rows", late)
-        monkeypatch.setattr(es_mod, "make_rng", Spied)
-        template = EsTemplate(dimension=64, max_generations=1000)
-        batches = [([0.9, 1.7], [3, 2**64 - 1]), ([0.3, 0.9], [0, 5])]
-        ahead = es_mod.draw_ahead(template, batches[0][1])
-        try:
-            ahead.request(batches[1][1])
-            results = [run_batch(template, taus, seeds, ahead) for taus, seeds in batches]
-        finally:
-            read.set()
-            ahead.close()
-        assert drawing == {threading.current_thread().name}
-        for (taus, seeds), rows in zip(batches, results):
-            for result, tau, seed in zip(rows, taus, seeds):
-                f, sigma = stepwise_run(template, tau, seed)
-                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
 
 # Most coordinates times generations a screened case runs, so that the

@@ -6,6 +6,7 @@ import math
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -784,6 +785,46 @@ class TestDrawAhead:
         monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
         assert ahead == run_session(cfg, ScriptedBackend(replies))
         assert ahead.status == "completed"
+
+    def test_the_helper_draws_at_most_one_trial_ahead(self, monkeypatch):
+        # While trial k is proposed the helper has been asked for trials 0
+        # to k, and however long the proposal takes it draws no further: it
+        # holds at most two trials' rows.  Each proposal waits until the
+        # helper has drawn what it was asked for, and a little longer.
+        cfg = _wide_cfg(64, budget=4)
+        make_rng, drawn = es_mod.make_rng, []
+
+        class Counted:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def uniform(self, *args, **kwargs):
+                return self._rng.uniform(*args, **kwargs)
+
+            def standard_normal(self, size):
+                z = self._rng.standard_normal(size)
+                drawn.append(threading.current_thread().name)
+                return z
+
+        class Slow:
+            def __init__(self, responses):
+                self.scripted, self.seen = ScriptedBackend(responses), []
+
+            def send(self, prompt, attempt=0):
+                asked = (len(self.seen) + 1) * cfg.replicates
+                deadline = time.monotonic() + 30
+                while len(drawn) < asked and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)
+                self.seen.append(len(drawn))
+                return self.scripted.send(prompt, attempt)
+
+        monkeypatch.setattr(es_mod, "make_rng", Counted)
+        backend = Slow(["tau = 0.7", "tau = 0.9", "tau = 1.1", "tau = 1.3"])
+        session = within_a_minute(lambda: run_session(cfg, backend))
+        assert session.status == "completed"
+        assert backend.seen == [2, 4, 6, 8]
+        assert drawn == ["estune-normals"] * 8
 
     def test_a_stepwise_session_starts_no_thread(self, fast_cfg, monkeypatch):
         started = spy_threads(monkeypatch)
