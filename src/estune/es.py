@@ -17,18 +17,23 @@ technischer Systeme nach Prinzipien der biologischen Evolution.
 
 Reproducibility contract: every run owns a ``numpy.random.Generator`` backed
 by the PCG64 bit generator, seeded with a 64-bit integer through numpy's
-``SeedSequence``: ``make_rng`` is that generator.  Initialization draws one
-``uniform(init_low, init_high, size=dimension)`` vector, then each
-generation consumes one ``standard_normal(dimension)`` vector (numpy's
-ziggurat transform).  Identical seeds yield bit-identical trajectories.
+``SeedSequence``: ``make_rng`` is that generator, and stays the reference.
+Where many seeds are known at once, their ``SeedSequence`` states come from
+one vectorised pass (``_seed_states``) and each generator is built from its
+state (``_generator``), in ``make_rng``'s state: a lockstep chunk seeds its
+rows so, and a tuning session seeds every row of a window of trials so
+(``loop.run_session``).  Initialization draws one ``uniform(init_low,
+init_high, size=dimension)`` vector, then each generation consumes one
+``standard_normal(dimension)`` vector (numpy's ziggurat transform).
+Identical seeds yield bit-identical trajectories.
 
 ``run_batch`` is the one kernel, and it computes the sphere only.  Its rows
 share one ``EsTemplate`` (sigma0, dimension, generation count and init box)
 and differ in tau and seed.  They run in chunks whose lockstep buffers fit
 ``_LOCKSTEP_BYTES`` (the paper grid's 100 rows are one); rows are
 independent, so chunks change no result.  A chunk of at most 3 rows runs row
-by row on ``make_rng`` generators, on one of two paths chosen by dimension
-and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
+by row, on one of two paths chosen by dimension and generation count
+(``_SCREENED_FROM``); a larger chunk runs in lockstep:
 
 * stepwise: rows of at most 3 dimensions, of 4 below 1000 generations, and
   of 5 to 8 below 100, run one generation at a time in Python floats.  At
@@ -52,37 +57,38 @@ and generation count (``_SCREENED_FROM``); a larger chunk runs in lockstep:
   and at 64-D it sums squares a few times a row;
 * lockstep: a chunk of more than 3 rows advances them one generation at a
   time on ``(dimension, rows)`` arrays, one row per column.  It seeds its
-  rows in one vectorised pass (``_seed_states``) whose states equal
-  ``SeedSequence(seed).generate_state(4, np.uint64)``, so its generators
-  start in ``make_rng``'s state; ``make_rng`` stays the reference.  It
-  runs in preallocated buffers; each block of generations is checked by
+  rows in one ``_seed_states`` pass, unless handed their states.  It runs
+  in preallocated buffers; each block of generations is checked by
   its values and replayed, keeping its candidates, only when a value is
   not finite (see ``_lockstep``).
 
 Who draws the normals.  A row's start point and normals come from its own
-generator, in that order.  A lockstep chunk draws its start points on the
-calling thread before any of its rows runs, and each row then draws its
-normals there, block by block.  A row of a few-row chunk is drawn on the
-calling thread as it runs (``_blocks``), or asked of a ``_DrawAhead``:
-its start point is drawn as it is asked for, and a helper thread draws
-its normals in one call, rows in the order asked.  The rule for a helper
-is one (``_helps``): a screened chunk of 2 or 3 rows whose later rows
-hold at least ``_HELPER_NORMALS`` and at most ``_LOCKSTEP_BYTES // 8``
-normals, on a process that may run on 2 or more CPUs.  Where it holds,
-``run_batch`` alone has a helper draw the later rows while the calling
-thread draws and screens the first, and joins it before it returns or
-raises.  A tuning session whose trials meet the rule up to
-``_AHEAD_DIMENSION``, and whose rows of two trials fit the lockstep
-budget (``_draw_ahead``, decided once per session), keeps one helper for
-the whole session instead, which draws every row of each trial one trial
-ahead, while the trial before it runs, persists and proposes: a trial's
-rows depend on its seeds, not its tau.  numpy's generators release the
-interpreter lock while they fill an array, so the draws overlap the
-screening.  The bits cannot change: each
-generator is used by one thread, in stream order, a whole-row draw yields
-the values of the block draws it spans, and a row's arithmetic reads only
-the values.  An error the helper meets is raised on the thread that reads
-the row it was drawing.
+generator, in that order.  That generator is built from the row's state
+where ``run_batch`` or a ``_DrawAhead`` request is handed the states of its
+seeds, as a tuning session hands them over; otherwise it is
+``make_rng(seed)``, and a lockstep chunk computes its rows' states itself.
+A lockstep chunk draws its start points on the calling thread before any
+of its rows runs, and each row then draws its normals there, block by
+block.  A row of a few-row chunk is drawn on the calling thread as it runs
+(``_blocks``), or asked of a ``_DrawAhead``: its start point is drawn as it
+is asked for, and a helper thread draws its normals in one call, rows in
+the order asked.  The rule for a helper is one (``_helps``): a screened
+chunk of 2 or 3 rows whose later rows hold at least ``_HELPER_NORMALS`` and
+at most ``_LOCKSTEP_BYTES // 8`` normals, on a process that may run on 2
+or more CPUs.  Where it holds, ``run_batch`` alone has a helper draw the
+later rows while the calling thread draws and screens the first, and joins
+it before it returns or raises.  A tuning session whose trials meet the
+rule up to ``_AHEAD_DIMENSION``, and whose rows of two trials fit the
+lockstep budget (``_draws_ahead``, decided once per session), keeps one
+helper for the whole session instead, which draws every row of each trial
+one trial ahead, while the trial before it runs, persists and proposes: a
+trial's rows depend on its seeds, not its tau.  numpy's generators release
+the interpreter lock while they fill an array, so the draws overlap the
+screening.  The bits cannot change: each generator starts in
+``make_rng``'s state and is used by one thread, in stream order, a
+whole-row draw yields the values of the block draws it spans, and a row's
+arithmetic reads only the values.  An error the helper meets is raised on
+the thread that reads the row it was drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -405,11 +411,10 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """``make_rng(seed)`` of every seed, from one pass of ``_seed_states``."""
-    seed_state = _seed_state_type()
-    return [np.random.Generator(np.random.PCG64(seed_state(state)))
-            for state in _seed_states(seeds)]
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """``make_rng(seed)``, built from ``state``, the seed's ``_seed_states``
+    row: about 1.5 us where ``make_rng`` hashes the seed in about 11 us."""
+    return np.random.Generator(np.random.PCG64(_seed_state_type()(state)))
 
 
 def mutate(x, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -451,21 +456,26 @@ def run_es(template: EsTemplate, tau: float, seed: int) -> EsRunResult:
 
 def run_batch(
     template: EsTemplate, taus: Sequence[float], seeds: Sequence[int],
-    ahead: _DrawAhead | None = None,
+    ahead: _DrawAhead | None = None, states: np.ndarray | None = None,
 ) -> list[EsRunResult]:
     """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
     The rows run in chunks that fit ``_LOCKSTEP_BYTES``: a chunk of more
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
+    ``states``, the seeds' ``_seed_states`` rows, which a tuning session
+    hands over, seed every row's generator (``_generator``).  Without them
+    a row of a few-row chunk gets ``make_rng(seed)``, and a lockstep chunk
+    computes its rows' states in one pass; the generators start alike.
+
     The calling thread draws every row's start point and normals, with two
-    exceptions.  ``ahead``, a session's ``_DrawAhead`` (``_draw_ahead``)
-    whose oldest unread request is ``seeds``, hands over every row, drawn
-    on its helper thread.  Without one, a screened chunk of 2 or 3 rows
-    whose later rows hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES //
-    8`` normals, on a host that gives the process 2 or more CPUs, has a
-    ``_DrawAhead`` of its own draw those rows while its first row runs, and
-    joins its thread before this returns or raises.  An error a helper meets is raised here, by the row
+    exceptions.  ``ahead``, a session's ``_DrawAhead`` whose oldest unread
+    request is ``seeds``, hands over every row, drawn on its helper thread.
+    Without one, a screened chunk of 2 or 3 rows whose later rows hold from
+    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
+    gives the process 2 or more CPUs, has a ``_DrawAhead`` of its own draw
+    those rows while its first row runs, and joins its thread before this
+    returns or raises.  An error a helper meets is raised here, by the row
     it was drawing.  Each row's result is bit-identical to the stepwise loop
     of its tau and seed alone (see the module docstring), whichever thread
     drew it, and the batch raises ``NumericalError`` exactly when some row's
@@ -494,8 +504,9 @@ def run_batch(
     # so a batch holds one chunk's rows at a time.
     for i in range(0, len(seeds), chunk):
         part = seeds[i : i + chunk]
+        part_states = None if states is None else states[i : i + chunk]
         if len(part) > _FEW_ROWS:
-            rngs = _seeded_generators(part)
+            rngs = list(map(_generator, _seed_states(part) if part_states is None else part_states))
             rows += _lockstep(rngs, np.array([_start(rng, template) for rng in rngs]), sigma0,
                               up[i : i + chunk], down[i : i + chunk], generations)
             continue
@@ -504,12 +515,12 @@ def run_batch(
         if ahead is not None:
             drawn, here = ahead.handed_over(part), 0
         elif screened and _helps(len(part), generations, dim):
-            helper = _DrawAhead(template, part[1:])
+            helper = _DrawAhead(template, part[1:], None if part_states is None else part_states[1:])
             drawn, here = helper.handed_over(part[1:]), 1
         try:
             for j, seed in enumerate(part, i):
                 if j - i < here:
-                    rng = make_rng(seed)
+                    rng = make_rng(seed) if part_states is None else _generator(part_states[j - i])
                     x, blocks = _start(rng, template), _blocks(rng, generations, dim)
                 else:
                     x, blocks = next(drawn)
@@ -556,26 +567,32 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> _DrawAhead | None:
-    """A started ``_DrawAhead`` asked for ``seeds``, for batches of as many
-    rows on ``template``, where ``run_batch`` would start its helper thread
-    for such a batch, the dimension is at most ``_AHEAD_DIMENSION``, and
-    the rows of two batches, the most the helper may hold, fit the lockstep
-    budget; else None."""
-    rows, generations, dim = len(seeds), template.max_generations, template.dimension
-    if (rows <= _FEW_ROWS and dim <= _AHEAD_DIMENSION and _runs_screened(dim, generations)
+def _draws_ahead(template: EsTemplate, rows: int) -> bool:
+    """Whether a session of batches of ``rows`` rows on ``template`` has one
+    ``_DrawAhead`` draw them: where ``run_batch`` would start its helper
+    thread for such a batch, the dimension is at most ``_AHEAD_DIMENSION``,
+    and the rows of two batches, the most the helper may hold, fit the
+    lockstep budget."""
+    generations, dim = template.max_generations, template.dimension
+    return (rows <= _FEW_ROWS and dim <= _AHEAD_DIMENSION and _runs_screened(dim, generations)
             and 2 * rows * generations * dim <= _LOCKSTEP_BYTES // 8
-            and _helps(rows, generations, dim)):
-        return _DrawAhead(template, seeds)
-    return None
+            and _helps(rows, generations, dim))
+
+
+def _draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> _DrawAhead | None:
+    """A started ``_DrawAhead`` asked for ``seeds`` where ``_draws_ahead``
+    holds for batches of as many rows; else None."""
+    return _DrawAhead(template, seeds) if _draws_ahead(template, len(seeds)) else None
 
 
 class _DrawAhead:
     """Rows drawn on one helper thread, named ``estune-normals``, ahead of
     the rows that read them.
 
-    ``request(seeds)`` asks for one row per seed and draws its start point
-    there, from ``make_rng(seed)``.  The helper draws each row's normals
+    ``request(seeds, states)`` asks for one row per seed and draws its
+    start point there, from the generator built from its state in
+    ``states`` (``_generator``), or from ``make_rng(seed)`` without them.
+    The helper draws each row's normals
     whole from the same generator, rows in the order asked (``_draw_rows``).
     ``handed_over(seeds)`` yields the rows of the oldest request not yet
     read, each as ``run_batch``'s rows read it, once the helper has drawn
@@ -585,21 +602,22 @@ class _DrawAhead:
     drawing at once.
     """
 
-    def __init__(self, template: EsTemplate, seeds: Sequence[int]):
+    def __init__(self, template: EsTemplate, seeds: Sequence[int],
+                 states: np.ndarray | None = None):
         self._template = template
         # The seeds and start points of each request not yet read.
         self._asked: collections.deque[tuple[list[int], list[np.ndarray]]] = collections.deque()
         self._requests: queue.SimpleQueue[list[np.random.Generator] | None] = queue.SimpleQueue()
         self._drawn: queue.SimpleQueue[np.ndarray | BaseException] = queue.SimpleQueue()
-        self.request(seeds)
+        self.request(seeds, states)
         self._thread = threading.Thread(
             target=_draw_rows, name="estune-normals",
             args=((template.max_generations, template.dimension),
                   iter(self._requests.get, None), self._drawn))
         self._thread.start()
 
-    def request(self, seeds: Sequence[int]) -> None:
-        rngs = list(map(make_rng, seeds))
+    def request(self, seeds: Sequence[int], states: np.ndarray | None = None) -> None:
+        rngs = list(map(make_rng, seeds) if states is None else map(_generator, states))
         self._asked.append((list(seeds), [_start(rng, self._template) for rng in rngs]))
         self._requests.put(rngs)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 
-from .es import TAU_MAX, NumericalError, _draw_ahead, _DrawAhead, run_batch
+from . import es
+from .es import TAU_MAX, NumericalError, _draws_ahead, _DrawAhead, run_batch
 from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
     DUPLICATE_REMINDER,
@@ -40,6 +41,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# A session derives its seeds, and their SeedSequence states in one
+# es._seed_states pass, for at most this many rows of trials at a time.  A
+# pass costs about 60 us for a few rows and 90 us for 256, 0.35 us a row,
+# where make_rng hashes each seed in about 11 us; past 256 rows a row saves
+# little more, and this bounds the memory for any budget.
+_WINDOW_ROWS = 256
+
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -62,14 +70,17 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
 
 
 def run_trial(tau: float, cfg: SessionConfig, trial_index: int,
-              ahead: _DrawAhead | None = None) -> Trial:
+              ahead: _DrawAhead | None = None, seeded=None) -> Trial:
     """Run ``cfg.replicates`` independent ES runs at one tau and summarize.
 
-    ``ahead``, a session's draw-ahead source, hands over this trial's rows
-    if given (see ``run_session``)."""
-    seeds = _trial_seeds(cfg, [trial_index])
-    return _summarized([tau], cfg.replicates,
-                       run_batch(cfg.es_template, [tau] * cfg.replicates, seeds, ahead))[0]
+    Within a session (see ``run_session``), ``seeded`` holds this trial's
+    seeds and their states from the session's ``_SeedWindow``, and
+    ``ahead``, a session's draw-ahead source, hands over its rows if
+    given.  Alone, the trial derives its seeds and each row's generator is
+    ``make_rng(seed)``.  Either way the rows are bit for bit the same."""
+    seeds, states = seeded or (_trial_seeds(cfg, [trial_index]), None)
+    return _summarized([tau], cfg.replicates, run_batch(
+        cfg.es_template, [tau] * cfg.replicates, seeds, ahead, states))[0]
 
 
 def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
@@ -101,6 +112,31 @@ def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
         for trial_word in [_splitmix64(root ^ _splitmix64(k & _MASK64)) for k in trial_indices]
         for replicate_word in replicate_words
     ]
+
+
+class _SeedWindow:
+    """A session's seeds, ``derive_seed`` of each replicate of each trial,
+    and their ``es._seed_states`` rows, derived one window of trials at a
+    time: from the first trial asked for that the window does not hold, up
+    to ``_WINDOW_ROWS`` rows but at least one trial, and never past the
+    budget."""
+
+    def __init__(self, cfg: SessionConfig):
+        self._cfg = cfg
+        self._first = self._end = 0
+        self._seeds: list[int] = []
+        self._states = None
+
+    def trial(self, trial_index: int):
+        """``(seeds, states)`` of the trial's rows, in replicate order."""
+        reps = self._cfg.replicates
+        if not self._first <= trial_index < self._end:
+            self._first = trial_index
+            self._end = min(trial_index + max(1, _WINDOW_ROWS // reps), self._cfg.budget)
+            self._seeds = _trial_seeds(self._cfg, range(self._first, self._end))
+            self._states = es._seed_states(self._seeds)
+        i = (trial_index - self._first) * reps
+        return self._seeds[i : i + reps], self._states[i : i + reps]
 
 
 def _summarized(taus: list[float], reps: int, results) -> list[Trial]:
@@ -211,29 +247,39 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     the finite floating-point range, abort the session (status "aborted",
     diagnostics in ``session.error``) instead of raising.
 
-    A trial's rows depend on its seeds only, never on its tau.  So where
-    ``run_batch`` would start a helper thread for one trial's rows, up to
-    ``es._AHEAD_DIMENSION`` and while two trials' rows fit the lockstep
-    budget (``es._draw_ahead``, decided once for the session), one helper
-    thread draws them instead: trial 0's as the session starts, and each
-    later trial's one trial ahead, asked for just before the trial before
-    it runs.  Which thread draws a row changes none of its bits.  The
-    helper is joined before this returns or raises, and an error it meets
-    is raised by the trial whose row it was drawing.
+    A trial's rows depend on its seeds only, never on its tau, and the
+    session knows every seed before it proposes.  So it derives its seeds,
+    and their ``es._seed_states`` in one vectorised pass, a window of up
+    to ``_WINDOW_ROWS`` rows at a time (``_SeedWindow``), inside the first
+    trial that needs the window, and builds every row's generator from its
+    state, in ``make_rng``'s state.  Where ``run_batch`` would start a
+    helper thread for one trial's rows, up to ``es._AHEAD_DIMENSION`` and
+    while two trials' rows fit the lockstep budget (``es._draws_ahead``,
+    decided once for the session), one helper thread draws them instead:
+    trial 0's as the session starts, and each later trial's one trial
+    ahead, asked for just before the trial before it runs.  Which thread
+    draws a row, and whether its generator came from the window, change
+    none of its bits.  The helper is joined before this returns or raises,
+    and an error it meets is raised by the trial whose row it was drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
     log_text = ""
     tried: list[float] = []
+    window = _SeedWindow(cfg)
     ahead = None
     try:
         try:
-            ahead = _draw_ahead(cfg.es_template, _trial_seeds(cfg, [0]))
+            if _draws_ahead(cfg.es_template, cfg.replicates):
+                ahead = _DrawAhead(cfg.es_template, *window.trial(0))
             for trial_index in range(cfg.budget):
                 tau = propose_next_tau(session, backend, log_text, tried)
+                # This trial's rows first: asking for the next trial's may
+                # move the window past this one.
+                seeded = window.trial(trial_index)
                 if ahead is not None and trial_index + 1 < cfg.budget:
-                    ahead.request(_trial_seeds(cfg, [trial_index + 1]))
-                trial = run_trial(tau, cfg, trial_index, ahead)
+                    ahead.request(*window.trial(trial_index + 1))
+                trial = run_trial(tau, cfg, trial_index, ahead, seeded)
                 trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
                 session.trials.append(trial)
                 bisect.insort(tried, tau)

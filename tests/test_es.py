@@ -168,7 +168,8 @@ class TestSeedStates:
             assert state.tolist() == (
                 np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
             )
-        for seed, rng in zip(seeds, es_mod._seeded_generators(seeds)):
+        for seed, state in zip(seeds, states):
+            rng = es_mod._generator(state)
             assert rng.bit_generator.state == make_rng(seed).bit_generator.state
 
     def test_importing_the_package_leaves_numpy_random_to_first_use(self):

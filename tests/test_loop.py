@@ -792,11 +792,11 @@ class TestDrawAhead:
         # holds at most two trials' rows.  Each proposal waits until the
         # helper has drawn what it was asked for, and a little longer.
         cfg = _wide_cfg(64, budget=4)
-        make_rng, drawn = es_mod.make_rng, []
+        generator, drawn = es_mod._generator, []
 
         class Counted:
-            def __init__(self, seed):
-                self._rng = make_rng(seed)
+            def __init__(self, state):
+                self._rng = generator(state)
 
             def uniform(self, *args, **kwargs):
                 return self._rng.uniform(*args, **kwargs)
@@ -819,7 +819,7 @@ class TestDrawAhead:
                 self.seen.append(len(drawn))
                 return self.scripted.send(prompt, attempt)
 
-        monkeypatch.setattr(es_mod, "make_rng", Counted)
+        monkeypatch.setattr(es_mod, "_generator", Counted)
         backend = Slow(["tau = 0.7", "tau = 0.9", "tau = 1.1", "tau = 1.3"])
         session = within_a_minute(lambda: run_session(cfg, backend))
         assert session.status == "completed"
@@ -865,18 +865,19 @@ class TestDrawAhead:
         # runs; trial 1 is proposed only once it has.  Trial 0 is logged,
         # and trial 1 raises the helper's error on the calling thread.
         cfg = _wide_cfg(64, budget=3)
-        failing = {derive_seed(cfg.master_seed, 1, r) for r in range(cfg.replicates)}
-        make_rng, met = es_mod.make_rng, threading.Event()
+        failing = {tuple(state.tolist()) for state in es_mod._seed_states(
+            [derive_seed(cfg.master_seed, 1, r) for r in range(cfg.replicates)])}
+        generator, met = es_mod._generator, threading.Event()
 
         class FailsOnTrial1:
-            def __init__(self, seed):
-                self._rng, self._seed = make_rng(seed), seed
+            def __init__(self, state):
+                self._rng, self._fails = generator(state), tuple(state.tolist()) in failing
 
             def uniform(self, *args, **kwargs):
                 return self._rng.uniform(*args, **kwargs)
 
             def standard_normal(self, size):
-                if self._seed in failing:
+                if self._fails:
                     met.set()
                     raise MemoryError(f"drawing on {threading.current_thread().name}")
                 return self._rng.standard_normal(size)
@@ -891,7 +892,7 @@ class TestDrawAhead:
                 self.sends += 1
                 return self.scripted.send(prompt, attempt)
 
-        monkeypatch.setattr(es_mod, "make_rng", FailsOnTrial1)
+        monkeypatch.setattr(es_mod, "_generator", FailsOnTrial1)
         backend = ProposesTrial1Late(["tau = 0.7", "tau = 0.9", "tau = 1.1"])
         with pytest.raises(MemoryError, match="drawing on estune-normals") as caught:
             within_a_minute(lambda: run_session(cfg, backend, out_base=tmp_path / "s"))
@@ -900,3 +901,95 @@ class TestDrawAhead:
         assert _helpers_alive() == []
         stored = read_session(tmp_path / "s.session.jsonl")
         assert (stored.status, [t.tau for t in stored.trials]) == ("running", [0.7])
+
+
+# Trial 2 re-prompts a duplicate and trial 3 falls back to 1.1 x 1.05.
+WINDOW_REPLIES = (["tau = 0.7", "tau = 0.9", "tau = 0.9", "tau = 1.1"] + ["tau = 1.1"] * 3
+                  + ["tau = 0.5", "tau = 1.3", "tau = 0.6"])
+
+
+class TestSeedWindow:
+    """A session derives its seeds and their SeedSequence states one window
+    of trials at a time, and seeds every row from those states."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 2)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The seeds of each es._seed_states pass, and how many generators
+        make_rng and es._generator build, from here on."""
+        passes, built = [], {"make_rng": 0, "_generator": 0}
+        seed_states = es_mod._seed_states
+
+        def spy_states(seeds):
+            passes.append(list(seeds))
+            return seed_states(seeds)
+
+        def counted(name):
+            build = getattr(es_mod, name)
+
+            def spy(arg):
+                built[name] += 1
+                return build(arg)
+
+            monkeypatch.setattr(es_mod, name, spy)
+
+        monkeypatch.setattr(es_mod, "_seed_states", spy_states)
+        counted("make_rng")
+        counted("_generator")
+        return passes, built
+
+    # 3-D runs stepwise on the calling thread; at 64-D one helper draws
+    # each trial's rows one trial ahead, its requests seeded from the window.
+    @pytest.mark.parametrize("dimension, helpers", [(3, []), (64, ["estune-normals"])])
+    def test_windows_equal_the_trials_run_alone(self, tmp_path, monkeypatch, dimension,
+                                                 helpers):
+        # 4 rows a window: trials 0-1, 2-3, 4-5 and 6, the last cut by the
+        # budget.
+        monkeypatch.setattr(loop_mod, "_WINDOW_ROWS", 4)
+        cfg = _wide_cfg(dimension, budget=7)
+        passes, built = self._spy(monkeypatch)
+        started = spy_threads(monkeypatch)
+        session = within_a_minute(lambda: run_session(
+            cfg, ScriptedBackend(WINDOW_REPLIES), out_base=tmp_path / "window"))
+        assert started[1:] == helpers  # after within_a_minute's own
+        assert session.status == "completed"
+        assert [t.tau for t in session.trials] == [0.7, 0.9, 1.1, 1.1 * 1.05, 0.5, 1.3, 0.6]
+        assert [len(t.exchanges) for t in session.trials] == [1, 1, 2, 3, 1, 1, 1]
+        seeds = [[derive_seed(cfg.master_seed, k, r) for k in trials for r in range(2)]
+                 for trials in ([0, 1], [2, 3], [4, 5], [6])]
+        assert passes == seeds
+        assert built == {"make_rng": 0, "_generator": 14}
+
+        # The same trials, each run alone by run_trial with no window.
+        alone = TuningSession(config=cfg, status="completed", best_tau=session.best_tau)
+        for k, trial in enumerate(session.trials):
+            alone.trials.append(replace(run_trial(trial.tau, cfg, k), exchanges=trial.exchanges))
+        assert passes == seeds
+        assert built == {"make_rng": 14, "_generator": 14}
+        assert alone == session
+        write_session(alone, tmp_path / "alone.session.jsonl")
+        assert ((tmp_path / "window.session.jsonl").read_bytes()
+                == (tmp_path / "alone.session.jsonl").read_bytes())
+        assert ((tmp_path / "window.log").read_text(encoding="utf-8")
+                == render_log(alone.trials))
+        for k, trial in enumerate(session.trials):
+            for r, result in enumerate(trial.results):
+                assert result.seed == derive_seed(cfg.master_seed, k, r)
+                f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    @pytest.mark.parametrize("dimension", [3, 64])
+    def test_a_session_cut_short_derives_one_window(self, monkeypatch, dimension):
+        # However large the budget, a window holds _WINDOW_ROWS rows; the
+        # script runs out at trial 2.
+        cfg = _wide_cfg(dimension, budget=10**9)
+        passes, built = self._spy(monkeypatch)
+        session = within_a_minute(
+            lambda: run_session(cfg, ScriptedBackend(["tau = 0.7", "tau = 0.9"])))
+        assert session.status == "aborted" and len(session.trials) == 2
+        assert passes == [[derive_seed(cfg.master_seed, k, r)
+                           for k in range(loop_mod._WINDOW_ROWS // 2) for r in range(2)]]
+        assert built["make_rng"] == 0
