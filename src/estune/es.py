@@ -515,7 +515,8 @@ def run_batch(
         if ahead is not None:
             drawn, here = ahead.handed_over(part), 0
         elif screened and _helps(len(part), generations, dim):
-            helper = _DrawAhead(template, part[1:], None if part_states is None else part_states[1:])
+            later = None if part_states is None else part_states[1:]
+            helper = _DrawAhead(template, part[1:], later)
             drawn, here = helper.handed_over(part[1:]), 1
         try:
             for j, seed in enumerate(part, i):
@@ -592,8 +593,8 @@ class _DrawAhead:
     ``request(seeds, states)`` asks for one row per seed and draws its
     start point there, from the generator built from its state in
     ``states`` (``_generator``), or from ``make_rng(seed)`` without them.
-    The helper draws each row's normals
-    whole from the same generator, rows in the order asked (``_draw_rows``).
+    The helper draws each row's normals whole from the same generator,
+    rows in the order asked (``_draw_rows``).
     ``handed_over(seeds)`` yields the rows of the oldest request not yet
     read, each as ``run_batch``'s rows read it, once the helper has drawn
     it; an error the helper met drawing it is raised there, on the reading

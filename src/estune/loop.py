@@ -70,7 +70,7 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
 
 
 def run_trial(tau: float, cfg: SessionConfig, trial_index: int,
-              ahead: _DrawAhead | None = None, seeded=None) -> Trial:
+              ahead: _DrawAhead | None = None, seeded: tuple | None = None) -> Trial:
     """Run ``cfg.replicates`` independent ES runs at one tau and summarize.
 
     Within a session (see ``run_session``), ``seeded`` holds this trial's
@@ -133,7 +133,7 @@ class _SeedWindow:
         if not self._first <= trial_index < self._end:
             self._first = trial_index
             self._end = min(trial_index + max(1, _WINDOW_ROWS // reps), self._cfg.budget)
-            self._seeds = _trial_seeds(self._cfg, range(self._first, self._end))
+            self._seeds = _trial_seeds(self._cfg, list(range(self._first, self._end)))
             self._states = es._seed_states(self._seeds)
         i = (trial_index - self._first) * reps
         return self._seeds[i : i + reps], self._states[i : i + reps]
