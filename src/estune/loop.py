@@ -42,10 +42,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # A session derives its seeds, and their SeedSequence states in one
-# es._seed_states pass, for at most this many rows of trials at a time.  A
-# pass costs about 60 us for a few rows and 90 us for 256, 0.35 us a row,
-# where make_rng hashes each seed in about 11 us; past 256 rows a row saves
-# little more, and this bounds the memory for any budget.
+# es._seed_states pass, for at most this many rows of trials at a time.  On
+# a 2-CPU host with numpy 2.4 a pass costs about 60 us for a few rows and
+# 90 us for 256, 0.35 us a row, where make_rng hashes each seed in about
+# 11 us; past 256 rows a row saves little more, and this bounds the memory
+# for any budget.
 _WINDOW_ROWS = 256
 
 

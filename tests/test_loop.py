@@ -973,8 +973,8 @@ class TestSeedWindow:
         write_session(alone, tmp_path / "alone.session.jsonl")
         assert ((tmp_path / "window.session.jsonl").read_bytes()
                 == (tmp_path / "alone.session.jsonl").read_bytes())
-        assert ((tmp_path / "window.log").read_text(encoding="utf-8")
-                == render_log(alone.trials))
+        assert ((tmp_path / "window.log").read_bytes()
+                == render_log(alone.trials).encode("utf-8"))
         for k, trial in enumerate(session.trials):
             for r, result in enumerate(trial.results):
                 assert result.seed == derive_seed(cfg.master_seed, k, r)
