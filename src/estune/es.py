@@ -64,31 +64,29 @@ by row, on one of two paths chosen by dimension and generation count
 
 Who draws the normals.  A row's start point and normals come from its own
 generator, in that order.  That generator is built from the row's state
-where ``run_batch`` or a ``_DrawAhead`` request is handed the states of its
-seeds, as a tuning session hands them over; otherwise it is
+where ``run_batch`` is handed the states of its seeds, as a tuning session
+hands them over, and for every row a ``_DrawAhead`` draws; otherwise it is
 ``make_rng(seed)``, and a lockstep chunk computes its rows' states itself.
 A lockstep chunk draws its start points on the calling thread before any
 of its rows runs, and each row then draws its normals there, block by
 block.  A row of a few-row chunk is drawn on the calling thread as it runs
-(``_blocks``), or asked of a ``_DrawAhead``: its start point is drawn as it
-is asked for, and a helper thread draws its normals in one call, rows in
-the order asked.  The rule for a helper is one (``_helps``): a screened
-chunk of 2 or 3 rows whose later rows hold at least ``_HELPER_NORMALS`` and
-at most ``_LOCKSTEP_BYTES // 8`` normals, on a process that may run on 2
-or more CPUs.  Where it holds, ``run_batch`` alone has a helper draw the
-later rows while the calling thread draws and screens the first, and joins
-it before it returns or raises.  A tuning session whose trials meet the
-rule up to ``_AHEAD_DIMENSION``, and whose rows of two trials fit the
-lockstep budget (``_draws_ahead``, decided once per session), keeps one
-helper for the whole session instead, which draws every row of each trial
-one trial ahead, while the trial before it runs, persists and proposes: a
-trial's rows depend on its seeds, not its tau.  numpy's generators release
-the interpreter lock while they fill an array, so the draws overlap the
-screening.  The bits cannot change: each generator starts in
-``make_rng``'s state and is used by one thread, in stream order, a
-whole-row draw yields the values of the block draws it spans, and a row's
-arithmetic reads only the values.  An error the helper meets is raised on
-the thread that reads the row it was drawing.
+(``_blocks``), unless ``run_batch`` is handed a ``_DrawAhead``, whose one
+helper thread draws it.  Only a tuning session keeps one
+(``loop.run_session``), and only where its trials' rows meet one rule
+(``_draws_ahead``, decided once per session): screened trials of 2 or 3
+rows whose later rows hold at least ``_HELPER_NORMALS`` normals, whose rows
+of two trials fit the lockstep budget, on a process that may run on 2 or
+more CPUs.  The helper draws every row of each trial one trial ahead,
+while the trial before it runs, persists and proposes: a trial's rows
+depend on its seeds, not its tau.  A row's start point is drawn as it is
+asked for, and the helper draws its normals in one call, rows in the
+order asked.  numpy's generators release the interpreter lock while they
+fill an array, so the draws overlap the screening.  The bits cannot
+change: each generator starts in ``make_rng``'s state and is used by one
+thread, in stream order, a whole-row draw yields the values of the block
+draws it spans, and a row's arithmetic reads only the values.  An error
+the helper meets is raised on the thread that reads the row it was
+drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -191,19 +189,15 @@ _FEW_ROWS = 3
 # crossover of the two paths (table in ROADMAP item 12).
 _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 
-# A screened chunk of 2 or 3 rows has a helper thread draw its later rows
-# when they hold at least this many normals, which repays the thread's
-# start (measured crossover: 32k to 48k); a session of such trials has one
-# draw every trial's rows ahead.  The helper holds rows whole, so it starts
-# only while the rows it may hold fit the lockstep budget too: a chunk's
-# later rows, or a session's rows of two trials.
+# A session of screened trials of 2 or 3 rows has a helper thread draw its
+# rows one trial ahead when a trial's later rows hold at least this many
+# normals.  Whole 2-replicate sessions, draw-ahead against the calling
+# thread, read 0.56x at 9-D x 20 generations, 0.63x at 5-D x 100, 0.975x at
+# 8-D x 1000, 0.996x at 16-D x 1000 and 1.18x at 32-D x 1000, whose later
+# row holds 32,000 normals (2 CPUs, numpy 2.4).  The helper holds rows
+# whole, so it starts only while a session's rows of two trials fit the
+# lockstep budget too (see _draws_ahead).
 _HELPER_NORMALS = 40_000
-
-# A session has one helper draw all its trials' rows ahead only up to this
-# dimension.  Above it a row takes longer to draw than to screen, so that
-# helper falls behind the rows that read it, and the session runs faster
-# with run_batch's own helper (measured crossover: 192-D to 224-D).
-_AHEAD_DIMENSION = 192
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
 # term that covers subnormal roundings, and the range of |z|**2 in which
@@ -468,19 +462,15 @@ def run_batch(
     a row of a few-row chunk gets ``make_rng(seed)``, and a lockstep chunk
     computes its rows' states in one pass; the generators start alike.
 
-    The calling thread draws every row's start point and normals, with two
-    exceptions.  ``ahead``, a session's ``_DrawAhead`` whose oldest unread
-    request is ``seeds``, hands over every row, drawn on its helper thread.
-    Without one, a screened chunk of 2 or 3 rows whose later rows hold from
-    ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES // 8`` normals, on a host that
-    gives the process 2 or more CPUs, has a ``_DrawAhead`` of its own draw
-    those rows while its first row runs, and joins its thread before this
-    returns or raises.  An error a helper meets is raised here, by the row
-    it was drawing.  Each row's result is bit-identical to the stepwise loop
-    of its tau and seed alone (see the module docstring), whichever thread
-    drew it, and the batch raises ``NumericalError`` exactly when some row's
-    stepwise loop would raise ``ValueError``: a non-finite candidate, or
-    sigma at 0 before a generation.
+    The calling thread draws every row's start point and normals, unless
+    it hands over ``ahead``, a session's ``_DrawAhead`` whose oldest unread
+    request is ``seeds``: that hands over every row, drawn on its helper
+    thread, and raises here an error the helper met drawing one.  This
+    starts no thread.  Each row's result is bit-identical to the stepwise
+    loop of its tau and seed alone (see the module docstring), whichever
+    thread drew it, and the batch raises ``NumericalError`` exactly when
+    some row's stepwise loop would raise ``ValueError``: a non-finite
+    candidate, or sigma at 0 before a generation.
     """
     taus, seeds = list(taus), list(seeds)
     if len(taus) != len(seeds):
@@ -494,8 +484,7 @@ def run_batch(
     dim, generations, sigma0 = template.dimension, template.max_generations, template.sigma0
     up = [math.exp(tau * (1.0 - 0.2)) for tau in taus]
     down = [math.exp(tau * (0.0 - 0.2)) for tau in taus]
-    screened = _runs_screened(dim, generations)
-    row = _screened if screened else _stepwise
+    row = _screened if _runs_screened(dim, generations) else _stepwise
     # A row's normals and a replayed block's candidates: 2 * block * dim + 8 doubles.
     block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
     chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
@@ -510,25 +499,14 @@ def run_batch(
             rows += _lockstep(rngs, np.array([_start(rng, template) for rng in rngs]), sigma0,
                               up[i : i + chunk], down[i : i + chunk], generations)
             continue
-        # The first ``here`` rows are drawn on this thread, the rest handed over.
-        helper, here = None, len(part)
-        if ahead is not None:
-            drawn, here = ahead.handed_over(part), 0
-        elif screened and _helps(len(part), generations, dim):
-            later = None if part_states is None else part_states[1:]
-            helper = _DrawAhead(template, part[1:], later)
-            drawn, here = helper.handed_over(part[1:]), 1
-        try:
-            for j, seed in enumerate(part, i):
-                if j - i < here:
-                    rng = make_rng(seed) if part_states is None else _generator(part_states[j - i])
-                    x, blocks = _start(rng, template), _blocks(rng, generations, dim)
-                else:
-                    x, blocks = next(drawn)
-                rows.append(row(blocks, x, sigma0, up[j], down[j]))
-        finally:
-            if helper is not None:
-                helper.close()
+        drawn = None if ahead is None else ahead.handed_over(part)
+        for j, seed in enumerate(part, i):
+            if drawn is None:
+                rng = make_rng(seed) if part_states is None else _generator(part_states[j - i])
+                x, blocks = _start(rng, template), _blocks(rng, generations, dim)
+            else:
+                x, blocks = next(drawn)
+            rows.append(row(blocks, x, sigma0, up[j], down[j]))
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
@@ -553,14 +531,6 @@ def _runs_screened(dimension: int, generations: int) -> bool:
     return any(dimension >= d and generations >= g for d, g in _SCREENED_FROM)
 
 
-def _helps(rows: int, generations: int, dimension: int) -> bool:
-    """Whether a screened chunk of ``rows`` rows has a helper thread draw
-    its later rows: they hold from ``_HELPER_NORMALS`` to ``_LOCKSTEP_BYTES
-    // 8`` normals, and the process may run on 2 or more CPUs."""
-    later = (rows - 1) * generations * dimension
-    return _HELPER_NORMALS <= later <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2
-
-
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -570,29 +540,24 @@ def _cpus() -> int:
 
 def _draws_ahead(template: EsTemplate, rows: int) -> bool:
     """Whether a session of batches of ``rows`` rows on ``template`` has one
-    ``_DrawAhead`` draw them: where ``run_batch`` would start its helper
-    thread for such a batch, the dimension is at most ``_AHEAD_DIMENSION``,
-    and the rows of two batches, the most the helper may hold, fit the
-    lockstep budget."""
+    ``_DrawAhead`` draw them: 2 or 3 screened rows whose later rows hold at
+    least ``_HELPER_NORMALS`` normals, whose rows of two batches, the most
+    the helper may hold, fit the lockstep budget, on a process that may run
+    on 2 or more CPUs."""
     generations, dim = template.max_generations, template.dimension
-    return (rows <= _FEW_ROWS and dim <= _AHEAD_DIMENSION and _runs_screened(dim, generations)
-            and 2 * rows * generations * dim <= _LOCKSTEP_BYTES // 8
-            and _helps(rows, generations, dim))
-
-
-def _draw_ahead(template: EsTemplate, seeds: Sequence[int]) -> _DrawAhead | None:
-    """A started ``_DrawAhead`` asked for ``seeds`` where ``_draws_ahead``
-    holds for batches of as many rows; else None."""
-    return _DrawAhead(template, seeds) if _draws_ahead(template, len(seeds)) else None
+    return (rows <= _FEW_ROWS and _runs_screened(dim, generations)
+            and _HELPER_NORMALS <= (rows - 1) * generations * dim
+            and 2 * rows * generations * dim <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2)
 
 
 class _DrawAhead:
     """Rows drawn on one helper thread, named ``estune-normals``, ahead of
-    the rows that read them.
+    the rows that read them.  A tuning session keeps one
+    (``loop.run_session``).
 
     ``request(seeds, states)`` asks for one row per seed and draws its
     start point there, from the generator built from its state in
-    ``states`` (``_generator``), or from ``make_rng(seed)`` without them.
+    ``states``, the seeds' ``_seed_states`` rows (``_generator``).
     The helper draws each row's normals whole from the same generator,
     rows in the order asked (``_draw_rows``).
     ``handed_over(seeds)`` yields the rows of the oldest request not yet
@@ -603,8 +568,7 @@ class _DrawAhead:
     drawing at once.
     """
 
-    def __init__(self, template: EsTemplate, seeds: Sequence[int],
-                 states: np.ndarray | None = None):
+    def __init__(self, template: EsTemplate, seeds: Sequence[int], states: np.ndarray):
         self._template = template
         # The seeds and start points of each request not yet read.
         self._asked: collections.deque[tuple[list[int], list[np.ndarray]]] = collections.deque()
@@ -617,8 +581,8 @@ class _DrawAhead:
                   iter(self._requests.get, None), self._drawn))
         self._thread.start()
 
-    def request(self, seeds: Sequence[int], states: np.ndarray | None = None) -> None:
-        rngs = list(map(make_rng, seeds) if states is None else map(_generator, states))
+    def request(self, seeds: Sequence[int], states: np.ndarray) -> None:
+        rngs = list(map(_generator, states))
         self._asked.append((list(seeds), [_start(rng, self._template) for rng in rngs]))
         self._requests.put(rngs)
 

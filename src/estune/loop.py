@@ -253,15 +253,16 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     and their ``es._seed_states`` in one vectorised pass, a window of up
     to ``_WINDOW_ROWS`` rows at a time (``_SeedWindow``), inside the first
     trial that needs the window, and builds every row's generator from its
-    state, in ``make_rng``'s state.  Where ``run_batch`` would start a
-    helper thread for one trial's rows, up to ``es._AHEAD_DIMENSION`` and
-    while two trials' rows fit the lockstep budget (``es._draws_ahead``,
-    decided once for the session), one helper thread draws them instead:
-    trial 0's as the session starts, and each later trial's one trial
-    ahead, asked for just before the trial before it runs.  Which thread
-    draws a row, and whether its generator came from the window, change
-    none of its bits.  The helper is joined before this returns or raises,
-    and an error it meets is raised by the trial whose row it was drawing.
+    state, in ``make_rng``'s state.  Where a trial is 2 or 3 screened rows
+    whose later rows hold at least ``es._HELPER_NORMALS`` normals, two
+    trials' rows fit the lockstep budget and the process may run on 2 or
+    more CPUs (``es._draws_ahead``, decided once for the session), one
+    helper thread, an ``es._DrawAhead``, draws them: trial 0's as the
+    session starts, and each later trial's one trial ahead, asked for just
+    before the trial before it runs.  Which thread draws a row, and whether
+    its generator came from the window, change none of its bits.  The
+    helper is joined before this returns or raises, and an error it meets
+    is raised by the trial whose row it was drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import estune.cli as cli_mod
 import estune.es as es_mod
 from estune.es import (
     FITNESS_FLOOR,
@@ -34,8 +35,10 @@ from estune.es import (
     sphere_eval,
     update_sigma,
 )
-from estune.loop import run_trial
+from estune.llm import ScriptedBackend
+from estune.loop import derive_seed, run_session, run_trial, run_trials
 from estune.report import GridSpec, grid_values, run_grid
+from estune.store import SessionConfig, log_line
 
 from conftest import spy_threads, within_a_minute
 from oracle import stepwise_run
@@ -775,28 +778,48 @@ class TestRunBatch:
 _SURVIVES_1E308 = 42
 
 
+def _drawn_ahead(template, taus, seeds):
+    """``run_batch`` of rows that a ``_DrawAhead`` draws on its helper
+    thread, as a tuning session hands them over; the helper is closed
+    however the batch ends."""
+    ahead = es_mod._DrawAhead(template, seeds, es_mod._seed_states(seeds))
+    try:
+        return run_batch(template, taus, seeds, ahead)
+    finally:
+        ahead.close()
+
+
+def _session_cfg(template, replicates, budget=2):
+    return SessionConfig(objective=ObjectiveSpec("sphere", template.dimension),
+                         es_template=template, master_seed=2024, replicates=replicates,
+                         budget=budget)
+
+
+# The stepwise oracle of each (template, tau, seed), run once per test run.
+_cached_oracle = functools.cache(stepwise_run)
+
+
 class TestHelper:
-    """A screened chunk of 2 or 3 rows whose later rows hold enough normals
-    draws them on one helper thread while its first row runs."""
+    """Rows that a ``_DrawAhead``, the helper thread a tuning session keeps,
+    draws and hands to run_batch, and the rule by which a session starts
+    it.  A kernel call alone draws every row on the calling thread."""
 
     @pytest.fixture(autouse=True)
     def _two_cpus(self, monkeypatch):
-        # The helper starts only where the process may run on 2 CPUs.
+        # A session starts the helper only where the process may run on 2 CPUs.
         monkeypatch.setattr(es_mod, "_cpus", lambda: 2)
 
     @pytest.mark.parametrize("generations", [1, 127, 128, 129, 1000])
     @pytest.mark.parametrize("rows", [2, 3])
-    # Who draws the later rows: the helper, one whole-row call each, or the
-    # calling thread, block by block, where the process has 1 CPU.
-    @pytest.mark.parametrize("cpus, threads", [(2, 1), (1, 0)], ids=["calls", "blocks"])
-    def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, cpus, threads):
-        monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
-        monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
+    # Who draws the rows: a handed _DrawAhead's helper, one whole-row call
+    # each, or the calling thread, block by block.
+    @pytest.mark.parametrize("threads", [1, 0], ids=["calls", "blocks"])
+    def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, threads):
         template = EsTemplate(dimension=64, max_generations=generations)
         taus, seeds = [0.9, 1.7, 0.3][:rows], [3, 2**64 - 1, 0][:rows]
         started = spy_threads(monkeypatch)
         before = threading.active_count()
-        results = run_batch(template, taus, seeds)
+        results = (_drawn_ahead if threads else run_batch)(template, taus, seeds)
         assert threading.active_count() == before
         assert started == ["estune-normals"] * threads
         for result, tau, seed in zip(results, taus, seeds):
@@ -804,13 +827,14 @@ class TestHelper:
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     def test_rows_hold_under_a_short_switch_interval(self, monkeypatch):
-        # The interpreter lock changes hands about every microsecond.
+        # The interpreter lock changes hands about every microsecond while
+        # the helper draws the rows.
         template = EsTemplate(dimension=64, max_generations=1000)
         taus, seeds = [0.9, 1.7, 0.3], [5, 6, 7]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = run_batch(template, taus, seeds)
+            results = within_a_minute(lambda: _drawn_ahead(template, taus, seeds))
         finally:
             sys.setswitchinterval(interval)
         for result, tau, seed in zip(results, taus, seeds):
@@ -820,55 +844,101 @@ class TestHelper:
     @pytest.mark.parametrize("dimension, rows, threads", [(64, 2, 1), (32, 2, 0), (32, 3, 1)])
     def test_starts_when_the_later_rows_repay_a_thread(self, monkeypatch, dimension, rows,
                                                        threads):
-        # At 1000 generations: 64,000 later normals start it, 32,000 do not.
+        # A session of 1000-generation trials: 64,000 later normals a trial
+        # start its helper, 32,000 do not.
+        cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=1000), rows)
         started = spy_threads(monkeypatch)
-        run_batch(EsTemplate(dimension=dimension, max_generations=1000), [0.9] * rows,
-                  list(range(rows)))
-        assert len(started) == threads
+        session = run_session(cfg, ScriptedBackend(["tau = 0.9", "tau = 1.7"]))
+        assert session.status == "completed"
+        assert started == ["estune-normals"] * threads
 
     @pytest.mark.parametrize("generations, threads", [(4194, 1), (4195, 0)])
     def test_starts_only_while_the_later_rows_fit_the_lockstep_budget(self, monkeypatch,
                                                                        generations, threads):
-        # The helper holds its rows whole.  At 1000-D the 2 later rows hold
-        # 8,388,000 normals at 4194 generations, within _LOCKSTEP_BYTES // 8
-        # = 8,388,608, and 8,390,000 at 4195.
-        assert 2 * 4194 * 1000 <= es_mod._LOCKSTEP_BYTES // 8 < 2 * 4195 * 1000
-        template = EsTemplate(dimension=MAX_DIMENSION, max_generations=generations)
-        taus, seeds = [0.9, 1.7, 0.3], [3, 2**64 - 1, 0]
+        # The helper holds two trials' rows whole, so a session starts it
+        # only while they fit _LOCKSTEP_BYTES // 8 = 8,388,608 normals: at
+        # 500-D x 2 replicates they hold 8,388,000 at 4194 generations and
+        # 8,390,000 at 4195.
+        assert 2 * 2 * 4194 * 500 <= es_mod._LOCKSTEP_BYTES // 8 < 2 * 2 * 4195 * 500
+        cfg = _session_cfg(EsTemplate(dimension=500, max_generations=generations), 2)
+        replies = ["tau = 0.9", "tau = 1.7"]
         started = spy_threads(monkeypatch)
-        results = run_batch(template, taus, seeds)
+        session = run_session(cfg, ScriptedBackend(replies))
         assert started == ["estune-normals"] * threads
-        for result, tau, seed in zip(results, taus, seeds):
-            f, sigma = stepwise_run(template, tau, seed)
-            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
+        assert session == run_session(cfg, ScriptedBackend(replies))
+        assert started == ["estune-normals"] * threads
+        assert session.status == "completed"
 
     @pytest.mark.parametrize("affinity, threads", [({0}, 0), ({0, 1}, 1)])
     def test_starts_only_on_2_cpus(self, monkeypatch, affinity, threads):
-        # On one CPU the helper only takes turns with the row it would
+        # On one CPU the helper only takes turns with the rows it would
         # overlap.
         monkeypatch.undo()  # the real _cpus, which reads the affinity
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         started = spy_threads(monkeypatch)
-        template = EsTemplate(dimension=64, max_generations=1000)
-        results = run_batch(template, [0.9] * 2, [0, 1])
+        cfg = _session_cfg(EsTemplate(dimension=64, max_generations=1000), 2)
+        session = run_session(cfg, ScriptedBackend(["tau = 0.9", "tau = 1.7"]))
+        assert session.status == "completed"
         assert len(started) == threads
-        for result, seed in zip(results, [0, 1]):
-            f, sigma = stepwise_run(template, 0.9, seed)
-            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+        for trial in session.trials:
+            for result in trial.results:
+                f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     @pytest.mark.parametrize("dimension, generations, rows", [(3, 20, 2), (64, 1000, 4),
                                                                (5, 1000, 10)])
     def test_stepwise_rows_and_lockstep_start_no_thread(self, monkeypatch, dimension,
                                                         generations, rows):
+        # Not even in a session, however few normals repay a thread.
         monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
+        cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=generations), rows)
         started = spy_threads(monkeypatch)
-        run_batch(EsTemplate(dimension=dimension, max_generations=generations), [0.9] * rows,
-                  list(range(rows)))
+        session = run_session(cfg, ScriptedBackend(["tau = 0.9", "tau = 1.7"]))
+        assert session.status == "completed"
         assert started == []
+
+    @pytest.mark.parametrize("dimension, generations, replicates",
+                             [(64, 1000, 2), (64, 1000, 3), (MAX_DIMENSION, 4194, 3)])
+    @pytest.mark.parametrize("call", ["run_batch", "run_trial", "run_trials", "run-es"])
+    def test_a_lone_kernel_call_starts_no_thread(self, monkeypatch, capsys, call, dimension,
+                                                 generations, replicates):
+        # On 2 CPUs, at shapes whose later rows hold 64,000 to 8,388,000
+        # normals, the kernel alone draws every row on the calling thread.
+        cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=generations),
+                           replicates, budget=1)
+        started = spy_threads(monkeypatch)
+        if call == "run_batch":
+            seeds = [derive_seed(cfg.master_seed, 0, r) for r in range(replicates)]
+            results = run_batch(cfg.es_template, [0.9] * replicates, seeds)
+        elif call == "run_trial":
+            results = run_trial(0.9, cfg, 0).results
+        elif call == "run_trials":
+            results = run_trials([0.9], cfg, [0])[0].results
+        else:
+            trials = []
+
+            def kept(*args):
+                trials.append(run_trial(*args))
+                return trials[-1]
+
+            monkeypatch.setattr(cli_mod, "run_trial", kept)
+            assert cli_mod.main(["run-es", "--tau", "0.9", "--dim", str(dimension),
+                                 "--generations", str(generations),
+                                 "--replicates", str(replicates), "--seed", "2024"]) == 0
+            assert capsys.readouterr().out == log_line(trials[0], include_std=True)
+            results = trials[0].results
+        assert started == []
+        assert [r.seed for r in results] == [derive_seed(cfg.master_seed, 0, r)
+                                            for r in range(replicates)]
+        for result in results:
+            f, sigma = _cached_oracle(cfg.es_template, 0.9, result.seed)
+            assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     @pytest.mark.parametrize("seeds", [[2, _SURVIVES_1E308], [_SURVIVES_1E308, 2]],
                              ids=["first_row", "later_row"])
     def test_a_non_finite_candidate_raises_the_stepwise_message(self, monkeypatch, seeds):
+        # Whichever row raises, drawn on the calling thread or handed over.
         template = EsTemplate(sigma0=1e308, dimension=64, max_generations=1000)
         assert _oracle_or_error(template, TAU_MAX, 2) is None
         assert _oracle_or_error(template, TAU_MAX, _SURVIVES_1E308) is not None
@@ -877,26 +947,30 @@ class TestHelper:
             run_batch(stepwise, [1.0, 1.0], [2, 16789950873655392269])
         started = spy_threads(monkeypatch)
         before = threading.active_count()
-        with pytest.raises(NumericalError) as caught:
-            run_batch(template, [TAU_MAX] * 2, seeds)
+        for run in (run_batch, _drawn_ahead):
+            with pytest.raises(NumericalError) as caught:
+                run(template, [TAU_MAX] * 2, seeds)
+            assert str(caught.value) == str(expected.value)
         assert threading.active_count() == before
         assert started == ["estune-normals"]
-        assert str(caught.value) == str(expected.value)
 
     def test_a_raise_in_the_first_row_waits_for_the_helper(self, monkeypatch):
-        # The first row raises while the helper is still in its draw, which
-        # it leaves only after the raise: run_batch must join it first.
-        drawing, raised, alive = threading.Event(), threading.Event(), []
+        # The first row raises while the helper is still in the second
+        # row's draw, which it leaves only after the raise: closing the
+        # helper must join it.
+        drawing, raised, alive, made = threading.Event(), threading.Event(), [], []
+        generator = es_mod._generator
 
-        class SlowOffThread:
-            def __init__(self, rng):
-                self._rng = rng
+        class SlowLaterRows:
+            def __init__(self, state):
+                self._rng, self._later = generator(state), bool(made)
+                made.append(self)
 
             def uniform(self, *args, **kwargs):
                 return self._rng.uniform(*args, **kwargs)
 
             def standard_normal(self, size):
-                if threading.current_thread().name == "estune-normals":
+                if self._later:
                     drawing.set()
                     raised.wait(timeout=30)
                     time.sleep(0.2)
@@ -909,21 +983,21 @@ class TestHelper:
             raised.set()
             raise RuntimeError("first row")
 
-        monkeypatch.setattr(es_mod, "make_rng", lambda seed: SlowOffThread(make_rng(seed)))
+        monkeypatch.setattr(es_mod, "_generator", SlowLaterRows)
         monkeypatch.setattr(es_mod, "_screened", first_row)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="first row"):
-            within_a_minute(lambda: run_batch(EsTemplate(dimension=64, max_generations=1000),
-                                               [0.9] * 3, [0, 1, 2]))
+            within_a_minute(lambda: _drawn_ahead(EsTemplate(dimension=64, max_generations=1000),
+                                                 [0.9] * 3, [0, 1, 2]))
         assert alive == [True]
         assert threading.active_count() == before
 
     def test_a_raise_in_the_helper_is_raised_by_the_batch(self, monkeypatch):
-        calling = []
+        calling, generator = [], es_mod._generator
 
         class OffThreadFails:
-            def __init__(self, rng):
-                self._rng = rng
+            def __init__(self, state):
+                self._rng = generator(state)
 
             def uniform(self, *args, **kwargs):
                 return self._rng.uniform(*args, **kwargs)
@@ -935,12 +1009,14 @@ class TestHelper:
 
         def call():
             calling.append(threading.current_thread())
-            return run_batch(EsTemplate(dimension=64, max_generations=1000), [0.9] * 2, [0, 1])
+            return _drawn_ahead(EsTemplate(dimension=64, max_generations=1000), [0.9] * 2, [0, 1])
 
-        monkeypatch.setattr(es_mod, "make_rng", lambda seed: OffThreadFails(make_rng(seed)))
+        monkeypatch.setattr(es_mod, "_generator", OffThreadFails)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="off the calling thread"):
+        with pytest.raises(MemoryError, match="off the calling thread") as caught:
             within_a_minute(call)
+        # Raised again where the batch reads the row.
+        assert "handed_over" in [entry.name for entry in caught.traceback]
         assert threading.active_count() == before
 
     def test_rows_drawn_ahead_equal_the_stepwise_oracle(self, monkeypatch):
@@ -948,11 +1024,12 @@ class TestHelper:
         # both asked for before the first batch runs.
         template = EsTemplate(dimension=64, max_generations=1000)
         batches = [([0.9, 1.7], [3, 2**64 - 1]), ([0.3, 0.9], [0, 5])]
+        assert es_mod._draws_ahead(template, 2)
         started = spy_threads(monkeypatch)
         before = threading.active_count()
-        ahead = es_mod._draw_ahead(template, batches[0][1])
+        ahead = es_mod._DrawAhead(template, batches[0][1], es_mod._seed_states(batches[0][1]))
         try:
-            ahead.request(batches[1][1])
+            ahead.request(batches[1][1], es_mod._seed_states(batches[1][1]))
             results = [run_batch(template, taus, seeds, ahead) for taus, seeds in batches]
         finally:
             ahead.close()
@@ -965,7 +1042,7 @@ class TestHelper:
 
     def test_rows_drawn_for_other_seeds_are_refused(self):
         template = EsTemplate(dimension=64, max_generations=1000)
-        ahead = es_mod._draw_ahead(template, [3, 4])
+        ahead = es_mod._DrawAhead(template, [3, 4], es_mod._seed_states([3, 4]))
         try:
             with pytest.raises(RuntimeError, match=r"asked for seeds \[3, 4\], not \[4, 3\]"):
                 run_batch(template, [0.9, 0.9], [4, 3], ahead)
@@ -974,26 +1051,22 @@ class TestHelper:
 
     @pytest.mark.parametrize("dimension, generations, rows, cpus, draws", [
         (64, 1000, 2, 2, True), (64, 1000, 3, 2, True), (192, 1000, 2, 2, True),
-        (193, 1000, 2, 2, False), (1000, 4194, 3, 2, False), (64, 1000, 2, 1, False),
-        (64, 1000, 1, 2, False), (64, 1000, 4, 2, False), (32, 1000, 2, 2, False),
-        (3, 20, 2, 2, False), (64, 21845, 3, 2, True), (64, 21846, 3, 2, False),
-        (64, 32768, 2, 2, True), (64, 32769, 2, 2, False),
+        (193, 1000, 2, 2, True), (1000, 1000, 2, 2, True), (1000, 4194, 3, 2, False),
+        (64, 1000, 2, 1, False), (64, 1000, 1, 2, False), (64, 1000, 4, 2, False),
+        (32, 1000, 2, 2, False), (3, 20, 2, 2, False), (64, 21845, 3, 2, True),
+        (64, 21846, 3, 2, False), (64, 32768, 2, 2, True), (64, 32769, 2, 2, False),
     ])
     def test_draws_ahead_only_where_a_batch_starts_its_helper(self, monkeypatch, dimension,
                                                                generations, rows, cpus, draws):
-        # A session draws its trials' rows ahead only where run_batch alone
-        # would start a helper for them (the shapes of the tests above), only
-        # up to _AHEAD_DIMENSION, and only while two trials' rows, all the
-        # helper may hold, fit the lockstep budget: 2 * 3 * 21845 * 64 <=
-        # 8,388,608 < 2 * 3 * 21846 * 64, and likewise 2 * 2 * 32768 * 64.
-        assert es_mod._AHEAD_DIMENSION == 192
+        # A session draws its trials' rows ahead, at any dimension, only
+        # where they are 2 or 3 screened rows whose later rows hold at least
+        # _HELPER_NORMALS normals (the shapes of the tests above), on 2 CPUs,
+        # and while two trials' rows, all the helper may hold, fit the
+        # lockstep budget: 2 * 3 * 21845 * 64 <= 8,388,608 < 2 * 3 * 21846 *
+        # 64, and likewise 2 * 2 * 32768 * 64.
         monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
-        started = spy_threads(monkeypatch)
-        ahead = es_mod._draw_ahead(EsTemplate(dimension=dimension, max_generations=generations),
-                                  list(range(rows)))
-        if ahead is not None:
-            ahead.close()
-        assert (ahead is not None, started) == (draws, ["estune-normals"] * draws)
+        template = EsTemplate(dimension=dimension, max_generations=generations)
+        assert es_mod._draws_ahead(template, rows) is draws
 
 
 # Most coordinates times generations a screened case runs, so that the

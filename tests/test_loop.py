@@ -723,10 +723,10 @@ class TestHostileReplies:
             assert log == render_log(session.trials)
 
 
-def _wide_cfg(dimension, budget, **kwargs):
+def _wide_cfg(dimension, budget, generations=1000, **kwargs):
     return SessionConfig(
         objective=ObjectiveSpec("sphere", dimension),
-        es_template=EsTemplate(dimension=dimension, max_generations=1000, **kwargs),
+        es_template=EsTemplate(dimension=dimension, max_generations=generations, **kwargs),
         master_seed=2024,
         replicates=2,
         budget=budget,
@@ -738,8 +738,9 @@ def _helpers_alive():
 
 
 class TestDrawAhead:
-    """A session whose trials would start run_batch's helper has one helper
-    thread draw each trial's rows one trial ahead."""
+    """A session whose trials meet es._draws_ahead's rule, at any
+    dimension, has one helper thread draw each trial's rows one trial
+    ahead."""
 
     @pytest.fixture(autouse=True)
     def _two_cpus(self, monkeypatch):
@@ -770,6 +771,26 @@ class TestDrawAhead:
                 assert result.seed == derive_seed(cfg.master_seed, k, r)
                 f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
                 assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
+
+    def test_a_256_d_session_draws_ahead(self, tmp_path, monkeypatch):
+        # There a row takes longer to draw than to screen, and one helper
+        # still draws every row: 3 trials of 2 replicates x 200 generations,
+        # whose later rows hold 51,200 normals a trial; trial 2 re-prompts a
+        # duplicate.
+        cfg = _wide_cfg(256, budget=3, generations=200)
+        replies = ["tau = 0.7", "tau = 0.9", "tau = 0.9", "tau = 1.1"]
+        started = spy_threads(monkeypatch)
+        ahead = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "ahead")
+        assert started == ["estune-normals"]
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
+        alone = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "alone")
+        assert started == ["estune-normals"]
+        assert ahead == alone
+        assert ahead.status == "completed"
+        assert [t.tau for t in ahead.trials] == [0.7, 0.9, 1.1]
+        for suffix in (".log", ".session.jsonl"):
+            assert ((tmp_path / f"ahead{suffix}").read_bytes()
+                    == (tmp_path / f"alone{suffix}").read_bytes())
 
     def test_trials_hold_under_a_short_switch_interval(self, monkeypatch):
         # The interpreter lock changes hands about every microsecond while
