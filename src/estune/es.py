@@ -191,12 +191,12 @@ _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 
 # A session of screened trials of 2 or 3 rows has a helper thread draw its
 # rows one trial ahead when a trial's later rows hold at least this many
-# normals.  Whole 2-replicate sessions, draw-ahead against the calling
-# thread, read 0.56x at 9-D x 20 generations, 0.63x at 5-D x 100, 0.975x at
-# 8-D x 1000, 0.996x at 16-D x 1000 and 1.18x at 32-D x 1000, whose later
-# row holds 32,000 normals (2 CPUs, numpy 2.4).  The helper holds rows
-# whole, so it starts only while a session's rows of two trials fit the
-# lockstep budget too (see _draws_ahead).
+# normals.  Whole 12-trial 2-replicate sessions, draw-ahead against the
+# calling thread, read 0.56-0.62x at 9-D x 20 generations, 0.63-0.65x at
+# 5-D x 100, 0.97x at 8-D x 1000, 1.00-1.06x at 16-D x 1000 and 1.16-1.25x
+# at 32-D x 1000, whose later row holds 32,000 normals (2 CPUs, numpy 2.4).
+# The helper holds rows whole, so it starts only while a session's rows of
+# two trials fit the lockstep budget too (see _draws_ahead).
 _HELPER_NORMALS = 40_000
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
