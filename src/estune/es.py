@@ -72,21 +72,18 @@ of its rows runs, and each row then draws its normals there, block by
 block.  A row of a few-row chunk is drawn on the calling thread as it runs
 (``_blocks``), unless ``run_batch`` is handed a ``_DrawAhead``, whose one
 helper thread draws it.  Only a tuning session keeps one
-(``loop.run_session``), and only where its trials' rows meet one rule
-(``_draws_ahead``, decided once per session): screened trials of 2 or 3
-rows whose later rows hold at least ``_HELPER_NORMALS`` normals, whose rows
-of two trials fit the lockstep budget, on a process that may run on 2 or
-more CPUs.  The helper draws every row of each trial one trial ahead,
-while the trial before it runs, persists and proposes: a trial's rows
-depend on its seeds, not its tau.  A row's start point is drawn as it is
-asked for, and the helper draws its normals in one call, rows in the
-order asked.  numpy's generators release the interpreter lock while they
-fill an array, so the draws overlap the screening.  The bits cannot
-change: each generator starts in ``make_rng``'s state and is used by one
-thread, in stream order, a whole-row draw yields the values of the block
-draws it spans, and a row's arithmetic reads only the values.  An error
-the helper meets is raised on the thread that reads the row it was
-drawing.
+(``loop.run_session``), and only where its trials meet ``_draws_ahead``'s
+rule, decided once per session.  The helper draws every row of each trial
+one trial ahead, while the trial before it runs, persists and proposes: a
+trial's rows depend on its seeds, not its tau.  A row's start point is
+drawn as it is asked for, and the helper draws its normals in one call,
+rows in the order asked.  numpy's generators release the interpreter lock
+while they fill an array, so the draws overlap the rows' arithmetic.  The
+bits cannot change: each generator starts in ``make_rng``'s state and is
+used by one thread, in stream order, a whole-row draw yields the values of
+the block draws it spans, and a row's arithmetic reads only the values.
+An error the helper meets is raised on the thread that reads the row it
+was drawing.
 
 Every row on each path is bit-identical to the stepwise loop built from
 ``mutate``, ``sphere_eval`` and ``update_sigma``:
@@ -167,8 +164,9 @@ FITNESS_FLOOR = 1e-300
 # that exp(0.8 * tau) stays finite (it overflows near tau = 887).
 TAU_MAX = 100
 
-# The kernel draws normals for at most this many generations at a time, so
-# its block buffers stay small however long the run.
+# A row reads its normals, and the calling thread draws them, for at most
+# this many generations at a time, so the block buffers stay small however
+# long the run.  A row a _DrawAhead draws is drawn whole and read in blocks.
 BLOCK_GENERATIONS = 128
 
 # Largest accepted dimension.  A lockstep row holds 2 * BLOCK_GENERATIONS *
@@ -189,15 +187,15 @@ _FEW_ROWS = 3
 # crossover of the two paths (table in ROADMAP item 12).
 _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 
-# A session of screened trials of 2 or 3 rows has a helper thread draw its
-# rows one trial ahead when a trial's later rows hold at least this many
-# normals.  Whole 12-trial 2-replicate sessions, draw-ahead against the
-# calling thread, read 0.56-0.62x at 9-D x 20 generations, 0.63-0.65x at
-# 5-D x 100, 0.97x at 8-D x 1000, 1.00-1.06x at 16-D x 1000 and 1.16-1.25x
-# at 32-D x 1000, whose later row holds 32,000 normals (2 CPUs, numpy 2.4).
-# The helper holds rows whole, so it starts only while a session's rows of
-# two trials fit the lockstep budget too (see _draws_ahead).
-_HELPER_NORMALS = 40_000
+# The fewest normals a trial draws (rows x generations x dimension) for which
+# a session draws its rows ahead (see _draws_ahead).  Whole 12-trial
+# sessions, draw-ahead against the calling thread, read 0.56-0.65x at 360
+# and 1,000 normals a trial, 0.97x at 16,000 (8-D x 1000 x 2 rows), and from
+# 32,000 up 1.02-1.48x whatever the shape: 16-D x 1000 x 2, 32-D x 1000 x 1,
+# 320-D x 100 x 1, 160-D x 100 x 2 and 800-D x 20 x 2 all hold 32,000
+# (2 CPUs, numpy 2.4).  So the crossover lies between 16,000 and 32,000
+# (table in ROADMAP item 12).
+_HELPER_NORMALS = 32_000
 
 # The screened path's margin (see _screened): machine epsilon, the absolute
 # term that covers subnormal roundings, and the range of |z|**2 in which
@@ -540,14 +538,15 @@ def _cpus() -> int:
 
 def _draws_ahead(template: EsTemplate, rows: int) -> bool:
     """Whether a session of batches of ``rows`` rows on ``template`` has one
-    ``_DrawAhead`` draw them: 2 or 3 screened rows whose later rows hold at
-    least ``_HELPER_NORMALS`` normals, whose rows of two batches, the most
-    the helper may hold, fit the lockstep budget, on a process that may run
-    on 2 or more CPUs."""
-    generations, dim = template.max_generations, template.dimension
-    return (rows <= _FEW_ROWS and _runs_screened(dim, generations)
-            and _HELPER_NORMALS <= (rows - 1) * generations * dim
-            and 2 * rows * generations * dim <= _LOCKSTEP_BYTES // 8 and _cpus() >= 2)
+    ``_DrawAhead`` draw them, decided on the normals a batch draws, ``rows
+    * max_generations * dimension``: where a batch is a few-row chunk (at
+    most ``_FEW_ROWS`` rows) whose rows hold at least ``_HELPER_NORMALS``
+    normals, and at most ``_LOCKSTEP_BYTES // 16``, so that two batches'
+    rows, the most the helper holds, fit the lockstep budget; and where the
+    process may run on 2 or more CPUs."""
+    normals = rows * template.max_generations * template.dimension
+    return (rows <= _FEW_ROWS and _HELPER_NORMALS <= normals <= _LOCKSTEP_BYTES // 16
+            and _cpus() >= 2)
 
 
 class _DrawAhead:

@@ -253,11 +253,9 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
     and their ``es._seed_states`` in one vectorised pass, a window of up
     to ``_WINDOW_ROWS`` rows at a time (``_SeedWindow``), inside the first
     trial that needs the window, and builds every row's generator from its
-    state, in ``make_rng``'s state.  Where a trial is 2 or 3 screened rows
-    whose later rows hold at least ``es._HELPER_NORMALS`` normals, two
-    trials' rows fit the lockstep budget and the process may run on 2 or
-    more CPUs (``es._draws_ahead``, decided once for the session), one
-    helper thread, an ``es._DrawAhead``, draws them: trial 0's as the
+    state, in ``make_rng``'s state.  Where the session's trials meet
+    ``es._draws_ahead``'s rule, decided once for the session, one helper
+    thread, an ``es._DrawAhead``, draws their rows: trial 0's as the
     session starts, and each later trial's one trial ahead, asked for just
     before the trial before it runs.  Which thread draws a row, and whether
     its generator came from the window, change none of its bits.  The

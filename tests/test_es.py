@@ -841,11 +841,12 @@ class TestHelper:
             f, sigma = stepwise_run(template, tau, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
-    @pytest.mark.parametrize("dimension, rows, threads", [(64, 2, 1), (32, 2, 0), (32, 3, 1)])
+    @pytest.mark.parametrize("dimension, rows, threads", [(64, 2, 1), (32, 2, 1), (32, 3, 1),
+                                                          (8, 2, 0)])
     def test_starts_when_the_later_rows_repay_a_thread(self, monkeypatch, dimension, rows,
                                                        threads):
-        # A session of 1000-generation trials: 64,000 later normals a trial
-        # start its helper, 32,000 do not.
+        # A session of 1000-generation trials: 64,000 and 96,000 normals a
+        # trial start its helper, 16,000 do not.
         cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=1000), rows)
         started = spy_threads(monkeypatch)
         session = run_session(cfg, ScriptedBackend(["tau = 0.9", "tau = 1.7"]))
@@ -890,20 +891,30 @@ class TestHelper:
                                                                (5, 1000, 10)])
     def test_stepwise_rows_and_lockstep_start_no_thread(self, monkeypatch, dimension,
                                                         generations, rows):
-        # Not even in a session, however few normals repay a thread.
+        # However few normals repay a thread, a session of lockstep trials
+        # starts none, and one of stepwise trials draws ahead like any other
+        # few-row trials.
         monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
         cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=generations), rows)
         started = spy_threads(monkeypatch)
         session = run_session(cfg, ScriptedBackend(["tau = 0.9", "tau = 1.7"]))
         assert session.status == "completed"
-        assert started == []
+        if rows > es_mod._FEW_ROWS:
+            assert started == []
+            return
+        assert not es_mod._runs_screened(dimension, generations)
+        assert started == ["estune-normals"]
+        for trial in session.trials:
+            for result in trial.results:
+                f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     @pytest.mark.parametrize("dimension, generations, replicates",
                              [(64, 1000, 2), (64, 1000, 3), (MAX_DIMENSION, 4194, 3)])
     @pytest.mark.parametrize("call", ["run_batch", "run_trial", "run_trials", "run-es"])
     def test_a_lone_kernel_call_starts_no_thread(self, monkeypatch, capsys, call, dimension,
                                                  generations, replicates):
-        # On 2 CPUs, at shapes whose later rows hold 64,000 to 8,388,000
+        # On 2 CPUs, at shapes whose rows draw 128,000 to 12,582,000
         # normals, the kernel alone draws every row on the calling thread.
         cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=generations),
                            replicates, budget=1)
@@ -1052,18 +1063,21 @@ class TestHelper:
     @pytest.mark.parametrize("dimension, generations, rows, cpus, draws", [
         (64, 1000, 2, 2, True), (64, 1000, 3, 2, True), (192, 1000, 2, 2, True),
         (193, 1000, 2, 2, True), (1000, 1000, 2, 2, True), (1000, 4194, 3, 2, False),
-        (64, 1000, 2, 1, False), (64, 1000, 1, 2, False), (64, 1000, 4, 2, False),
-        (32, 1000, 2, 2, False), (3, 20, 2, 2, False), (64, 21845, 3, 2, True),
+        (64, 1000, 2, 1, False), (64, 1000, 1, 2, True), (64, 1000, 4, 2, False),
+        (32, 1000, 2, 2, True), (3, 20, 2, 2, False), (64, 21845, 3, 2, True),
         (64, 21846, 3, 2, False), (64, 32768, 2, 2, True), (64, 32769, 2, 2, False),
+        (16, 1000, 2, 2, True), (11, 2909, 1, 2, False), (3, 20000, 2, 2, True),
+        (8, 1000, 2, 2, False),
     ])
     def test_draws_ahead_only_where_a_batch_starts_its_helper(self, monkeypatch, dimension,
                                                                generations, rows, cpus, draws):
-        # A session draws its trials' rows ahead, at any dimension, only
-        # where they are 2 or 3 screened rows whose later rows hold at least
-        # _HELPER_NORMALS normals (the shapes of the tests above), on 2 CPUs,
-        # and while two trials' rows, all the helper may hold, fit the
-        # lockstep budget: 2 * 3 * 21845 * 64 <= 8,388,608 < 2 * 3 * 21846 *
-        # 64, and likewise 2 * 2 * 32768 * 64.
+        # A session draws its trials' rows ahead, at any dimension and on
+        # either row path, only where a trial is at most 3 rows that draw at
+        # least _HELPER_NORMALS = 32,000 normals (16 * 1000 * 2 do, 11 *
+        # 2909 * 1 = 31,999 do not), on 2 CPUs, and while two trials' rows,
+        # all the helper may hold, fit the lockstep budget: 2 * 3 * 21845 *
+        # 64 <= 8,388,608 < 2 * 3 * 21846 * 64, and likewise 2 * 2 * 32768 *
+        # 64.
         monkeypatch.setattr(es_mod, "_cpus", lambda: cpus)
         template = EsTemplate(dimension=dimension, max_generations=generations)
         assert es_mod._draws_ahead(template, rows) is draws

@@ -723,12 +723,12 @@ class TestHostileReplies:
             assert log == render_log(session.trials)
 
 
-def _wide_cfg(dimension, budget, generations=1000, **kwargs):
+def _wide_cfg(dimension, budget, generations=1000, replicates=2, **kwargs):
     return SessionConfig(
         objective=ObjectiveSpec("sphere", dimension),
         es_template=EsTemplate(dimension=dimension, max_generations=generations, **kwargs),
         master_seed=2024,
-        replicates=2,
+        replicates=replicates,
         budget=budget,
     )
 
@@ -775,8 +775,7 @@ class TestDrawAhead:
     def test_a_256_d_session_draws_ahead(self, tmp_path, monkeypatch):
         # There a row takes longer to draw than to screen, and one helper
         # still draws every row: 3 trials of 2 replicates x 200 generations,
-        # whose later rows hold 51,200 normals a trial; trial 2 re-prompts a
-        # duplicate.
+        # 102,400 normals a trial; trial 2 re-prompts a duplicate.
         cfg = _wide_cfg(256, budget=3, generations=200)
         replies = ["tau = 0.7", "tau = 0.9", "tau = 0.9", "tau = 1.1"]
         started = spy_threads(monkeypatch)
@@ -791,6 +790,51 @@ class TestDrawAhead:
         for suffix in (".log", ".session.jsonl"):
             assert ((tmp_path / f"ahead{suffix}").read_bytes()
                     == (tmp_path / f"alone{suffix}").read_bytes())
+
+    def test_a_1_replicate_session_draws_ahead(self, tmp_path, monkeypatch):
+        # One row of 64-D x 1000 generations, 64,000 normals a trial: the
+        # floor counts every row a trial draws.  Trial 2 re-prompts a
+        # duplicate.
+        cfg = _wide_cfg(64, budget=3, replicates=1)
+        replies = ["tau = 0.7", "tau = 0.9", "tau = 0.9", "tau = 1.1"]
+        started = spy_threads(monkeypatch)
+        ahead = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "ahead")
+        assert started == ["estune-normals"]
+        monkeypatch.setattr(es_mod, "_cpus", lambda: 1)
+        alone = run_session(cfg, ScriptedBackend(replies), out_base=tmp_path / "alone")
+        assert started == ["estune-normals"]
+        assert ahead == alone
+        assert ahead.status == "completed"
+        assert [t.tau for t in ahead.trials] == [0.7, 0.9, 1.1]
+        assert [len(t.exchanges) for t in ahead.trials] == [1, 1, 2]
+        for suffix in (".log", ".session.jsonl"):
+            assert ((tmp_path / f"ahead{suffix}").read_bytes()
+                    == (tmp_path / f"alone{suffix}").read_bytes())
+
+    def test_stepwise_rows_drawn_ahead_equal_the_stepwise_oracle(self, monkeypatch):
+        # 3-D rows run stepwise; with the floor lowered the helper draws
+        # them, and each is read in the blocks of a whole-row draw (300
+        # generations span three blocks).
+        monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
+        cfg = _wide_cfg(3, budget=3, generations=300)
+        assert not es_mod._runs_screened(3, 300)
+        handed, handed_over = [], es_mod._DrawAhead.handed_over
+
+        def spy(ahead, seeds):
+            handed.append(list(seeds))
+            return handed_over(ahead, seeds)
+
+        monkeypatch.setattr(es_mod._DrawAhead, "handed_over", spy)
+        started = spy_threads(monkeypatch)
+        session = run_session(cfg, ScriptedBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"]))
+        assert session.status == "completed"
+        assert started == ["estune-normals"]
+        assert handed == [[derive_seed(cfg.master_seed, k, r) for r in range(2)]
+                          for k in range(3)]
+        for trial in session.trials:
+            for result in trial.results:
+                f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     def test_trials_hold_under_a_short_switch_interval(self, monkeypatch):
         # The interpreter lock changes hands about every microsecond while
@@ -848,6 +892,7 @@ class TestDrawAhead:
         assert drawn == ["estune-normals"] * 8
 
     def test_a_stepwise_session_starts_no_thread(self, fast_cfg, monkeypatch):
+        # 3 rows x 30 generations x 3-D: 270 normals a trial, below the floor.
         started = spy_threads(monkeypatch)
         session = run_session(fast_cfg, ScriptedBackend(PROBE_REPLIES))
         assert session.status == "completed"
