@@ -190,11 +190,10 @@ _SCREENED_FROM = ((4, 1000), (5, 100), (9, 1))
 # The fewest normals a trial draws (rows x generations x dimension) for which
 # a session draws its rows ahead (see _draws_ahead).  Whole 12-trial
 # sessions, draw-ahead against the calling thread, read 0.56-0.65x at 360
-# and 1,000 normals a trial, 0.97x at 16,000 (8-D x 1000 x 2 rows), and from
-# 32,000 up 1.02-1.48x whatever the shape: 16-D x 1000 x 2, 32-D x 1000 x 1,
-# 320-D x 100 x 1, 160-D x 100 x 2 and 800-D x 20 x 2 all hold 32,000
-# (2 CPUs, numpy 2.4).  So the crossover lies between 16,000 and 32,000
-# (table in ROADMAP item 12).
+# and 1,000 normals a trial, 0.97x at 16,000 (8-D x 1000 x 2 rows), and
+# 1.02-1.48x from 32,000 up at every shape measured, from 16-D x 1000 x 2 to
+# 800-D x 20 x 2 (2 CPUs, numpy 2.4; table in ROADMAP item 12).  So the
+# crossover lies between 16,000 and 32,000 normals a trial.
 _HELPER_NORMALS = 32_000
 
 # The screened path's margin (see _screened): machine epsilon, the absolute

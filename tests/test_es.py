@@ -845,7 +845,7 @@ class TestHelper:
                                                           (8, 2, 0)])
     def test_starts_when_the_later_rows_repay_a_thread(self, monkeypatch, dimension, rows,
                                                        threads):
-        # A session of 1000-generation trials: 64,000 and 96,000 normals a
+        # A session of 1000-generation trials: 64,000 to 128,000 normals a
         # trial start its helper, 16,000 do not.
         cfg = _session_cfg(EsTemplate(dimension=dimension, max_generations=1000), rows)
         started = spy_threads(monkeypatch)
