@@ -17,15 +17,16 @@ technischer Systeme nach Prinzipien der biologischen Evolution.
 
 Reproducibility contract: every run owns a ``numpy.random.Generator`` backed
 by the PCG64 bit generator, seeded with a 64-bit integer through numpy's
-``SeedSequence``: ``make_rng`` is that generator, and stays the reference.
-Where many seeds are known at once, their ``SeedSequence`` states come from
-one vectorised pass (``_seed_states``) and each generator is built from its
-state (``_generator``), in ``make_rng``'s state: a lockstep chunk seeds its
-rows so, and a tuning session seeds every row of a window of trials so
-(``loop.run_session``).  Initialization draws one ``uniform(init_low,
-init_high, size=dimension)`` vector, then each generation consumes one
-``standard_normal(dimension)`` vector (numpy's ziggurat transform).
-Identical seeds yield bit-identical trajectories.
+``SeedSequence``.  ``make_rng`` builds it from the seed and stays the
+reference, which the tests and the benchmark's gate compare against.  Every
+kernel row's generator is built instead from its ``_seed_states`` row, its
+seed's ``SeedSequence`` state from one vectorised pass over many seeds
+(``_generator``), in ``make_rng``'s state: each chunk of ``run_batch`` seeds
+its rows so, and a tuning session seeds every row of a window of trials so
+and hands the generators over (``loop.run_session``).  Initialization draws
+one ``uniform(init_low, init_high, size=dimension)`` vector, then each
+generation consumes one ``standard_normal(dimension)`` vector (numpy's
+ziggurat transform).  Identical seeds yield bit-identical trajectories.
 
 ``run_batch`` is the one kernel, and it computes the sphere only.  Its rows
 share one ``EsTemplate`` (sigma0, dimension, generation count and init box)
@@ -56,27 +57,23 @@ by row, on one of two paths chosen by dimension and generation count
   offspring in five are rejected, so it makes about one candidate in five,
   and at 64-D it sums squares a few times a row;
 * lockstep: a chunk of more than 3 rows advances them one generation at a
-  time on ``(dimension, rows)`` arrays, one row per column.  It seeds its
-  rows in one ``_seed_states`` pass, unless handed their states.  It runs
-  in preallocated buffers; each block of generations is checked by
-  its values and replayed, keeping its candidates, only when a value is
-  not finite (see ``_lockstep``).
+  time on ``(dimension, rows)`` arrays, one row per column.  It runs in
+  preallocated buffers; each block of generations is checked by its values
+  and replayed, keeping its candidates, only when a value is not finite
+  (see ``_lockstep``).
 
 Who draws the normals.  A row's start point and normals come from its own
-generator, in that order.  That generator is built from the row's state
-where ``run_batch`` is handed the states of its seeds, as a tuning session
-hands them over, and for every row a ``_DrawAhead`` draws; otherwise it is
-``make_rng(seed)``, and a lockstep chunk computes its rows' states itself.
-A lockstep chunk draws its start points on the calling thread before any
-of its rows runs, and each row then draws its normals there, block by
-block.  A row of a few-row chunk is drawn on the calling thread as it runs
-(``_blocks``), unless ``run_batch`` is handed a ``_DrawAhead``, whose one
+generator, built as the contract above says, in that order.  A lockstep
+chunk draws its start points on the calling thread before any of its rows
+runs, and each row then draws its normals there, block by block.  A row of
+a few-row chunk is drawn on the calling thread as it runs (``_blocks``),
+unless it is handed over as a ``_DrawnRow`` of a ``_DrawAhead``, whose one
 helper thread draws it.  Only a tuning session keeps one
 (``loop.run_session``), and only where its trials meet ``_draws_ahead``'s
 rule, decided once per session.  The helper draws every row of each trial
 one trial ahead, while the trial before it runs, persists and proposes: a
 trial's rows depend on its seeds, not its tau.  A row's start point is
-drawn as it is asked for, and the helper draws its normals in one call,
+drawn as the row is made, and the helper draws its normals in one call,
 rows in the order asked.  numpy's generators release the interpreter lock
 while they fill an array, so the draws overlap the rows' arithmetic.  The
 bits cannot change: each generator starts in ``make_rng``'s state and is
@@ -126,7 +123,6 @@ then, checked only after all rows, sigma at 0 before a generation.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
@@ -166,7 +162,8 @@ TAU_MAX = 100
 
 # A row reads its normals, and the calling thread draws them, for at most
 # this many generations at a time, so the block buffers stay small however
-# long the run.  A row a _DrawAhead draws is drawn whole and read in blocks.
+# long the run.  A _DrawnRow is drawn whole and read in blocks (see the
+# module docstring's "Who draws the normals").
 BLOCK_GENERATIONS = 128
 
 # Largest accepted dimension.  A lockstep row holds 2 * BLOCK_GENERATIONS *
@@ -363,8 +360,6 @@ def _seed_states(seeds: Sequence[int]) -> np.ndarray:
     every other word, and hashes the pool out, twice round, into 8 words,
     read as 4 little-endian uint64.  Each step here runs on all seeds at
     once in uint32 arrays, which wrap as the reference's arithmetic does.
-    ``make_rng`` stays the reference: the tests and the benchmark's gate
-    compare the two.
     """
     words = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((4, len(words)), dtype=np.uint32)
@@ -447,24 +442,19 @@ def run_es(template: EsTemplate, tau: float, seed: int) -> EsRunResult:
 
 def run_batch(
     template: EsTemplate, taus: Sequence[float], seeds: Sequence[int],
-    ahead: _DrawAhead | None = None, states: np.ndarray | None = None,
+    rngs: Sequence | None = None,
 ) -> list[EsRunResult]:
     """Run one (1+1)-ES row per (tau, seed) pair, all on ``template``.
 
     The rows run in chunks that fit ``_LOCKSTEP_BYTES``: a chunk of more
     than ``_FEW_ROWS`` rows runs in lockstep, a smaller one row by row,
     stepwise or screened as the dimension and generation count decide.
-    ``states``, the seeds' ``_seed_states`` rows, which a tuning session
-    hands over, seed every row's generator (``_generator``).  Without them
-    a row of a few-row chunk gets ``make_rng(seed)``, and a lockstep chunk
-    computes its rows' states in one pass; the generators start alike.
-
-    The calling thread draws every row's start point and normals, unless
-    it hands over ``ahead``, a session's ``_DrawAhead`` whose oldest unread
-    request is ``seeds``: that hands over every row, drawn on its helper
-    thread, and raises here an error the helper met drawing one.  This
-    starts no thread.  Each row's result is bit-identical to the stepwise
-    loop of its tau and seed alone (see the module docstring), whichever
+    Each row draws from its generator in ``rngs``, which a tuning session
+    hands over, or else from one its chunk builds from its seed's
+    ``_seed_states`` row (see the module docstring).  A session's rows may
+    be drawn ahead by a ``_DrawAhead``; a row a helper met an error drawing
+    raises it here.  This starts no thread.  Each row's result is
+    bit-identical to the stepwise loop of its tau and seed alone, whichever
     thread drew it, and the batch raises ``NumericalError`` exactly when
     some row's stepwise loop would raise ``ValueError``: a non-finite
     candidate, or sigma at 0 before a generation.
@@ -489,21 +479,15 @@ def run_batch(
     # Each chunk seeds its generators and draws its start points itself,
     # so a batch holds one chunk's rows at a time.
     for i in range(0, len(seeds), chunk):
-        part = seeds[i : i + chunk]
-        part_states = None if states is None else states[i : i + chunk]
+        part = (list(map(_generator, _seed_states(seeds[i : i + chunk]))) if rngs is None
+                else rngs[i : i + chunk])
         if len(part) > _FEW_ROWS:
-            rngs = list(map(_generator, _seed_states(part) if part_states is None else part_states))
-            rows += _lockstep(rngs, np.array([_start(rng, template) for rng in rngs]), sigma0,
+            rows += _lockstep(part, np.array([_start(rng, template) for rng in part]), sigma0,
                               up[i : i + chunk], down[i : i + chunk], generations)
             continue
-        drawn = None if ahead is None else ahead.handed_over(part)
-        for j, seed in enumerate(part, i):
-            if drawn is None:
-                rng = make_rng(seed) if part_states is None else _generator(part_states[j - i])
-                x, blocks = _start(rng, template), _blocks(rng, generations, dim)
-            else:
-                x, blocks = next(drawn)
-            rows.append(row(blocks, x, sigma0, up[j], down[j]))
+        for j, rng in enumerate(part, i):
+            x = _start(rng, template)
+            rows.append(row(_blocks(rng, generations, dim), x, sigma0, up[j], down[j]))
     f, sigma, before_last = zip(*rows)
     # Finite factors keep a sigma of 0 at 0, so a row whose sigma reached 0
     # before any generation still shows it before the last one.
@@ -550,56 +534,61 @@ def _draws_ahead(template: EsTemplate, rows: int) -> bool:
 
 class _DrawAhead:
     """Rows drawn on one helper thread, named ``estune-normals``, ahead of
-    the rows that read them.  A tuning session keeps one
+    the batches that read them.  A tuning session keeps one
     (``loop.run_session``).
 
-    ``request(seeds, states)`` asks for one row per seed and draws its
-    start point there, from the generator built from its state in
-    ``states``, the seeds' ``_seed_states`` rows (``_generator``).
-    The helper draws each row's normals whole from the same generator,
-    rows in the order asked (``_draw_rows``).
-    ``handed_over(seeds)`` yields the rows of the oldest request not yet
-    read, each as ``run_batch``'s rows read it, once the helper has drawn
-    it; an error the helper met drawing it is raised there, on the reading
-    thread.  ``close()`` lets the helper draw the rows asked for, and joins
-    it.  ``seeds`` are asked for before the helper starts, so that it starts
-    drawing at once.
+    ``request(states)`` returns one ``_DrawnRow`` per ``_seed_states`` row
+    in ``states``, its generator built from it (see the module docstring),
+    and the helper draws the rows whole, in the order asked
+    (``_draw_rows``).  ``close()`` lets the helper draw the rows asked for,
+    and joins it.
     """
 
-    def __init__(self, template: EsTemplate, seeds: Sequence[int], states: np.ndarray):
+    def __init__(self, template: EsTemplate):
         self._template = template
-        # The seeds and start points of each request not yet read.
-        self._asked: collections.deque[tuple[list[int], list[np.ndarray]]] = collections.deque()
-        self._requests: queue.SimpleQueue[list[np.random.Generator] | None] = queue.SimpleQueue()
-        self._drawn: queue.SimpleQueue[np.ndarray | BaseException] = queue.SimpleQueue()
-        self.request(seeds, states)
+        self._requests: queue.SimpleQueue[list[_DrawnRow] | None] = queue.SimpleQueue()
         self._thread = threading.Thread(
             target=_draw_rows, name="estune-normals",
-            args=((template.max_generations, template.dimension),
-                  iter(self._requests.get, None), self._drawn))
+            args=((template.max_generations, template.dimension), iter(self._requests.get, None)))
         self._thread.start()
 
-    def request(self, seeds: Sequence[int], states: np.ndarray) -> None:
-        rngs = list(map(_generator, states))
-        self._asked.append((list(seeds), [_start(rng, self._template) for rng in rngs]))
-        self._requests.put(rngs)
-
-    def handed_over(self, seeds: Sequence[int]):
-        """Each seed's row, ``(start point, normals in blocks of
-        BLOCK_GENERATIONS)``.  A whole-row draw yields the values of the
-        block draws it spans."""
-        asked, starts = self._asked.popleft()
-        if asked != list(seeds):
-            raise RuntimeError(f"rows were asked for seeds {asked}, not {list(seeds)}")
-        for x in starts:
-            z = self._drawn.get()
-            if isinstance(z, BaseException):
-                raise z
-            yield x, (z[g : g + BLOCK_GENERATIONS] for g in range(0, len(z), BLOCK_GENERATIONS))
+    def request(self, states: np.ndarray) -> list[_DrawnRow]:
+        rows = [_DrawnRow(_generator(state), self._template) for state in states]
+        self._requests.put(rows)
+        return rows
 
     def close(self) -> None:
         self._requests.put(None)
         self._thread.join()
+
+
+class _DrawnRow:
+    """A row's generator, as ``run_batch``'s few-row paths use it, with its
+    normals drawn by a ``_DrawAhead``'s helper.
+
+    Its start point is drawn as it is made, on the calling thread, before
+    the helper draws the rest.  ``uniform`` returns that start point, and
+    ``standard_normal`` the next ``size[0]`` generations of the whole-row
+    draw, waiting for the helper on its first call and raising there any
+    error the helper met drawing it.  A whole-row draw yields the values of
+    the block draws it spans.
+    """
+
+    def __init__(self, rng: np.random.Generator, template: EsTemplate):
+        self.rng, self.drawn = rng, queue.SimpleQueue()
+        self._x, self._rest = _start(rng, template), None
+
+    def uniform(self, *args, **kwargs) -> np.ndarray:
+        return self._x
+
+    def standard_normal(self, size) -> np.ndarray:
+        if self._rest is None:
+            z = self.drawn.get()
+            if isinstance(z, BaseException):
+                raise z
+            self._rest = z
+        z, self._rest = self._rest[: size[0]], self._rest[size[0] :]
+        return z
 
 
 def _start(rng, template):
@@ -615,16 +604,18 @@ def _blocks(rng, generations, dim):
         yield rng.standard_normal((min(BLOCK_GENERATIONS, generations - start), dim))
 
 
-def _draw_rows(shape, requests, drawn):
-    """The helper thread: put in ``drawn`` the normals of each generator of
-    each list in ``requests``, in order, each drawn whole as a ``shape``
-    array, or the exception it meets, and stop there."""
-    try:
-        for rngs in requests:
-            for rng in rngs:
-                drawn.put(rng.standard_normal(shape))
-    except BaseException as exc:  # raised on the reading thread by handed_over
-        drawn.put(exc)
+def _draw_rows(shape, requests):
+    """The helper thread: hand each ``_DrawnRow`` of each list in
+    ``requests``, in order, its normals drawn whole as a ``shape`` array,
+    or the exception met drawing them, and stop there."""
+    for rows in requests:
+        for row in rows:
+            try:
+                z = row.rng.standard_normal(shape)
+            except BaseException as exc:  # raised on the reading thread by the row
+                row.drawn.put(exc)
+                return
+            row.drawn.put(z)
 
 
 # A failing row runs on with inf/nan until the check at the end of its

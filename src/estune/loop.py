@@ -70,32 +70,36 @@ def derive_seed(master_seed: int, trial_index: int, replicate_index: int) -> int
     return z
 
 
-def run_trial(tau: float, cfg: SessionConfig, trial_index: int,
-              ahead: _DrawAhead | None = None, seeded: tuple | None = None) -> Trial:
-    """Run ``cfg.replicates`` independent ES runs at one tau and summarize.
-
-    Within a session (see ``run_session``), ``seeded`` holds this trial's
-    seeds and their states from the session's ``_SeedWindow``, and
-    ``ahead``, a session's draw-ahead source, hands over its rows if
-    given.  Alone, the trial derives its seeds and each row's generator is
-    ``make_rng(seed)``.  Either way the rows are bit for bit the same."""
-    seeds, states = seeded or (_trial_seeds(cfg, [trial_index]), None)
-    return _summarized([tau], cfg.replicates, run_batch(
-        cfg.es_template, [tau] * cfg.replicates, seeds, ahead, states))[0]
+def run_trial(tau: float, cfg: SessionConfig, trial_index: int, seeded: tuple | None = None) -> Trial:
+    """Run ``cfg.replicates`` independent ES runs at one tau and summarize:
+    ``run_trials`` of this one trial."""
+    return run_trials([tau], cfg, [trial_index], seeded)[0]
 
 
-def run_trials(taus, cfg: SessionConfig, trial_indices) -> list[Trial]:
+def run_trials(taus, cfg: SessionConfig, trial_indices, seeded: tuple | None = None) -> list[Trial]:
     """``run_trial`` of each (tau, trial_index) pair, in one ES batch.
 
     Every replicate of every trial is one row of a single ``run_batch``
     call, so each trial equals ``run_trial(tau, cfg, trial_index)`` bit
-    for bit.  A trial whose mean score is not finite (an objective value
-    that overflowed to inf) raises ``NumericalError``: it has no log line.
+    for bit.  Within a session (see ``run_session``), ``seeded`` holds the
+    rows' seeds and generators, from the session's ``_SeedWindow``; alone,
+    the trials derive their seeds and ``run_batch`` seeds the rows.  Either
+    way every generator starts in ``make_rng``'s state (see the ``es``
+    module docstring).  A trial whose mean score is not finite (an
+    objective value that overflowed to inf) raises ``NumericalError``: it
+    has no log line.
     """
     taus, reps = list(taus), cfg.replicates
-    seeds = _trial_seeds(cfg, list(trial_indices))
-    row_taus = [tau for tau in taus for _ in range(reps)]
-    return _summarized(taus, reps, run_batch(cfg.es_template, row_taus, seeds))
+    seeds, rngs = seeded or (_trial_seeds(cfg, list(trial_indices)), None)
+    results = run_batch(cfg.es_template, [tau for tau in taus for _ in range(reps)], seeds, rngs)
+    trials = []
+    for k, tau in enumerate(taus):
+        runs = results[k * reps : (k + 1) * reps]
+        mean, std = trial_stats([r.score for r in runs])
+        if not math.isfinite(mean):
+            raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
+        trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
+    return trials
 
 
 def _trial_seeds(cfg: SessionConfig, trial_indices: list[int]) -> list[int]:
@@ -120,16 +124,17 @@ class _SeedWindow:
     and their ``es._seed_states`` rows, derived one window of trials at a
     time: from the first trial asked for that the window does not hold, up
     to ``_WINDOW_ROWS`` rows but at least one trial, and never past the
-    budget."""
+    budget.  Each row's generator is built from its state, by ``ahead``,
+    the session's ``es._DrawAhead``, if it has one."""
 
-    def __init__(self, cfg: SessionConfig):
-        self._cfg = cfg
+    def __init__(self, cfg: SessionConfig, ahead: _DrawAhead | None):
+        self._cfg, self._ahead = cfg, ahead
         self._first = self._end = 0
         self._seeds: list[int] = []
         self._states = None
 
     def trial(self, trial_index: int):
-        """``(seeds, states)`` of the trial's rows, in replicate order."""
+        """``(seeds, generators)`` of the trial's rows, in replicate order."""
         reps = self._cfg.replicates
         if not self._first <= trial_index < self._end:
             self._first = trial_index
@@ -137,20 +142,10 @@ class _SeedWindow:
             self._seeds = _trial_seeds(self._cfg, list(range(self._first, self._end)))
             self._states = es._seed_states(self._seeds)
         i = (trial_index - self._first) * reps
-        return self._seeds[i : i + reps], self._states[i : i + reps]
-
-
-def _summarized(taus: list[float], reps: int, results) -> list[Trial]:
-    """One ``Trial`` per tau, of its ``reps`` consecutive rows of
-    ``results``, or ``NumericalError`` for one whose mean is not finite."""
-    trials = []
-    for k, tau in enumerate(taus):
-        runs = results[k * reps : (k + 1) * reps]
-        mean, std = trial_stats([r.score for r in runs])
-        if not math.isfinite(mean):
-            raise NumericalError(f"tau {tau!r} gave a non-finite mean score {mean!r}")
-        trials.append(Trial(tau=tau, results=runs, mean_score=mean, std_score=std))
-    return trials
+        states = self._states[i : i + reps]
+        if self._ahead is None:
+            return self._seeds[i : i + reps], list(map(es._generator, states))
+        return self._seeds[i : i + reps], self._ahead.request(states)
 
 
 def _near_any(tau: float, tried: list[float], tol: float) -> bool:
@@ -250,36 +245,33 @@ def run_session(cfg: SessionConfig, backend, out_base=None) -> TuningSession:
 
     A trial's rows depend on its seeds only, never on its tau, and the
     session knows every seed before it proposes.  So it derives its seeds,
-    and their ``es._seed_states`` in one vectorised pass, a window of up
-    to ``_WINDOW_ROWS`` rows at a time (``_SeedWindow``), inside the first
-    trial that needs the window, and builds every row's generator from its
-    state, in ``make_rng``'s state.  Where the session's trials meet
-    ``es._draws_ahead``'s rule, decided once for the session, one helper
-    thread, an ``es._DrawAhead``, draws their rows: trial 0's as the
-    session starts, and each later trial's one trial ahead, asked for just
-    before the trial before it runs.  Which thread draws a row, and whether
-    its generator came from the window, change none of its bits.  The
-    helper is joined before this returns or raises, and an error it meets
-    is raised by the trial whose row it was drawing.
+    and their ``es._seed_states`` in one vectorised pass, a window of up to
+    ``_WINDOW_ROWS`` rows at a time (``_SeedWindow``), and takes each
+    trial's seeds and generators one trial ahead: trial 0's as it starts,
+    each later trial's just before the trial before it runs.  Where its
+    trials meet ``es._draws_ahead``'s rule, decided once for the session,
+    those generators are rows that one helper thread, an ``es._DrawAhead``,
+    draws in that order.  How a row's generator starts, and why no thread
+    changes its bits: the ``es`` module docstring.  The helper is joined
+    before this returns or raises, and an error it meets is raised by the
+    trial whose row it was drawing.
     """
     session = TuningSession(config=cfg)
     writer = SessionWriter(session, out_base) if out_base is not None else None
     log_text = ""
     tried: list[float] = []
-    window = _SeedWindow(cfg)
     ahead = None
     try:
         try:
             if _draws_ahead(cfg.es_template, cfg.replicates):
-                ahead = _DrawAhead(cfg.es_template, *window.trial(0))
+                ahead = _DrawAhead(cfg.es_template)
+            window = _SeedWindow(cfg, ahead)
+            seeded = [window.trial(0)]
             for trial_index in range(cfg.budget):
                 tau = propose_next_tau(session, backend, log_text, tried)
-                # This trial's rows first: asking for the next trial's may
-                # move the window past this one.
-                seeded = window.trial(trial_index)
-                if ahead is not None and trial_index + 1 < cfg.budget:
-                    ahead.request(*window.trial(trial_index + 1))
-                trial = run_trial(tau, cfg, trial_index, ahead, seeded)
+                if trial_index + 1 < cfg.budget:
+                    seeded.append(window.trial(trial_index + 1))
+                trial = run_trial(tau, cfg, trial_index, seeded.pop(0))
                 trial.exchanges, session.pending_exchanges = session.pending_exchanges, []
                 session.trials.append(trial)
                 bisect.insort(tried, tau)

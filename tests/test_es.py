@@ -708,25 +708,28 @@ class TestRunBatch:
         assert [row[2] for row in finished[0]] == [0.0] * 4
 
     def test_lockstep_chunks_seed_in_one_pass(self, monkeypatch):
-        # Each lockstep chunk seeds its rows in one pass, into generators in
-        # make_rng's state; a chunk of at most 3 rows calls make_rng.
+        # Every chunk, a chunk of at most 3 rows too, seeds its rows in one
+        # pass, into generators in make_rng's state; run_batch calls no
+        # make_rng.
         template = EsTemplate(dimension=5, max_generations=20)
         seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 7]
         passes, made, states = [], [], []
-        seed_states, lockstep = es_mod._seed_states, es_mod._lockstep
+        seed_states, start = es_mod._seed_states, es_mod._start
 
-        def spy_lockstep(rngs, *rest):
-            states.extend(rng.bit_generator.state for rng in rngs)
-            return lockstep(rngs, *rest)
+        def spy_start(rng, template):
+            x = start(rng, template)
+            states.append(rng.bit_generator.state)
+            return x
 
         monkeypatch.setattr(es_mod, "_seed_states",
                             lambda part: passes.append(list(part)) or seed_states(part))
         monkeypatch.setattr(es_mod, "make_rng", lambda seed: made.append(seed) or make_rng(seed))
-        monkeypatch.setattr(es_mod, "_lockstep", spy_lockstep)
+        monkeypatch.setattr(es_mod, "_start", spy_start)
         monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 4))
         results = run_batch(template, [0.9] * len(seeds), seeds)
-        assert passes == [seeds[:4]]
-        assert made == [seeds[4]]
+        assert passes == [seeds[:4], seeds[4:]]
+        assert made == []
+        assert len(states) == len(seeds)
         for seed, state in zip(seeds, states):
             rng = make_rng(seed)
             rng.uniform(template.init_low, template.init_high, size=template.dimension)
@@ -734,12 +737,13 @@ class TestRunBatch:
         for result, seed in zip(results, seeds):
             f, sigma = stepwise_run(template, 0.9, seed)
             assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
-        passes.clear()
+        # 3 rows, stepwise at 5-D and screened at 9-D, in one chunk.
+        monkeypatch.setattr(es_mod, "_LOCKSTEP_BYTES", _lockstep_budget(template, 64))
         for dimension in (5, 9):
-            made.clear()
+            passes.clear()
             run_batch(EsTemplate(dimension=dimension, max_generations=20), [0.9] * 3, seeds[:3])
-            assert made == seeds[:3]
-        assert passes == []
+            assert passes == [seeds[:3]]
+        assert made == []
 
     def test_a_batch_holds_about_one_chunk(self):
         # 1000 rows at 1000-D in chunks of 32 rows: the start points of all
@@ -782,11 +786,19 @@ def _drawn_ahead(template, taus, seeds):
     """``run_batch`` of rows that a ``_DrawAhead`` draws on its helper
     thread, as a tuning session hands them over; the helper is closed
     however the batch ends."""
-    ahead = es_mod._DrawAhead(template, seeds, es_mod._seed_states(seeds))
+    ahead = es_mod._DrawAhead(template)
     try:
-        return run_batch(template, taus, seeds, ahead)
+        return run_batch(template, taus, seeds, ahead.request(es_mod._seed_states(seeds)))
     finally:
         ahead.close()
+
+
+def _read_where_the_row_is(traceback):
+    """Whether ``traceback`` passes through the ``standard_normal`` of a row
+    a ``_DrawAhead`` draws, which raises again, where the row is read, an
+    error its helper met."""
+    return any(entry.name == "standard_normal" and str(entry.path) == es_mod.__file__
+               for entry in traceback)
 
 
 def _session_cfg(template, replicates, budget=2):
@@ -811,8 +823,8 @@ class TestHelper:
 
     @pytest.mark.parametrize("generations", [1, 127, 128, 129, 1000])
     @pytest.mark.parametrize("rows", [2, 3])
-    # Who draws the rows: a handed _DrawAhead's helper, one whole-row call
-    # each, or the calling thread, block by block.
+    # Who draws the rows: a _DrawAhead's helper, one whole-row call each,
+    # or the calling thread, block by block.
     @pytest.mark.parametrize("threads", [1, 0], ids=["calls", "blocks"])
     def test_rows_equal_the_stepwise_oracle(self, monkeypatch, generations, rows, threads):
         template = EsTemplate(dimension=64, max_generations=generations)
@@ -889,8 +901,8 @@ class TestHelper:
 
     @pytest.mark.parametrize("dimension, generations, rows", [(3, 20, 2), (64, 1000, 4),
                                                                (5, 1000, 10)])
-    def test_stepwise_rows_and_lockstep_start_no_thread(self, monkeypatch, dimension,
-                                                        generations, rows):
+    def test_lockstep_trials_start_no_thread_and_stepwise_ones_draw_ahead(
+            self, monkeypatch, dimension, generations, rows):
         # However few normals repay a thread, a session of lockstep trials
         # starts none, and one of stepwise trials draws ahead like any other
         # few-row trials.
@@ -1027,7 +1039,7 @@ class TestHelper:
         with pytest.raises(MemoryError, match="off the calling thread") as caught:
             within_a_minute(call)
         # Raised again where the batch reads the row.
-        assert "handed_over" in [entry.name for entry in caught.traceback]
+        assert _read_where_the_row_is(caught.traceback)
         assert threading.active_count() == before
 
     def test_rows_drawn_ahead_equal_the_stepwise_oracle(self, monkeypatch):
@@ -1038,10 +1050,11 @@ class TestHelper:
         assert es_mod._draws_ahead(template, 2)
         started = spy_threads(monkeypatch)
         before = threading.active_count()
-        ahead = es_mod._DrawAhead(template, batches[0][1], es_mod._seed_states(batches[0][1]))
+        ahead = es_mod._DrawAhead(template)
         try:
-            ahead.request(batches[1][1], es_mod._seed_states(batches[1][1]))
-            results = [run_batch(template, taus, seeds, ahead) for taus, seeds in batches]
+            drawn = [ahead.request(es_mod._seed_states(seeds)) for _, seeds in batches]
+            results = [run_batch(template, taus, seeds, rows)
+                       for (taus, seeds), rows in zip(batches, drawn)]
         finally:
             ahead.close()
         assert threading.active_count() == before
@@ -1051,14 +1064,26 @@ class TestHelper:
                 f, sigma = stepwise_run(template, tau, seed)
                 assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
-    def test_rows_drawn_for_other_seeds_are_refused(self):
+    def test_a_later_batch_read_first_waits_for_its_own_rows(self, monkeypatch):
+        # Each batch reads the very rows made for its seeds: the second
+        # batch, run before the first, waits for the helper to draw the
+        # first batch's rows and then its own.
         template = EsTemplate(dimension=64, max_generations=1000)
-        ahead = es_mod._DrawAhead(template, [3, 4], es_mod._seed_states([3, 4]))
+        batches = [([0.9, 1.7], [3, 4]), ([0.3, 0.9], [4, 3])]
+        started = spy_threads(monkeypatch)
+        ahead = es_mod._DrawAhead(template)
         try:
-            with pytest.raises(RuntimeError, match=r"asked for seeds \[3, 4\], not \[4, 3\]"):
-                run_batch(template, [0.9, 0.9], [4, 3], ahead)
+            drawn = [ahead.request(es_mod._seed_states(seeds)) for _, seeds in batches]
+            results = within_a_minute(lambda: [
+                run_batch(template, *batches[k], drawn[k]) for k in (1, 0)])[::-1]
         finally:
             ahead.close()
+        assert started[0] == "estune-normals" and len(started) == 2  # and within_a_minute's
+        assert [t for t in threading.enumerate() if t.name == "estune-normals"] == []
+        for (taus, seeds), rows in zip(batches, results):
+            for result, tau, seed in zip(rows, taus, seeds):
+                f, sigma = _cached_oracle(template, tau, seed)
+                assert (result.best_f.hex(), result.final_sigma.hex()) == (f.hex(), sigma.hex())
 
     @pytest.mark.parametrize("dimension, generations, rows, cpus, draws", [
         (64, 1000, 2, 2, True), (64, 1000, 3, 2, True), (192, 1000, 2, 2, True),

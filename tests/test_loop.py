@@ -818,19 +818,24 @@ class TestDrawAhead:
         monkeypatch.setattr(es_mod, "_HELPER_NORMALS", 1)
         cfg = _wide_cfg(3, budget=3, generations=300)
         assert not es_mod._runs_screened(3, 300)
-        handed, handed_over = [], es_mod._DrawAhead.handed_over
+        asked, made, read = [], [], []
+        request, blocks = es_mod._DrawAhead.request, es_mod._blocks
 
-        def spy(ahead, seeds):
-            handed.append(list(seeds))
-            return handed_over(ahead, seeds)
+        def spy_request(ahead, states):
+            asked.append(states.tolist())
+            made.extend(request(ahead, states))
+            return made[-len(states) :]
 
-        monkeypatch.setattr(es_mod._DrawAhead, "handed_over", spy)
+        monkeypatch.setattr(es_mod._DrawAhead, "request", spy_request)
+        monkeypatch.setattr(es_mod, "_blocks", lambda rng, *rest: read.append(rng) or blocks(rng, *rest))
         started = spy_threads(monkeypatch)
         session = run_session(cfg, ScriptedBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"]))
         assert session.status == "completed"
         assert started == ["estune-normals"]
-        assert handed == [[derive_seed(cfg.master_seed, k, r) for r in range(2)]
-                          for k in range(3)]
+        # Each trial reads the rows asked for its seeds' states, in order.
+        assert asked == [es_mod._seed_states([derive_seed(cfg.master_seed, k, r)
+                                              for r in range(2)]).tolist() for k in range(3)]
+        assert len(read) == 6 and all(row is made[i] for i, row in enumerate(read))
         for trial in session.trials:
             for result in trial.results:
                 f, sigma = stepwise_run(cfg.es_template, trial.tau, result.seed)
@@ -891,7 +896,7 @@ class TestDrawAhead:
         assert backend.seen == [2, 4, 6, 8]
         assert drawn == ["estune-normals"] * 8
 
-    def test_a_stepwise_session_starts_no_thread(self, fast_cfg, monkeypatch):
+    def test_a_session_below_the_floor_starts_no_thread(self, fast_cfg, monkeypatch):
         # 3 rows x 30 generations x 3-D: 270 normals a trial, below the floor.
         started = spy_threads(monkeypatch)
         session = run_session(fast_cfg, ScriptedBackend(PROBE_REPLIES))
@@ -963,7 +968,8 @@ class TestDrawAhead:
         with pytest.raises(MemoryError, match="drawing on estune-normals") as caught:
             within_a_minute(lambda: run_session(cfg, backend, out_base=tmp_path / "s"))
         # Raised again where trial 1 reads its first row.
-        assert "handed_over" in [entry.name for entry in caught.traceback]
+        assert any(entry.name == "standard_normal" and str(entry.path) == es_mod.__file__
+                   for entry in caught.traceback)
         assert _helpers_alive() == []
         stored = read_session(tmp_path / "s.session.jsonl")
         assert (stored.status, [t.tau for t in stored.trials]) == ("running", [0.7])
@@ -1029,10 +1035,14 @@ class TestSeedWindow:
         assert passes == seeds
         assert built == {"make_rng": 0, "_generator": 14}
 
-        # The same trials, each run alone by run_trial with no window.
+        # The same trials, each run alone by run_trial with no window, from
+        # make_rng's generators.
         alone = TuningSession(config=cfg, status="completed", best_tau=session.best_tau)
         for k, trial in enumerate(session.trials):
-            alone.trials.append(replace(run_trial(trial.tau, cfg, k), exchanges=trial.exchanges))
+            rows = [derive_seed(cfg.master_seed, k, r) for r in range(2)]
+            seeded = rows, [es_mod.make_rng(seed) for seed in rows]
+            alone.trials.append(replace(run_trial(trial.tau, cfg, k, seeded),
+                                        exchanges=trial.exchanges))
         assert passes == seeds
         assert built == {"make_rng": 14, "_generator": 14}
         assert alone == session
