@@ -827,7 +827,8 @@ class TestDrawAhead:
             return made[-len(states) :]
 
         monkeypatch.setattr(es_mod._DrawAhead, "request", spy_request)
-        monkeypatch.setattr(es_mod, "_blocks", lambda rng, *rest: read.append(rng) or blocks(rng, *rest))
+        monkeypatch.setattr(es_mod, "_blocks",
+                            lambda rng, *rest: read.append(rng) or blocks(rng, *rest))
         started = spy_threads(monkeypatch)
         session = run_session(cfg, ScriptedBackend(["tau = 0.7", "tau = 0.9", "tau = 1.1"]))
         assert session.status == "completed"
