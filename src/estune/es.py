@@ -476,8 +476,8 @@ def run_batch(
     block_doubles = 2 * min(BLOCK_GENERATIONS, generations) * dim + 8
     chunk = max(1, _LOCKSTEP_BYTES // (8 * block_doubles))
     rows = []
-    # Each chunk seeds its generators and draws its start points itself,
-    # so a batch holds one chunk's rows at a time.
+    # Each chunk seeds its generators, unless handed them, and draws its
+    # start points itself, so a batch holds one chunk's rows at a time.
     for i in range(0, len(seeds), chunk):
         part = (list(map(_generator, _seed_states(seeds[i : i + chunk]))) if rngs is None
                 else rngs[i : i + chunk])

@@ -16,6 +16,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+import estune.es as es_mod
 from estune import EsTemplate, ObjectiveSpec, SessionConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,3 +99,11 @@ def within_a_minute(fn):
     if exc is not None:
         raise exc
     return result
+
+
+def read_where_the_row_is(traceback):
+    """Whether the pytest ``traceback`` passes through the
+    ``standard_normal`` of a row a draw-ahead helper draws, which raises
+    again, where the row is read, an error the helper met."""
+    return any(entry.name == "standard_normal" and str(entry.path) == es_mod.__file__
+               for entry in traceback)

@@ -40,7 +40,7 @@ from estune.loop import derive_seed, run_session, run_trial, run_trials
 from estune.report import GridSpec, grid_values, run_grid
 from estune.store import SessionConfig, log_line
 
-from conftest import spy_threads, within_a_minute
+from conftest import read_where_the_row_is, spy_threads, within_a_minute
 from oracle import stepwise_run
 
 
@@ -793,14 +793,6 @@ def _drawn_ahead(template, taus, seeds):
         ahead.close()
 
 
-def _read_where_the_row_is(traceback):
-    """Whether ``traceback`` passes through the ``standard_normal`` of a row
-    a ``_DrawAhead`` draws, which raises again, where the row is read, an
-    error its helper met."""
-    return any(entry.name == "standard_normal" and str(entry.path) == es_mod.__file__
-               for entry in traceback)
-
-
 def _session_cfg(template, replicates, budget=2):
     return SessionConfig(objective=ObjectiveSpec("sphere", template.dimension),
                          es_template=template, master_seed=2024, replicates=replicates,
@@ -1039,7 +1031,7 @@ class TestHelper:
         with pytest.raises(MemoryError, match="off the calling thread") as caught:
             within_a_minute(call)
         # Raised again where the batch reads the row.
-        assert _read_where_the_row_is(caught.traceback)
+        assert read_where_the_row_is(caught.traceback)
         assert threading.active_count() == before
 
     def test_rows_drawn_ahead_equal_the_stepwise_oracle(self, monkeypatch):

@@ -47,7 +47,7 @@ from estune.store import (
 )
 from estune.store import read_session, render_log, write_session
 
-from conftest import FIXTURES, spy_threads, within_a_minute
+from conftest import FIXTURES, read_where_the_row_is, spy_threads, within_a_minute
 from oracle import stepwise_run
 
 
@@ -969,8 +969,7 @@ class TestDrawAhead:
         with pytest.raises(MemoryError, match="drawing on estune-normals") as caught:
             within_a_minute(lambda: run_session(cfg, backend, out_base=tmp_path / "s"))
         # Raised again where trial 1 reads its first row.
-        assert any(entry.name == "standard_normal" and str(entry.path) == es_mod.__file__
-                   for entry in caught.traceback)
+        assert read_where_the_row_is(caught.traceback)
         assert _helpers_alive() == []
         stored = read_session(tmp_path / "s.session.jsonl")
         assert (stored.status, [t.tau for t in stored.trials]) == ("running", [0.7])
