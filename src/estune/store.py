@@ -14,13 +14,39 @@ double; integral values drop the trailing ".0".
 ``<name>.session.jsonl`` is the machine-readable record, one JSON object
 per line, in chronological order:
 
-* line 1: ``{"record": "header", "schema_version": 1, "config": {...}}``
-* ``{"record": "exchange", "prompt", "response", "latency_ms", "timestamp",
-  "attempt"}``, one per backend call, in call order
+* line 1: ``{"record": "header", "schema_version": 2, "prompts_sha256",
+  "config": {...}}``
+* ``{"record": "exchange", "prompt_trials", "reminder", "response",
+  "latency_ms", "timestamp", "attempt"}``, one per backend call, in call
+  order; ``"prompt"`` in place of ``"prompt_trials"`` and ``"reminder"``
+  for a prompt stored literally (below)
 * ``{"record": "trial", "tau", "replicates": [{"seed", "best_f", "score",
   "final_sigma", "generations_run"}, ...], "mean_score", "std_score"}``
 * last line, once the session leaves the running state:
   ``{"record": "status", "status", ["best_tau"], ["error"]}``
+
+A session renders every prompt it sends from the trials before it: the
+tune prompt while there are none, otherwise the analysis instruction, a
+blank line and the log so far; a duplicate's re-prompt adds a blank line
+and ``DUPLICATE_REMINDER``.  So an exchange whose prompt is the one its
+position renders stores a reference: ``prompt_trials``, the number of
+trials before it, which the reader checks against its position, and
+``reminder``, whether the reminder follows.  Any other prompt (one a
+backend recorded differently) is stored literally, under ``prompt``.  The
+writer tells the two apart by comparing the prompt with the log in place,
+without rendering it, and ``read_session`` rebuilds each referenced prompt
+from the trials it has read, with the header's ``log_std``.  A file's size
+therefore grows with its trials, not with the square of them.
+
+The header's ``prompts_sha256`` is the SHA-256 of the three templates the
+reader rebuilds prompts from: the tune prompt, the analysis head and the
+reminder.  ``read_session`` refuses a version-2 file whose digest is not
+this build's, at line 1, rather than rebuild its prompts from other text.
+A later change to a prompt template must also bump ``SCHEMA_VERSION``.
+
+Version-1 files, which store every prompt literally and whose header has
+no digest, still load, with their stored text; this build writes version 2
+only.
 
 A running session's files are appended to as it happens (``SessionWriter``):
 the header before the first backend call, then after each trial the
@@ -32,44 +58,37 @@ the next proposal.  Every record therefore reaches the disk once.  A crash
 can leave at most a torn last line, which ``read_session`` reports as a
 ``SessionFileError`` whose ``partial`` holds everything before it.
 
-Each analysis prompt repeats the whole log, and a proposal's re-prompts
-repeat its first prompt, so the writer keeps the last first-attempt prompt
-it wrote (``attempt == 0``) and that prompt's JSON escape.  An exchange
-whose prompt starts with the kept prompt is written from the kept escape
-plus the escape of its own tail; any other prompt is escaped whole.  Either
-way the bytes are those of ``write_session``, the uncached reference.
-
 ``write_session`` writes the same header, trial blocks and tail in one go.
 A trial's exchanges precede its record; any exchanges after the last trial
 belong to a proposal that has no trial.
 
 Each record holds exactly the fields of its dataclass, in field order: the
 config is ``SessionConfig`` (with its nested ``ObjectiveSpec`` and
-``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``,
-and a trial ``Trial``, with its ``results`` under the key ``replicates`` and
-its ``exchanges`` as the records before it.  ``read_session`` reads a file
-in one pass, line by line, holding only the records it has built; it
-requires every field and ignores any other key.  Each value must have its
-field's JSON type (``json_value``): a float field also accepts an integer,
-and nothing else is converted.  ``decode_json`` decodes each line, and the
-CLI's script and config files too; ``output_paths`` names every file the
-CLI writes.
+``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``
+(its prompt as above), and a trial ``Trial``, with its ``results`` under
+the key ``replicates`` and its ``exchanges`` as the records before it.
+``read_session`` reads a file in one pass, line by line, holding only the
+records it has built and the log of its trials; it requires every field
+and ignores any other key.  Each value must have its field's JSON type
+(``json_value``): a float field also accepts an integer, and nothing else
+is converted.  ``decode_json`` decodes each line, and the CLI's script and
+config files too; ``output_paths`` names every file the CLI writes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
 from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
-from .llm import LlmExchange
+from .llm import ANALYSIS_INSTRUCTION, DUPLICATE_REMINDER, LlmExchange, render_tune_prompt
 
 __all__ = [
     "EmptySessionError", "MAX_REPLICATES", "SCHEMA_VERSION", "STATUS_ABORTED",
@@ -79,7 +98,22 @@ __all__ = [
     "render_log", "trial_stats", "write_session",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# Every version read_session reads.  Version 1 stores each prompt literally.
+_READ_VERSIONS = (1, SCHEMA_VERSION)
+
+# The templates of every prompt a session sends (see the module docstring):
+# the tune prompt, or the analysis head and the log, then the reminder on a
+# duplicate's re-prompt.  The writer compares prompts with them and the
+# reader rebuilds prompts from them, so the two always agree; a version-2
+# header names them by their digest.
+_TUNE_PROMPT = render_tune_prompt()
+_ANALYSIS_HEAD = f"{ANALYSIS_INSTRUCTION}\n\n"
+_REMINDER = f"\n\n{DUPLICATE_REMINDER}"
+_PROMPTS_SHA256 = hashlib.sha256(
+    json.dumps([_TUNE_PROMPT, _ANALYSIS_HEAD, _REMINDER]).encode("utf-8")
+).hexdigest()
 
 # Largest accepted replicate count.  A trial is one kernel batch of
 # ``replicates`` rows; in lockstep they run in chunks whose buffers fit
@@ -236,7 +270,12 @@ def _trial_record(trial: Trial) -> dict[str, Any]:
 
 
 def _header_record(session: TuningSession) -> dict[str, Any]:
-    return {"record": "header", "schema_version": SCHEMA_VERSION, "config": asdict(session.config)}
+    return {
+        "record": "header",
+        "schema_version": SCHEMA_VERSION,
+        "prompts_sha256": _PROMPTS_SHA256,
+        "config": asdict(session.config),
+    }
 
 
 def _status_record(session: TuningSession) -> dict[str, Any]:
@@ -256,29 +295,53 @@ def _line(record: dict[str, Any]) -> str:
     return _encode(record) + "\n"
 
 
-def _exchange_line(exchange: LlmExchange) -> str:
+def _reminded(prompt: str, log: str) -> bool | None:
+    """Whether ``prompt`` is the prompt a session renders from ``log``
+    (False) or that prompt and the duplicate reminder (True); None for any
+    other text.  The prompt is compared in place, never rendered."""
+    head = _ANALYSIS_HEAD if log else _TUNE_PROMPT
+    extra = len(prompt) - len(head) - len(log)
+    if (extra in (0, len(_REMINDER)) and prompt.startswith(head)
+            and prompt.startswith(log, len(head)) and prompt.endswith(_REMINDER if extra else "")):
+        return extra > 0
+    return None
+
+
+def _exchange_line(exchange: LlmExchange, trials_before: int, log: str) -> str:
+    """An exchange's record, made after ``trials_before`` trials whose log is ``log``."""
     rec: dict[str, Any] = {"record": "exchange"}
-    for key in _EXCHANGE_KEYS:
+    reminder = _reminded(exchange.prompt, log)
+    if reminder is None:
+        rec["prompt"] = exchange.prompt
+    else:
+        rec["prompt_trials"] = trials_before
+        rec["reminder"] = reminder
+    for key in _EXCHANGE_KEYS[1:]:  # prompt is the first field of LlmExchange
         rec[key] = getattr(exchange, key)
     return _line(rec)
 
 
-def _trial_block(trial: Trial, exchange_line=_exchange_line) -> str:
+def _trial_block(trial: Trial, trials_before: int, log: str) -> str:
     """A trial's record, after the exchanges that proposed it."""
-    return "".join(map(exchange_line, trial.exchanges)) + _line(_trial_record(trial))
+    exchanges = "".join(_exchange_line(e, trials_before, log) for e in trial.exchanges)
+    return exchanges + _line(_trial_record(trial))
 
 
-def _tail(session: TuningSession, exchange_line=_exchange_line) -> str:
+def _tail(session: TuningSession, log: str) -> str:
     """The pending exchanges, then the status record once the session has ended."""
-    text = "".join(map(exchange_line, session.pending_exchanges))
+    trials = len(session.trials)
+    text = "".join(_exchange_line(e, trials, log) for e in session.pending_exchanges)
     if session.status != STATUS_RUNNING:
         text += _line(_status_record(session))
     return text
 
 
 def write_session(session: TuningSession, path) -> None:
-    blocks = [_line(_header_record(session))] + [_trial_block(t) for t in session.trials]
-    Path(path).write_text("".join(blocks) + _tail(session), encoding="utf-8")
+    blocks, log = [_line(_header_record(session))], ""
+    for k, trial in enumerate(session.trials):
+        blocks.append(_trial_block(trial, k, log))
+        log += log_line(trial, session.config.log_std)
+    Path(path).write_text("".join(blocks) + _tail(session, log), encoding="utf-8")
 
 
 def output_paths(out_base, *suffixes: str) -> list[Path]:
@@ -318,11 +381,6 @@ def output_paths(out_base, *suffixes: str) -> list[Path]:
     return [base.with_name(base.name + suffix) for suffix in suffixes]
 
 
-# An exchange line up to the first character of its prompt's escape:
-# ``prompt`` is the first field of LlmExchange.
-_PROMPT_AT = '{"record":"exchange","prompt":"'
-
-
 class SessionWriter:
     """Appends one session's records and log lines as they happen.
 
@@ -331,40 +389,29 @@ class SessionWriter:
     file, so every trial reaches the OS before the next proposal.  The
     finished files equal ``write_session`` of the session and
     ``render_log`` of its trials; in between they hold every trial so far.
-    A prompt that starts with the last first-attempt prompt written is
-    escaped from a cache, so persisting a trial costs its new bytes, not
-    the whole log again.
+    The writer keeps the log it has written, which the next trial's prompts
+    were rendered from.
     """
 
     def __init__(self, session: TuningSession, out_base):
         self.session_path, self.log_path = output_paths(out_base, ".session.jsonl", ".log")
-        self._prompt = self._prompt_json = ""  # the last attempt-0 prompt, escaped
+        self._trials, self._log = 0, ""
         with contextlib.ExitStack() as stack:
             self._session_file = stack.enter_context(open(self.session_path, "w", encoding="utf-8"))
             self._log_file = stack.enter_context(open(self.log_path, "w", encoding="utf-8"))
             _emit(self._session_file, _line(_header_record(session)))
             self._files = stack.pop_all()
 
-    def _fast_exchange_line(self, exchange: LlmExchange) -> str:
-        """``_exchange_line(exchange)``, with the prompt escaped from the cache."""
-        prompt = exchange.prompt
-        if prompt.startswith(self._prompt):
-            prompt_json = self._prompt_json + _escape(prompt[len(self._prompt):])[1:-1]
-        else:
-            prompt_json = _escape(prompt)[1:-1]
-        if exchange.attempt == 0:
-            self._prompt, self._prompt_json = prompt, prompt_json
-        rest = {key: getattr(exchange, key) for key in _EXCHANGE_KEYS[1:]}
-        return _PROMPT_AT + prompt_json + '",' + _encode(rest)[1:] + "\n"
-
     def append_trial(self, trial: Trial, line: str) -> None:
         """Append ``trial`` after the exchanges that proposed it, and its log ``line``."""
-        _emit(self._session_file, _trial_block(trial, self._fast_exchange_line))
+        _emit(self._session_file, _trial_block(trial, self._trials, self._log))
         _emit(self._log_file, line)
+        self._trials += 1
+        self._log += line
 
     def finish(self, session: TuningSession) -> None:
         """Append the pending exchanges, then the status record, and close both files."""
-        _emit(self._session_file, _tail(session, self._fast_exchange_line))
+        _emit(self._session_file, _tail(session, self._log))
         self.close()
 
     def close(self) -> None:
@@ -451,15 +498,26 @@ def _parse(raw: bytes, lineno: int, partial: TuningSession | None) -> Any:
         raise SessionFileError(f"line {lineno}: {exc}", line_number=lineno, partial=partial) from exc
 
 
+def _referenced_prompt(rec: dict[str, Any], trials: int, log: str) -> str:
+    """The prompt a version-2 exchange record refers to, read after
+    ``trials`` trials whose log is ``log``."""
+    if json_value("prompt_trials", rec["prompt_trials"], int) != trials:
+        raise ValueError(f"prompt_trials {rec['prompt_trials']} after {trials} trials")
+    reminder = json_value("reminder", rec["reminder"], bool)
+    return (_ANALYSIS_HEAD + log if log else _TUNE_PROMPT) + (_REMINDER if reminder else "")
+
+
 def read_session(path) -> TuningSession:
     """Rebuild a TuningSession from its record file, in one pass over it.
 
     Lines are split as ``bytes.splitlines`` splits them (at LF, CR LF and
-    a lone CR) and decoded one at a time, so only the records built so far
-    and the current line are held.  Raises EmptySessionError for a file of
-    blank lines, SchemaVersionError for an unsupported version, and
-    SessionFileError (with line number and the partial session parsed so
-    far) for any corrupt line, a line that is not UTF-8 included.
+    a lone CR) and decoded one at a time, so only the records built so far,
+    the log of their trials and the current line are held.  Raises
+    EmptySessionError for a file of blank lines, SchemaVersionError for an
+    unsupported version, and SessionFileError (with line number and the
+    partial session parsed so far) for any corrupt line, a line that is not
+    UTF-8 included, and for a version-2 header whose prompt templates are
+    not this build's.
     """
     with open(path, "rb") as fh:
         # The file yields chunks that end in \n (or at its end), so no \r\n
@@ -474,10 +532,16 @@ def read_session(path) -> TuningSession:
         if not isinstance(header, dict) or header.get("record") != "header":
             raise SessionFileError("line 1: expected a header record", line_number=1)
         version = header.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if version not in _READ_VERSIONS:
             raise SchemaVersionError(
                 f"line 1: schema_version {version!r} not supported "
-                f"(this build reads {SCHEMA_VERSION})",
+                f"(this build reads {_READ_VERSIONS})",
+                line_number=1,
+            )
+        if version != 1 and header.get("prompts_sha256") != _PROMPTS_SHA256:
+            raise SessionFileError(
+                f"line 1: prompts_sha256 {header.get('prompts_sha256')!r} is not this build's "
+                f"{_PROMPTS_SHA256!r}: its prompts were rendered from other templates",
                 line_number=1,
             )
         try:
@@ -486,6 +550,7 @@ def read_session(path) -> TuningSession:
             raise SessionFileError(f"line 1: bad config: {exc}", line_number=1) from exc
 
         session = TuningSession(config=config)
+        log = ""  # of the trials read so far, in a version-2 file
 
         saw_status = False
         for lineno, line in lines:
@@ -510,10 +575,15 @@ def read_session(path) -> TuningSession:
                         results=[_build(EsRunResult, r) for r in rec["replicates"]],
                         exchanges=session.pending_exchanges,
                     )
+                    if version != 1:
+                        log += log_line(trial, config.log_std)
                     session.trials.append(trial)
                     session.pending_exchanges = []
                 elif kind == "exchange":
-                    session.pending_exchanges.append(_build(LlmExchange, rec))
+                    given = {}
+                    if version != 1 and "prompt" not in rec:
+                        given["prompt"] = _referenced_prompt(rec, len(session.trials), log)
+                    session.pending_exchanges.append(_build(LlmExchange, rec, **given))
                 elif kind == "status":
                     status = rec.get("status")
                     if status not in _STATUSES:

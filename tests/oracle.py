@@ -6,16 +6,20 @@ then ``update_sigma``.  The lockstep kernel must match it bit for bit and
 raise exactly where it raises.
 
 ``whole_file_read_session`` reads a session file whole, as
-``store.read_session`` once did.
+``store.read_session`` once did, and rebuilds a version-2 file's prompts
+with the loop's own renderers.  ``version_1_text`` is a session as a
+version-1 file, with every prompt stored literally.
 """
 
+from dataclasses import asdict
 from pathlib import Path
 
 from estune.es import EsRunResult, make_rng, mutate, sphere_eval, update_sigma
-from estune.llm import LlmExchange
+from estune.llm import DUPLICATE_REMINDER, LlmExchange, render_analysis_prompt, render_tune_prompt
 from estune.store import (
-    _STATUSES, SCHEMA_VERSION, EmptySessionError, SchemaVersionError, SessionConfig,
-    SessionFileError, Trial, TuningSession, _build, _parse, json_value,
+    _PROMPTS_SHA256, _READ_VERSIONS, _STATUSES, STATUS_RUNNING, EmptySessionError,
+    SchemaVersionError, SessionConfig, SessionFileError, Trial, TuningSession, _build, _line,
+    _parse, _status_record, _trial_record, json_value, render_log,
 )
 
 
@@ -50,9 +54,15 @@ def whole_file_read_session(path):
     if not isinstance(header, dict) or header.get("record") != "header":
         raise SessionFileError("line 1: expected a header record", line_number=1)
     version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in _READ_VERSIONS:
         raise SchemaVersionError(
-            f"line 1: schema_version {version!r} not supported (this build reads {SCHEMA_VERSION})",
+            f"line 1: schema_version {version!r} not supported (this build reads {_READ_VERSIONS})",
+            line_number=1,
+        )
+    if version != 1 and header.get("prompts_sha256") != _PROMPTS_SHA256:
+        raise SessionFileError(
+            f"line 1: prompts_sha256 {header.get('prompts_sha256')!r} is not this build's "
+            f"{_PROMPTS_SHA256!r}: its prompts were rendered from other templates",
             line_number=1,
         )
     try:
@@ -85,10 +95,15 @@ def whole_file_read_session(path):
                     results=[_build(EsRunResult, r) for r in rec["replicates"]],
                     exchanges=session.pending_exchanges,
                 )
+                if version != 1:
+                    render_log([trial], config.log_std)  # a version-2 log must hold every trial
                 session.trials.append(trial)
                 session.pending_exchanges = []
             elif kind == "exchange":
-                session.pending_exchanges.append(_build(LlmExchange, rec))
+                given = {}
+                if version != 1 and "prompt" not in rec:
+                    given["prompt"] = _rendered_prompt(rec, session)
+                session.pending_exchanges.append(_build(LlmExchange, rec, **given))
             elif kind == "status":
                 status = rec.get("status")
                 if status not in _STATUSES:
@@ -106,3 +121,27 @@ def whole_file_read_session(path):
                 raise
             raise _fail(f"bad {kind} record: {exc}") from exc
     return session
+
+
+def _rendered_prompt(rec, session):
+    """The prompt a version-2 exchange record names, as the loop renders it."""
+    trials = json_value("prompt_trials", rec["prompt_trials"], int)
+    if trials != len(session.trials):
+        raise ValueError(f"prompt_trials {trials} after {len(session.trials)} trials")
+    reminder = json_value("reminder", rec["reminder"], bool)
+    log = render_log(session.trials, session.config.log_std)
+    prompt = render_analysis_prompt(log) if log else render_tune_prompt()
+    return f"{prompt}\n\n{DUPLICATE_REMINDER}" if reminder else prompt
+
+
+def version_1_text(session):
+    """``session`` as a version-1 file: a header without a prompt digest,
+    and every prompt stored literally."""
+    records = [{"record": "header", "schema_version": 1, "config": asdict(session.config)}]
+    for trial in session.trials:
+        records += [{"record": "exchange", **asdict(e)} for e in trial.exchanges]
+        records.append(_trial_record(trial))
+    records += [{"record": "exchange", **asdict(e)} for e in session.pending_exchanges]
+    if session.status != STATUS_RUNNING:
+        records.append(_status_record(session))
+    return "".join(map(_line, records))

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import estune.llm as llm
 from estune.cli import main
-from estune.store import EmptySessionError, SessionFileError, TuningSession, read_session
+from estune.store import (
+    _PROMPTS_SHA256, EmptySessionError, SessionFileError, TuningSession, read_session,
+)
 
 from conftest import FIXTURES
 from oracle import whole_file_read_session
@@ -134,9 +136,12 @@ def test_every_command_line_exits_0_1_or_2_without_a_traceback(argv):
         assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
+# Both schema versions: version 2 stores prompts by reference, version 1
+# literally.
 _GOLDEN_SESSIONS = [
-    (FIXTURES / name).read_bytes()
-    for name in ("golden_completed.session.jsonl", "golden_aborted.session.jsonl")
+    (FIXTURES / f"golden_{status}{version}.session.jsonl").read_bytes()
+    for version in ("", "_v2")
+    for status in ("completed", "aborted")
 ]
 
 # (kind, position, byte): positions wrap around the file's length.
@@ -185,6 +190,7 @@ def _outcome(reader, path):
 
 
 _COMPLETED = _GOLDEN_SESSIONS[0]
+_COMPLETED_V2 = _GOLDEN_SESSIONS[2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,6 +206,11 @@ _COMPLETED = _GOLDEN_SESSIONS[0]
 @example(_COMPLETED.replace(b"\n", b"\n\r\n\n"), [])
 @example(_COMPLETED[:-30], [])
 @example(_COMPLETED.rstrip(b"\n"), [])
+@example(_COMPLETED_V2.replace(b"\n", b"\r"), [])
+@example(_COMPLETED_V2[:-30], [])
+# A reference to the wrong position, and a digest of other templates.
+@example(_COMPLETED_V2.replace(b'"prompt_trials":2', b'"prompt_trials":1', 1), [])
+@example(_COMPLETED_V2.replace(_PROMPTS_SHA256.encode("ascii"), b"0" * 64), [])
 def test_streaming_reader_equals_whole_file_reader(golden, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "damaged.session.jsonl"

@@ -48,7 +48,7 @@ from estune.store import (
 from estune.store import read_session, render_log, write_session
 
 from conftest import FIXTURES, read_where_the_row_is, spy_threads, within_a_minute
-from oracle import stepwise_run
+from oracle import stepwise_run, version_1_text
 
 
 def reference_splitmix64(z):
@@ -497,6 +497,12 @@ class CrashingBackend:
         return self.scripted.send(prompt, attempt)
 
 
+def _exchange_records(out):
+    """The exchange records of ``<out>.session.jsonl``, decoded."""
+    lines = out.with_name(out.name + ".session.jsonl").read_text(encoding="utf-8").splitlines()
+    return [rec for rec in map(json.loads, lines) if rec["record"] == "exchange"]
+
+
 # Non-ASCII text, control characters, a lone surrogate, quotes and a backslash.
 _ODD_TEXT = 'é ü \U0001f600 "quoted" back\\slash \x00\x1f\x7f \u2028 \ud800'
 
@@ -545,14 +551,20 @@ class TestSessionFiles:
 
     @pytest.mark.parametrize("status", ["completed", "aborted"])
     def test_files_match_the_golden_bytes(self, tmp_path, status):
+        # The version-2 goldens are what this build writes; the version-1
+        # goldens, written before every prompt was stored by reference, are
+        # read-only fixtures that must still read back as the same session.
         out = tmp_path / status
         session = run_session(GOLDEN_CFG, ScriptedBackend(GOLDEN_REPLIES[status]), out_base=out)
         assert session.status == status
-        golden = FIXTURES / f"golden_{status}.session.jsonl"
+        golden = FIXTURES / f"golden_{status}_v2.session.jsonl"
         assert out.with_name(status + ".session.jsonl").read_bytes() == golden.read_bytes()
         write_session(session, tmp_path / "whole.session.jsonl")
         assert (tmp_path / "whole.session.jsonl").read_bytes() == golden.read_bytes()
         assert read_session(golden) == session
+        golden_v1 = FIXTURES / f"golden_{status}.session.jsonl"
+        assert version_1_text(session).encode("utf-8") == golden_v1.read_bytes()
+        assert read_session(golden_v1) == session
         log = out.with_name(status + ".log").read_bytes()
         if status == "completed":
             assert log == (FIXTURES / "golden_completed.log").read_bytes()
@@ -560,10 +572,10 @@ class TestSessionFiles:
 
 
     def test_each_trial_escapes_only_its_new_bytes(self, tmp_path, monkeypatch):
-        # From the third trial on, every prompt extends the last attempt-0
-        # prompt the writer kept: an escape covers at most the new log line
-        # and the duplicate reminder, and an encode one record's other
-        # fields.  Re-escaping the whole log breaks this bound.
+        # Every prompt is stored by reference, so an encode covers one
+        # record without its prompt's text.  From the third trial on, a
+        # prompt holding the log is longer than any such record: encoding
+        # a whole prompt breaks this bound.
         appended, returned = [], []  # (trial, line); (trials appended, length)
 
         def spy(fn):
@@ -573,7 +585,6 @@ class TestSessionFiles:
                 return text
             return wrapper
 
-        monkeypatch.setattr(store_mod, "_escape", spy(store_mod._escape))
         monkeypatch.setattr(store_mod, "_encode", spy(store_mod._encode))
         append_trial = SessionWriter.append_trial
 
@@ -590,12 +601,14 @@ class TestSessionFiles:
         records = (tmp_path / "s.session.jsonl").read_text(encoding="utf-8").splitlines()
         trial_records = [r for r in records if r.startswith('{"record":"trial"')]
         for k, (trial, line) in enumerate(appended[2:], start=2):
+            references = {"record": "exchange", "prompt_trials": k, "reminder": False}
             fields = [len(trial_records[k])] + [
-                len(json.dumps({key: value for key, value in asdict(e).items() if key != "prompt"},
-                               separators=(",", ":")))
+                len(json.dumps({**references, **{key: value for key, value in asdict(e).items()
+                                                 if key != "prompt"}}, separators=(",", ":")))
                 for e in trial.exchanges
             ]
-            bound = max(len(json.dumps(line + "\n\n" + DUPLICATE_REMINDER)), *fields)
+            bound = max(fields)
+            assert min(len(e.prompt) for e in trial.exchanges) > bound
             sizes = [n for appended_so_far, n in returned if appended_so_far == k + 1]
             assert sizes and max(sizes) <= bound, (k, sizes, bound)
         assert sum(e.attempt > 0 for t in session.trials[2:] for e in t.exchanges) == 4
@@ -614,6 +627,28 @@ class TestSessionFiles:
         session = run_session(GOLDEN_CFG, backend, out_base=out)
         assert session.status == status
         assert session.exchanges[0].prompt == edit(render_tune_prompt())
+        # No recorded prompt is the one its position renders, so every
+        # exchange stores its prompt literally.
+        exchanges = _exchange_records(out)
+        assert len(exchanges) == len(session.exchanges)
+        assert [r.get("prompt") for r in exchanges] == [e.prompt for e in session.exchanges]
+        _assert_files_match_the_reference(session, out, tmp_path)
+
+    @pytest.mark.parametrize("log_std", [True, False])
+    def test_a_plain_session_stores_every_prompt_by_reference(self, tmp_path, log_std):
+        out = tmp_path / "s"
+        cfg = replace(GOLDEN_CFG, log_std=log_std)
+        session = run_session(cfg, ScriptedBackend(GOLDEN_REPLIES["aborted"]), out_base=out)
+        assert session.status == "aborted"
+        exchanges = _exchange_records(out)
+        assert not any("prompt" in r for r in exchanges)
+        # Per proposal: a fresh tau, a duplicate and its re-prompt, two
+        # unparseable replies, three duplicates and their fallback, a fresh
+        # tau, then the aborted proposal's one exchange.
+        assert [(r["prompt_trials"], r["reminder"]) for r in exchanges] == [
+            (0, False), (1, False), (1, True), (2, False), (2, False),
+            (3, False), (3, True), (3, True), (4, False),
+        ]
         _assert_files_match_the_reference(session, out, tmp_path)
 
     def test_files_closed_when_an_exception_escapes(self, tmp_path):

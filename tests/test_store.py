@@ -3,17 +3,20 @@
 import json
 import math
 import os
+import itertools
 import re
 import statistics
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from estune.es import ConfigurationError, EsRunResult
-from estune.llm import ScriptedBackend, extract_tau
+from estune.es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
+from estune.llm import DUPLICATE_REMINDER, ScriptedBackend, extract_tau
 from estune.loop import run_session
-from estune.store import EmptySessionError, Trial, TuningSession
+from estune.store import EmptySessionError, SessionConfig, Trial, TuningSession
 from estune.store import (
     SCHEMA_VERSION,
     SchemaVersionError,
@@ -29,6 +32,7 @@ from estune.store import (
 )
 
 from conftest import FIXTURES
+from oracle import version_1_text
 
 LOG_LINE = re.compile(
     r"^tau = -?[0-9.e+-]+, Fitness: -?[0-9.e+-]+(, Std: -?[0-9.e+-]+)?$"
@@ -127,9 +131,41 @@ class TestTrialStats:
         assert std == pytest.approx(statistics.stdev(scores), rel=1e-9, abs=1e-9)
 
 
-def _scripted_session(cfg, taus):
-    from dataclasses import replace
+def _long_session(cfg, tmp_path):
+    """A scripted session of fresh taus, written to ``tmp_path / "long"``."""
+    backend = ScriptedBackend([f"tau = {0.5 + i / 1000}" for i in range(cfg.budget)])
+    return run_session(cfg, backend, out_base=tmp_path / "long")
 
+
+def _read_with_peak(path):
+    """``read_session(path)`` and the peak memory it allocated."""
+    tracemalloc.start()
+    try:
+        return read_session(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _churn_replies(budget):
+    """Replies for ``budget`` proposals: mostly fresh taus, and in every ten
+    proposals a duplicate then a fresh tau, an unparseable reply then a
+    fresh tau, and, in every other ten, three duplicates that end in the
+    1.05x fallback."""
+    fresh = (f"tau = {0.4 + 0.00713 * i!r}" for i in itertools.count())
+    replies = []
+    for k in range(budget):
+        if k % 20 == 19:
+            replies += [replies[-1]] * 3
+        elif k % 10 == 5:
+            replies += [replies[-1], next(fresh)]
+        elif k % 10 == 7:
+            replies += ["nothing to parse", next(fresh)]
+        else:
+            replies.append(next(fresh))
+    return replies
+
+
+def _scripted_session(cfg, taus):
     cfg = replace(cfg, budget=len(taus))
     backend = ScriptedBackend([f"tau = {t}" for t in taus])
     return run_session(cfg, backend)
@@ -177,26 +213,49 @@ class TestSessionRoundTrip:
         assert trial.std_score == std
 
     def test_reading_holds_about_the_file_once(self, fast_cfg, tmp_path):
-        # Prompts repeat the log, so a session file grows with the square of
-        # its budget; the reader holds the records it built, not the file's
-        # bytes and all its lines beside them (about twice the file).
-        import tracemalloc
-        from dataclasses import replace
-
+        # Prompts repeat the log, so a version-1 file grows with the square
+        # of its budget; the reader holds the records it built, not the
+        # file's bytes and all its lines beside them (about twice the file).
         cfg = replace(fast_cfg, budget=250, replicates=2)
-        backend = ScriptedBackend([f"tau = {0.5 + i / 1000}" for i in range(cfg.budget)])
-        run_session(cfg, backend, out_base=tmp_path / "long")
-        path = tmp_path / "long.session.jsonl"
+        written = _long_session(cfg, tmp_path)
+        path = tmp_path / "long.v1.session.jsonl"
+        path.write_text(version_1_text(written), encoding="utf-8")
         size = path.stat().st_size
         assert size >= 2 << 20
-        tracemalloc.start()
-        try:
-            session = read_session(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(session.trials) == cfg.budget
+        session, peak = _read_with_peak(path)
+        assert session == written
         assert peak < 1.3 * size
+
+    def test_a_churn_session_file_is_under_a_tenth_of_its_prompts(self, tmp_path):
+        # A version-1 file held every prompt, and an analysis prompt holds
+        # the whole log.  A version-2 file stores each prompt by reference.
+        cfg = SessionConfig(
+            objective=ObjectiveSpec("sphere", 3),
+            es_template=EsTemplate(sigma0=1.0, dimension=3, max_generations=20),
+            master_seed=7,
+            replicates=2,
+            budget=200,
+        )
+        session = run_session(cfg, ScriptedBackend(_churn_replies(cfg.budget)),
+                              out_base=tmp_path / "churn")
+        assert (session.status, len(session.trials)) == ("completed", cfg.budget)
+        assert sum(e.attempt > 0 for e in session.exchanges) >= 50
+        assert sum(e.prompt.endswith(DUPLICATE_REMINDER) for e in session.exchanges) >= 30
+        prompts = sum(len(e.prompt.encode("utf-8")) for e in session.exchanges)
+        path = tmp_path / "churn.session.jsonl"
+        assert path.stat().st_size < 0.1 * prompts
+        assert read_session(path) == session
+
+    def test_reading_version_2_holds_the_prompts_once(self, fast_cfg, tmp_path):
+        # A version-2 file stores each prompt by reference, and the reader
+        # rebuilds it: the session it holds is the one read from version 1.
+        cfg = replace(fast_cfg, budget=250, replicates=2)
+        written = _long_session(cfg, tmp_path)
+        path = tmp_path / "long.session.jsonl"
+        assert path.stat().st_size < 0.1 * len(version_1_text(written))
+        session, peak = _read_with_peak(path)
+        assert session == written
+        assert peak < 1.3 * len(version_1_text(written))
 
 
 class TestSessionFileErrors:
@@ -248,6 +307,34 @@ class TestSessionFileErrors:
         with pytest.raises(SchemaVersionError):
             read_session(path)
 
+    @pytest.mark.parametrize("digest", ["0" * 64, None], ids=["other", "missing"])
+    def test_prompt_templates_of_another_build(self, fast_cfg, tmp_path, digest):
+        # A version-2 file whose prompts were rendered from other templates
+        # cannot rebuild them: refused at its header.
+        path = self._write_demo(fast_cfg, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header["schema_version"] == SCHEMA_VERSION == 2
+        if digest is None:
+            del header["prompts_sha256"]
+        else:
+            header["prompts_sha256"] = digest
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SessionFileError) as exc_info:
+            read_session(path)
+        err = exc_info.value
+        assert not isinstance(err, SchemaVersionError)
+        assert err.line_number == 1 and err.partial is None
+        assert str(err).startswith(f"line 1: prompts_sha256 {digest!r} is not this build's ")
+
+    def test_a_version_1_header_needs_no_digest(self, fast_cfg, tmp_path):
+        session = _scripted_session(fast_cfg, [0.7, 1.1])
+        path = tmp_path / "v1.jsonl"
+        path.write_text(version_1_text(session), encoding="utf-8")
+        assert '"prompts_sha256"' not in path.read_text(encoding="utf-8")
+        assert read_session(path) == session
+
     @pytest.mark.parametrize("kind,keys,value", [
         ("header", ("config", "log_std"), "false"),
         ("header", ("config", "replicates"), 2.9),
@@ -256,8 +343,13 @@ class TestSessionFileErrors:
         ("trial", ("replicates", 0, "seed"), 1.5),
         ("trial", ("replicates", 0, "best_f"), 10**400),
         ("exchange", ("attempt",), "0"),
+        ("exchange", ("prompt_trials",), 1),
+        ("exchange", ("prompt_trials",), 0.0),
+        ("exchange", ("reminder",), 0),
+        ("exchange", ("reminder",), None),
     ], ids=["log_std_string", "replicates_float", "budget_string", "sigma0_missing",
-            "seed_float", "best_f_overflows", "attempt_string"])
+            "seed_float", "best_f_overflows", "attempt_string", "prompt_trials_elsewhere",
+            "prompt_trials_float", "reminder_int", "reminder_missing"])
     def test_value_of_the_wrong_type(self, fast_cfg, tmp_path, kind, keys, value):
         # value None deletes the key.
         path = self._write_demo(fast_cfg, tmp_path)
