@@ -1,9 +1,9 @@
 """Log grammar, trial statistics, and session persistence."""
 
+import itertools
 import json
 import math
 import os
-import itertools
 import re
 import statistics
 import tracemalloc
@@ -247,8 +247,9 @@ class TestSessionRoundTrip:
         assert read_session(path) == session
 
     def test_reading_version_2_holds_the_prompts_once(self, fast_cfg, tmp_path):
-        # A version-2 file stores each prompt by reference, and the reader
-        # rebuilds it: the session it holds is the one read from version 1.
+        # A version-2 file stores each prompt by reference and the reader
+        # rebuilds it, so the reader holds what it holds reading the
+        # version-1 file, the rebuilt prompts, and not more.
         cfg = replace(fast_cfg, budget=250, replicates=2)
         written = _long_session(cfg, tmp_path)
         path = tmp_path / "long.session.jsonl"
