@@ -57,6 +57,13 @@ PARSE_DIRECTIVE = "Reply with the single line `tau = <value>`."
 
 DUPLICATE_REMINDER = "That value was already tried; propose a different one."
 
+# An analysis prompt is ANALYSIS_PREFIX and the log; a duplicate's re-prompt
+# is its proposal's first prompt and REMINDER_SUFFIX.  A session file stores
+# its prompts by reference to these templates and the tune prompt, so a
+# change to any of them must bump store.SCHEMA_VERSION.
+ANALYSIS_PREFIX = f"{ANALYSIS_INSTRUCTION}\n\n"
+REMINDER_SUFFIX = f"\n\n{DUPLICATE_REMINDER}"
+
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 
 TOKEN_ENV_VAR = "ESTUNE_TOKEN"
@@ -137,7 +144,7 @@ def render_analysis_prompt(log_text: str) -> str:
     """Analysis instruction, a blank line, then the results log verbatim."""
     if not log_text:
         raise ValueError("log text must not be empty")
-    return f"{ANALYSIS_INSTRUCTION}\n\n{log_text}"
+    return ANALYSIS_PREFIX + log_text
 
 
 class ScriptedBackend:

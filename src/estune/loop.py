@@ -16,7 +16,7 @@ from . import es
 from .es import TAU_MAX, NumericalError, _draws_ahead, _DrawAhead, run_batch
 from .es import run_es  # noqa: F401  (bench/tracer.py wraps loop.run_es by name)
 from .llm import (
-    DUPLICATE_REMINDER,
+    REMINDER_SUFFIX,
     ExtractionError,
     TransportError,
     extract_tau,
@@ -217,7 +217,7 @@ def propose_next_tau(session: TuningSession, backend, log_text: str,
         if not _near_any(tau, tried, tol):
             return tau
         last_duplicate = tau
-        prompt = f"{base_prompt}\n\n{DUPLICATE_REMINDER}"
+        prompt = base_prompt + REMINDER_SUFFIX
 
     if last_duplicate is None:
         assert last_extraction_error is not None

@@ -26,9 +26,9 @@ per line, in chronological order:
   ``{"record": "status", "status", ["best_tau"], ["error"]}``
 
 A session renders every prompt it sends from the trials before it: the
-tune prompt while there are none, otherwise the analysis instruction, a
-blank line and the log so far; a duplicate's re-prompt adds a blank line
-and ``DUPLICATE_REMINDER``.  So an exchange whose prompt is the one its
+tune prompt while there are none, otherwise ``llm.ANALYSIS_PREFIX`` and the
+log so far; a duplicate's re-prompt adds ``llm.REMINDER_SUFFIX``.  So an
+exchange whose prompt is the one its
 position renders stores a reference: ``prompt_trials``, the number of
 trials before it, which the reader checks against its position, and
 ``reminder``, whether the reminder follows.  Any other prompt (one a
@@ -39,8 +39,8 @@ from the trials it has read, with the header's ``log_std``.  A file's size
 therefore grows with its trials, not with the square of them.
 
 The header's ``prompts_sha256`` is the SHA-256 of the three templates the
-reader rebuilds prompts from: the tune prompt, the analysis head and the
-reminder.  ``read_session`` refuses a version-2 file whose digest is not
+reader rebuilds prompts from: the tune prompt, ``ANALYSIS_PREFIX`` and
+``REMINDER_SUFFIX``.  ``read_session`` refuses a version-2 file whose digest is not
 this build's, at line 1, rather than rebuild its prompts from other text.
 A later change to a prompt template must also bump ``SCHEMA_VERSION``.
 
@@ -88,7 +88,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
 from .es import TAU_MAX, ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
-from .llm import ANALYSIS_INSTRUCTION, DUPLICATE_REMINDER, LlmExchange, render_tune_prompt
+from .llm import ANALYSIS_PREFIX, REMINDER_SUFFIX, LlmExchange, render_tune_prompt
 
 __all__ = [
     "EmptySessionError", "MAX_REPLICATES", "SCHEMA_VERSION", "STATUS_ABORTED",
@@ -103,16 +103,13 @@ SCHEMA_VERSION = 2
 # Every version read_session reads.  Version 1 stores each prompt literally.
 _READ_VERSIONS = (1, SCHEMA_VERSION)
 
-# The templates of every prompt a session sends (see the module docstring):
-# the tune prompt, or the analysis head and the log, then the reminder on a
-# duplicate's re-prompt.  The writer compares prompts with them and the
-# reader rebuilds prompts from them, so the two always agree; a version-2
-# header names them by their digest.
+# The templates of every prompt a session sends (see the module docstring).
+# The writer compares prompts with them and the reader rebuilds prompts from
+# them, so the two always agree; a version-2 header names them by this
+# digest.
 _TUNE_PROMPT = render_tune_prompt()
-_ANALYSIS_HEAD = f"{ANALYSIS_INSTRUCTION}\n\n"
-_REMINDER = f"\n\n{DUPLICATE_REMINDER}"
 _PROMPTS_SHA256 = hashlib.sha256(
-    json.dumps([_TUNE_PROMPT, _ANALYSIS_HEAD, _REMINDER]).encode("utf-8")
+    json.dumps([_TUNE_PROMPT, ANALYSIS_PREFIX, REMINDER_SUFFIX]).encode("utf-8")
 ).hexdigest()
 
 # Largest accepted replicate count.  A trial is one kernel batch of
@@ -299,10 +296,11 @@ def _reminded(prompt: str, log: str) -> bool | None:
     """Whether ``prompt`` is the prompt a session renders from ``log``
     (False) or that prompt and the duplicate reminder (True); None for any
     other text.  The prompt is compared in place, never rendered."""
-    head = _ANALYSIS_HEAD if log else _TUNE_PROMPT
+    head = ANALYSIS_PREFIX if log else _TUNE_PROMPT
     extra = len(prompt) - len(head) - len(log)
-    if (extra in (0, len(_REMINDER)) and prompt.startswith(head)
-            and prompt.startswith(log, len(head)) and prompt.endswith(_REMINDER if extra else "")):
+    tail = REMINDER_SUFFIX if extra else ""
+    if (extra == len(tail) and prompt.startswith(head)
+            and prompt.startswith(log, len(head)) and prompt.endswith(tail)):
         return extra > 0
     return None
 
@@ -504,7 +502,8 @@ def _referenced_prompt(rec: dict[str, Any], trials: int, log: str) -> str:
     if json_value("prompt_trials", rec["prompt_trials"], int) != trials:
         raise ValueError(f"prompt_trials {rec['prompt_trials']} after {trials} trials")
     reminder = json_value("reminder", rec["reminder"], bool)
-    return (_ANALYSIS_HEAD + log if log else _TUNE_PROMPT) + (_REMINDER if reminder else "")
+    prompt = ANALYSIS_PREFIX + log if log else _TUNE_PROMPT
+    return prompt + REMINDER_SUFFIX if reminder else prompt
 
 
 def read_session(path) -> TuningSession:
