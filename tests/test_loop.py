@@ -24,6 +24,7 @@ from estune.es import (
 )
 from estune.llm import (
     DUPLICATE_REMINDER,
+    REMINDER_SUFFIX,
     ExtractionError,
     ScriptedBackend,
     TransportError,
@@ -632,6 +633,20 @@ class TestSessionFiles:
         exchanges = _exchange_records(out)
         assert len(exchanges) == len(session.exchanges)
         assert [r.get("prompt") for r in exchanges] == [e.prompt for e in session.exchanges]
+        _assert_files_match_the_reference(session, out, tmp_path)
+
+    def test_text_between_a_prompt_and_its_reminder_is_stored_as_text(self, tmp_path):
+        # Such a prompt starts with the rendered prompt and ends with the
+        # reminder, but it is not the re-prompt: only its length tells.
+        out = tmp_path / "s"
+        def edit(prompt):
+            return prompt.replace(REMINDER_SUFFIX, " " + REMINDER_SUFFIX)
+
+        backend = RecordsAnotherPrompt(GOLDEN_REPLIES["completed"], edit)
+        session = run_session(GOLDEN_CFG, backend, out_base=out)
+        reminded = [e.prompt for e in session.exchanges if e.prompt.endswith(REMINDER_SUFFIX)]
+        assert len(reminded) == 3
+        assert [r["prompt"] for r in _exchange_records(out) if "prompt" in r] == reminded
         _assert_files_match_the_reference(session, out, tmp_path)
 
     @pytest.mark.parametrize("log_std", [True, False])
