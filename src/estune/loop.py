@@ -202,7 +202,9 @@ def propose_next_tau(session: TuningSession, backend, log_text: str,
     attempts = cfg.max_propose_retries + 1
     prompt = base_prompt
     last_duplicate: float | None = None
-    last_extraction_error: ExtractionError | None = None
+    # Only the message of the last extraction error is kept: the error's
+    # traceback holds this frame, which would hold the error in a cycle.
+    last_failure: str | None = None
     for attempt in range(attempts):
         exchange = backend.send(prompt, attempt=attempt)
         session.pending_exchanges.append(exchange)
@@ -211,7 +213,7 @@ def propose_next_tau(session: TuningSession, backend, log_text: str,
             if tau > TAU_MAX:
                 raise ExtractionError(f"extracted tau {tau!r} is above TAU_MAX = {TAU_MAX}")
         except ExtractionError as exc:
-            last_extraction_error = exc
+            last_failure = str(exc)
             prompt = base_prompt
             continue
         if not _near_any(tau, tried, tol):
@@ -220,8 +222,8 @@ def propose_next_tau(session: TuningSession, backend, log_text: str,
         prompt = base_prompt + REMINDER_SUFFIX
 
     if last_duplicate is None:
-        assert last_extraction_error is not None
-        raise last_extraction_error
+        assert last_failure is not None
+        raise ExtractionError(last_failure)
     tau = last_duplicate * 1.05
     while _near_any(tau, tried, tol):
         if tau * 1.05 == tau:  # the smallest subnormals round back to themselves

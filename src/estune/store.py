@@ -62,6 +62,17 @@ can leave at most a torn last line, which ``read_session`` reports as a
 A trial's exchanges precede its record; any exchanges after the last trial
 belong to a proposal that has no trial.
 
+Every line holds the bytes ``json.JSONEncoder(separators=(",", ":"))``
+writes for its record.  Exchange and trial records, written once a trial,
+are each one ``%``-format of a fixed template per record kind (a literal or
+a referenced exchange, a trial, a replicate), with no dict and no encoder:
+an int by ``%d``, a str by the encoder's own escaper
+(``encode_basestring_ascii``), a bool as ``true`` or ``false``, a float as
+``float.__repr__`` gives it or, when not finite, as ``NaN``, ``Infinity`` or
+``-Infinity``.  The header, with its nested config, and the status record,
+with its optional keys, are written once a session and go through the
+encoder.
+
 Each record holds exactly the fields of its dataclass, in field order: the
 config is ``SessionConfig`` (with its nested ``ObjectiveSpec`` and
 ``EsTemplate``), a replicate ``EsRunResult``, an exchange ``LlmExchange``
@@ -84,6 +95,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any, Iterable, Sequence, get_type_hints
 
@@ -250,22 +262,6 @@ def trial_stats(scores: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(squares / (n - 1))
 
 
-# Exchanges and replicates hold only scalars, so a shallow dict gives
-# asdict's keys and values without its deep copy of each one.
-_EXCHANGE_KEYS = tuple(f.name for f in fields(LlmExchange))
-_REPLICATE_KEYS = tuple(f.name for f in fields(EsRunResult))
-
-
-def _trial_record(trial: Trial) -> dict[str, Any]:
-    return {
-        "record": "trial",
-        "tau": trial.tau,
-        "replicates": [{key: getattr(r, key) for key in _REPLICATE_KEYS} for r in trial.results],
-        "mean_score": trial.mean_score,
-        "std_score": trial.std_score,
-    }
-
-
 def _header_record(session: TuningSession) -> dict[str, Any]:
     return {
         "record": "header",
@@ -292,6 +288,25 @@ def _line(record: dict[str, Any]) -> str:
     return _encode(record) + "\n"
 
 
+# The templates of the exchange and trial records (see the module
+# docstring), their keys in field order.  The tests compare their lines with
+# _encode's, for any value of each field's type.
+_BOOLS = ("false", "true")
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+_EXCHANGE_TAIL = '"response":%s,"latency_ms":%s,"timestamp":%s,"attempt":%d}\n'
+_LITERAL_EXCHANGE = '{"record":"exchange","prompt":%s,' + _EXCHANGE_TAIL
+_REFERENCED_EXCHANGE = '{"record":"exchange","prompt_trials":%d,"reminder":%s,' + _EXCHANGE_TAIL
+_TRIAL = '{"record":"trial","tau":%s,"replicates":[%s],"mean_score":%s,"std_score":%s}\n'
+_REPLICATE = '{"seed":%d,"best_f":%s,"score":%s,"final_sigma":%s,"generations_run":%d}'
+
+
+def _float(x: float) -> str:
+    """``x`` as json.JSONEncoder writes a float."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
 def _reminded(prompt: str, log: str) -> bool | None:
     """Whether ``prompt`` is the prompt a session renders from ``log``
     (False) or that prompt and the duplicate reminder (True); None for any
@@ -307,22 +322,24 @@ def _reminded(prompt: str, log: str) -> bool | None:
 
 def _exchange_line(exchange: LlmExchange, trials_before: int, log: str) -> str:
     """An exchange's record, made after ``trials_before`` trials whose log is ``log``."""
-    rec: dict[str, Any] = {"record": "exchange"}
+    tail = (_escape(exchange.response), _float(exchange.latency_ms),
+            _escape(exchange.timestamp), exchange.attempt)
     reminder = _reminded(exchange.prompt, log)
     if reminder is None:
-        rec["prompt"] = exchange.prompt
-    else:
-        rec["prompt_trials"] = trials_before
-        rec["reminder"] = reminder
-    for key in _EXCHANGE_KEYS[1:]:  # prompt is the first field of LlmExchange
-        rec[key] = getattr(exchange, key)
-    return _line(rec)
+        return _LITERAL_EXCHANGE % (_escape(exchange.prompt), *tail)
+    return _REFERENCED_EXCHANGE % (trials_before, _BOOLS[reminder], *tail)
 
 
 def _trial_block(trial: Trial, trials_before: int, log: str) -> str:
     """A trial's record, after the exchanges that proposed it."""
-    exchanges = "".join(_exchange_line(e, trials_before, log) for e in trial.exchanges)
-    return exchanges + _line(_trial_record(trial))
+    exchanges = "".join([_exchange_line(e, trials_before, log) for e in trial.exchanges])
+    replicates = ",".join([
+        _REPLICATE % (r.seed, _float(r.best_f), _float(r.score), _float(r.final_sigma),
+                      r.generations_run)
+        for r in trial.results
+    ])
+    return exchanges + _TRIAL % (
+        _float(trial.tau), replicates, _float(trial.mean_score), _float(trial.std_score))
 
 
 def _tail(session: TuningSession, log: str) -> str:

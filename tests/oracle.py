@@ -9,9 +9,13 @@ raise exactly where it raises.
 ``store.read_session`` once did, and rebuilds a version-2 file's prompts
 with the loop's own renderers.  ``version_1_text`` is a session as a
 version-1 file, with every prompt stored literally.
+
+``encoded_exchange_line`` and ``encoded_trial_block`` are the version-2
+exchange and trial records as ``json.JSONEncoder`` writes them, from a dict
+of each record: the store's templates must give the same bytes.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from estune.es import EsRunResult, make_rng, mutate, sphere_eval, update_sigma
@@ -19,7 +23,7 @@ from estune.llm import DUPLICATE_REMINDER, LlmExchange, render_analysis_prompt, 
 from estune.store import (
     _PROMPTS_SHA256, _READ_VERSIONS, _STATUSES, STATUS_RUNNING, EmptySessionError,
     SchemaVersionError, SessionConfig, SessionFileError, Trial, TuningSession, _build, _line,
-    _parse, _status_record, _trial_record, json_value, render_log,
+    _parse, _reminded, _status_record, json_value, render_log,
 )
 
 
@@ -145,3 +149,33 @@ def version_1_text(session):
     if session.status != STATUS_RUNNING:
         records.append(_status_record(session))
     return "".join(map(_line, records))
+
+
+def _trial_record(trial):
+    return {
+        "record": "trial",
+        "tau": trial.tau,
+        "replicates": [asdict(r) for r in trial.results],
+        "mean_score": trial.mean_score,
+        "std_score": trial.std_score,
+    }
+
+
+def encoded_exchange_line(exchange, trials_before, log):
+    """``store._exchange_line`` of ``exchange``, encoded from a dict."""
+    rec = {"record": "exchange"}
+    reminder = _reminded(exchange.prompt, log)
+    if reminder is None:
+        rec["prompt"] = exchange.prompt
+    else:
+        rec["prompt_trials"] = trials_before
+        rec["reminder"] = reminder
+    for f in fields(LlmExchange)[1:]:  # prompt is the first field of LlmExchange
+        rec[f.name] = getattr(exchange, f.name)
+    return _line(rec)
+
+
+def encoded_trial_block(trial, trials_before, log):
+    """``store._trial_block`` of ``trial``, encoded from dicts."""
+    exchanges = "".join(encoded_exchange_line(e, trials_before, log) for e in trial.exchanges)
+    return exchanges + _line(_trial_record(trial))

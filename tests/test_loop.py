@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -350,6 +351,32 @@ class TestProposeNextTau:
         with pytest.raises(ExtractionError):
             _propose(session, backend)
 
+    @pytest.mark.parametrize("replies,abort", [
+        (["no numbers here", "tau = 0.8"], None),
+        (["tau = 1000", "tau = 0.8"], None),
+        (["no numbers here", "no numbers here", "tau = 1000"],
+         "extracted tau 1000.0 is above TAU_MAX = 100"),
+    ])
+    def test_a_failed_extraction_leaves_no_cycle(self, fast_cfg, replies, abort):
+        # With the cyclic collector off, a backend outlives its last
+        # reference only if a cycle holds the proposal's frame.
+        session = TuningSession(config=fast_cfg)
+        backend = ScriptedBackend(replies)
+        alive = weakref.ref(backend)
+        gc.disable()
+        try:
+            if abort is None:
+                assert _propose(session, backend) == 0.8
+            else:
+                with pytest.raises(ExtractionError) as caught:
+                    _propose(session, backend)
+                assert str(caught.value) == abort
+                del caught
+            del backend
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_transport_failure_propagates(self, fast_cfg):
         session = TuningSession(config=fast_cfg)
         backend = ScriptedBackend([])  # immediately exhausted
@@ -573,10 +600,11 @@ class TestSessionFiles:
 
 
     def test_each_trial_escapes_only_its_new_bytes(self, tmp_path, monkeypatch):
-        # Every prompt is stored by reference, so an encode covers one
-        # record without its prompt's text.  From the third trial on, a
-        # prompt holding the log is longer than any such record: encoding
-        # a whole prompt breaks this bound.
+        # Every prompt is stored by reference, so the strings a trial's
+        # records escape are its replies and timestamps.  From the third
+        # trial on, a prompt holding the log is longer than any record of
+        # the trial without its prompt's text: escaping a whole prompt
+        # breaks this bound.
         appended, returned = [], []  # (trial, line); (trials appended, length)
 
         def spy(fn):
@@ -586,7 +614,7 @@ class TestSessionFiles:
                 return text
             return wrapper
 
-        monkeypatch.setattr(store_mod, "_encode", spy(store_mod._encode))
+        monkeypatch.setattr(store_mod, "_escape", spy(store_mod._escape))
         append_trial = SessionWriter.append_trial
 
         def spy_append_trial(writer, trial, line):

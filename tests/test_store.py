@@ -7,14 +7,18 @@ import os
 import re
 import statistics
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from estune.es import ConfigurationError, EsRunResult, EsTemplate, ObjectiveSpec
-from estune.llm import DUPLICATE_REMINDER, ScriptedBackend, extract_tau
+import estune.store as store_mod
+from estune.llm import (
+    ANALYSIS_PREFIX, DUPLICATE_REMINDER, REMINDER_SUFFIX, LlmExchange, ScriptedBackend,
+    extract_tau, render_tune_prompt,
+)
 from estune.loop import run_session
 from estune.store import EmptySessionError, SessionConfig, Trial, TuningSession
 from estune.store import (
@@ -32,7 +36,7 @@ from estune.store import (
 )
 
 from conftest import FIXTURES
-from oracle import version_1_text
+from oracle import encoded_exchange_line, encoded_trial_block, version_1_text
 
 LOG_LINE = re.compile(
     r"^tau = -?[0-9.e+-]+, Fitness: -?[0-9.e+-]+(, Std: -?[0-9.e+-]+)?$"
@@ -257,6 +261,84 @@ class TestSessionRoundTrip:
         session, peak = _read_with_peak(path)
         assert session == written
         assert peak < 1.3 * len(version_1_text(written))
+
+
+# Text that json.JSONEncoder escapes: non-ASCII, control characters,
+# quotes, backslashes and lone surrogates, among any other characters.
+_ANY_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\ud800",
+                     "\udfff", "\U0001f600"]),
+    st.characters(exclude_categories=()),
+), max_size=20)
+# Floats whose JSON text is easy to get wrong, and any other float.
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _exchange_at(draw):
+    """(exchange, trials before it, their log), its prompt referenced or literal."""
+    trials = draw(st.integers(0, 3))
+    log = render_log([_trial(0.5 + 0.25 * k, float(k)) for k in range(trials)])
+    rendered = ANALYSIS_PREFIX + log if log else render_tune_prompt()
+    prompt = draw(st.one_of(
+        st.sampled_from([rendered, rendered + REMINDER_SUFFIX]),
+        _ANY_TEXT,
+        _ANY_TEXT.map(lambda text: rendered + text),
+    ))
+    exchange = LlmExchange(prompt=prompt, response=draw(_ANY_TEXT),
+                           latency_ms=draw(_ANY_FLOAT), timestamp=draw(_ANY_TEXT),
+                           attempt=draw(st.integers()))
+    return exchange, draw(st.integers()) if draw(st.booleans()) else trials, log
+
+
+_REPLICATES = st.builds(EsRunResult, seed=_SEEDS, best_f=_ANY_FLOAT, score=_ANY_FLOAT,
+                        final_sigma=_ANY_FLOAT, generations_run=st.integers(0, 10**6))
+
+
+def _keys(line):
+    """The keys of a record line, and of each of its replicates, in order."""
+    pairs = json.loads(line, object_pairs_hook=lambda pairs: pairs)
+    keys = [key for key, _ in pairs]
+    replicates = dict(pairs).get("replicates", [])
+    return keys, [[key for key, _ in r] for r in replicates]
+
+
+class TestRecordTemplates:
+    """The exchange and trial templates against ``json.JSONEncoder``."""
+
+    @settings(max_examples=300)
+    @given(_exchange_at())
+    def test_exchange_line_is_the_encoders(self, drawn):
+        exchange, trials_before, log = drawn
+        line = store_mod._exchange_line(exchange, trials_before, log)
+        assert line == encoded_exchange_line(exchange, trials_before, log)
+        names = [f.name for f in fields(LlmExchange)]
+        if store_mod._reminded(exchange.prompt, log) is None:
+            assert _keys(line) == (["record", *names], [])
+        else:
+            assert _keys(line) == (["record", "prompt_trials", "reminder", *names[1:]], [])
+
+    @settings(max_examples=300)
+    @given(
+        st.builds(Trial, tau=_ANY_FLOAT, results=st.lists(_REPLICATES, min_size=1, max_size=3),
+                  mean_score=_ANY_FLOAT, std_score=_ANY_FLOAT,
+                  exchanges=st.lists(_exchange_at().map(lambda drawn: drawn[0]), max_size=2)),
+        st.integers(0, 3),
+    )
+    def test_trial_block_is_the_encoders(self, trial, trials_before):
+        log = render_log([_trial(0.5 + 0.25 * k, float(k)) for k in range(trials_before)])
+        block = store_mod._trial_block(trial, trials_before, log)
+        assert block == encoded_trial_block(trial, trials_before, log)
+        *_, line = block.splitlines()
+        names = [f.name for f in fields(Trial) if f.name != "exchanges"]
+        assert _keys(line) == (
+            ["record", *("replicates" if name == "results" else name for name in names)],
+            [[f.name for f in fields(EsRunResult)]] * len(trial.results),
+        )
 
 
 class TestSessionFileErrors:
