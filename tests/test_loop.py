@@ -356,7 +356,7 @@ class TestProposeNextTau:
         (["tau = 1000", "tau = 0.8"], None),
         (["no numbers here", "no numbers here", "tau = 1000"],
          "extracted tau 1000.0 is above TAU_MAX = 100"),
-    ])
+    ], ids=["unparseable", "above_cap", "aborted"])
     def test_a_failed_extraction_leaves_no_cycle(self, fast_cfg, replies, abort):
         # With the cyclic collector off, a backend outlives its last
         # reference only if a cycle holds the proposal's frame.
